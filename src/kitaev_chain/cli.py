@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,9 +38,20 @@ from .quadratic import (
     eigenenergy,
     schur_decompose,
 )
-from .tensor import MAX_BOND_DIMENSION, TRUNCATION_THRESHOLD, energy_expectation
+from .tensor import TRUNCATION_THRESHOLD, energy_expectation
 
-__all__ = ["main", "run"]
+__all__ = ["MAX_AXIS_POINTS", "main", "run"]
+
+#: Most values one grid axis or chain-length schedule may hold.  Ranges are
+#: sized before any value is built, so ``0:1:1e-300`` fails at once.
+MAX_AXIS_POINTS = 10_000
+
+#: Subcommands defined for one boundary only; it is also their default.
+FIXED_BOUNDARY = {"zscan": "open", "verify": "open",
+                  "energy-accuracy": "periodic", "particles": "periodic"}
+
+#: Decimals of the float-valued summary entries in CSV comment lines.
+SUMMARY_DECIMALS = {"ground_energy": 6, "max_deviation": 12, "max_abs_difference": 12}
 
 
 class UsageError(ValueError):
@@ -48,20 +62,23 @@ class UsageError(ValueError):
 
 
 def parse_schedule(text: str) -> tuple[int, ...]:
-    """Chain-length schedule: ``8,16,24`` or ``start:stop:step`` (inclusive)."""
+    """Chain-length schedule: ``8,16,24`` or ``start:stop:step`` (inclusive),
+    strictly increasing from at least 3 sites (the end-pair contraction needs 3)."""
     try:
         if ":" in text:
             start, stop, step = (int(part) for part in text.split(":"))
             if step <= 0:
                 raise ValueError
-            values = tuple(range(start, stop + 1, step))
+            values: Sequence[int] = range(start, stop + 1, step)
         else:
-            values = tuple(int(part) for part in text.split(","))
+            values = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad schedule {text!r}; use N,N,... or start:stop:step") from exc
-    if not values:
-        raise UsageError(f"schedule {text!r} is empty")
-    return values
+    if len(values) > MAX_AXIS_POINTS:
+        raise UsageError(f"schedule {text!r} has more than {MAX_AXIS_POINTS} entries")
+    if not values or values[0] < 3 or any(b <= a for a, b in zip(values, values[1:])):
+        raise UsageError(f"schedule {text!r} needs increasing chain lengths of at least 3 sites")
+    return tuple(values)
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -69,45 +86,53 @@ def parse_grid(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
             lo, hi, step = (float(part) for part in text.split(":"))
-            if step <= 0 or hi < lo:
+            if not (math.isfinite(lo) and math.isfinite(step) and step > 0 and hi >= lo):
                 raise ValueError
-            count = int(round((hi - lo) / step))
-            values = tuple(round(lo + k * step, 10) for k in range(count + 1))
+            count = round((hi - lo) / step) + 1  # OverflowError when hi is infinite
         else:
             values = tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
+            count = len(values)
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad grid {text!r}; use v,v,... or min:max:step") from exc
-    if not values:
-        raise UsageError(f"grid {text!r} is empty")
+    if count > MAX_AXIS_POINTS:
+        raise UsageError(f"grid {text!r} has more than {MAX_AXIS_POINTS} points")
+    if ":" in text:
+        values = tuple(round(lo + k * step, 10) for k in range(count))
     return values
-
-
-def _fmt(value: float, decimals: int = 6) -> str:
-    return f"{float(value) + 0.0:.{decimals}f}"
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 # -- output ------------------------------------------------------------------
 
 
-def emit(
-    args: argparse.Namespace,
-    header: Sequence[str],
-    csv_rows: Iterable[Sequence[str]],
-    json_rows: list[dict],
-    summary: dict,
-    config: dict,
-) -> None:
+def _cell(value, decimals: int | None) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return f"{float(value) + 0.0:.{decimals}f}"
+
+
+def emit(args: argparse.Namespace, columns, rows: list, summary: dict, **config) -> None:
+    """Write ``rows`` and ``summary`` as CSV or JSON.
+
+    ``columns`` is the CSV column spec, ``(name, decimals)`` pairs in print order; ``decimals``
+    applies to float cells.  JSON ``config`` holds every flag that is set, updated by ``config``."""
     if args.format == "json":
-        payload = {"config": config, "rows": json_rows, "summary": summary}
+        flags = {key: value for key, value in vars(args).items() if value is not None}
+        del flags["func"]
+        payload = {"config": {**flags, **config}, "rows": rows, "summary": summary}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [f"# {key}={value}" for key, value in sorted(summary.items())]
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in csv_rows)
+        lines = [
+            f"# {key}={_cell(value, SUMMARY_DECIMALS.get(key))}"
+            for key, value in sorted(summary.items())
+        ]
+        lines.append(",".join(name for name, _ in columns))
+        lines.extend(
+            ",".join(_cell(row[name], decimals) for name, decimals in columns) for row in rows
+        )
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -119,265 +144,182 @@ def emit(
 # -- shared parameter plumbing ----------------------------------------------
 
 
-def make_params(args: argparse.Namespace, **overrides) -> KitaevParams:
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject flag values the subcommand cannot use."""
+    boundary = FIXED_BOUNDARY.get(args.command, args.boundary)
+    if args.boundary != boundary:
+        raise UsageError(f"{args.command} is defined for {boundary} chains only")
     if args.phi != 0.0:
         raise UsageError("--phi is validated for 0 only")
-    fields = dict(
-        n_sites=args.n,
-        hopping=args.w,
-        chemical_potential=args.mu,
-        pairing_magnitude=args.delta,
-        pairing_phase=args.phi,
-        boundary=args.boundary,
-    )
-    fields.update(overrides)
+    for flag in ("trunc", "tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 < value < math.inf:
+            raise UsageError(f"--{flag} must be finite and positive")
+
+
+def make_params(args: argparse.Namespace, **fields) -> KitaevParams:
+    """Parameters from the shared flags plus ``fields``; invalid values are usage errors."""
+    shared = dict(pairing_magnitude=args.delta, pairing_phase=args.phi, boundary=args.boundary)
     try:
-        return KitaevParams(**fields)
+        return KitaevParams(**{**shared, **fields})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
+def run_grid(args, worker: Callable, points: list, columns, summarize, **config) -> dict:
+    """Emit the rows ``worker`` makes of each point, in point order, and return their summary.
+
+    ``points`` are validated ``KitaevParams``; ``summarize`` maps all rows to the summary
+    dict.  ``--jobs`` is capped at one worker process per CPU and per point."""
+    jobs = min(args.jobs, os.cpu_count() or 1, len(points))
+    if jobs <= 1:
+        results = [worker(point) for point in points]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, points))
+    rows = [row for point_rows in results for row in point_rows]
+    summary = summarize(rows)
+    emit(args, columns, rows, summary, **config)
+    return summary
+
+
+def _surface_points(args: argparse.Namespace) -> list[KitaevParams]:
+    """The (mu, w) surface of energy-accuracy and particles: w, then mu, ascending."""
+    mu_grid = sorted(parse_grid(args.mu_grid))
+    grid = [(w, mu) for w in sorted(parse_grid(args.w_grid)) for mu in mu_grid]
+    return [make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu) for w, mu in grid]
+
+
 # -- spectrum ----------------------------------------------------------------
+
+SPECTRUM_COLUMNS = (("mode", None), ("epsilon", 6))
+PERIODIC_COLUMNS = (("epsilon_analytic", 6), ("deviation", 12))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    params = make_params(args)
+    params = make_params(args, n_sites=args.n, hopping=args.w, chemical_potential=args.mu)
     schur = schur_decompose(build_coupling_matrix(params))
     ground = eigenenergy(schur.epsilons, [0] * params.n_sites)
-    summary = {
-        "ground_energy": _fmt(ground) if args.format == "csv" else ground,
-        "degenerate": _fmt_bool(schur.is_degenerate)
-        if args.format == "csv"
-        else schur.is_degenerate,
-    }
-    header = ["mode", "epsilon"]
-    analytic: np.ndarray | None = None
+    summary = {"ground_energy": ground, "degenerate": schur.is_degenerate}
+    rows = [{"mode": index + 1, "epsilon": float(eps)} for index, eps in enumerate(schur.epsilons)]
+    columns = SPECTRUM_COLUMNS
     if params.boundary == "periodic":
         analytic = np.sort(np.abs(analytic_periodic_energies(params)))[::-1]
-        deviation = float(np.abs(schur.epsilons - analytic).max())
-        summary["max_deviation"] = _fmt(deviation, 12) if args.format == "csv" else deviation
-        header += ["epsilon_analytic", "deviation"]
-    csv_rows = []
-    json_rows = []
-    for index, eps in enumerate(schur.epsilons):
-        row = {"mode": index + 1, "epsilon": float(eps)}
-        cells = [str(index + 1), _fmt(eps)]
-        if analytic is not None:
-            row["epsilon_analytic"] = float(analytic[index])
-            row["deviation"] = float(abs(eps - analytic[index]))
-            cells += [_fmt(analytic[index]), _fmt(row["deviation"], 12)]
-        csv_rows.append(cells)
-        json_rows.append(row)
-    emit(args, header, csv_rows, json_rows, summary, _config_dict(args))
+        summary["max_deviation"] = float(np.abs(schur.epsilons - analytic).max())
+        for row, exact in zip(rows, analytic):
+            row.update(epsilon_analytic=float(exact), deviation=float(abs(row["epsilon"] - exact)))
+        columns = SPECTRUM_COLUMNS + PERIODIC_COLUMNS
+    emit(args, columns, rows, summary)
     return 0
 
 
 # -- zscan -------------------------------------------------------------------
 
+ZSCAN_COLUMNS = (
+    ("mu", 6), ("two_w", 6), ("z", 3), ("converged", None), ("n_used", None),
+    ("z_analytic", 3), ("abs_difference", 6), ("error", None),
+)
 
-def _zscan_point(payload: tuple) -> dict:
-    mu, two_w, delta, schedule, tol, trunc = payload
-    params = KitaevParams(
-        n_sites=max(3, schedule[0]),
-        hopping=two_w / 2.0,
-        chemical_potential=mu,
-        pairing_magnitude=delta,
-    )
-    row = {"mu": mu, "two_w": two_w, "z_analytic": z_analytic(params)}
+
+def _zscan_point(params: KitaevParams, *, schedule, tol: float, trunc: float) -> list[dict]:
+    analytic = z_analytic(params)
+    row = {"mu": params.chemical_potential, "two_w": 2.0 * params.hopping, "z_analytic": analytic}
     try:
         result = z_saturated(params, schedule=schedule, tol=tol, threshold=trunc)
     except Exception as exc:  # recorded in-row; the scan continues
         row.update(z=None, converged=None, n_used=None, abs_difference=None, error=str(exc))
-        return row
-    row.update(
-        z=result.z,
-        converged=result.converged,
-        n_used=result.n_used,
-        abs_difference=abs(result.z - row["z_analytic"]),
-        error="",
-    )
-    return row
+        return [row]
+    row.update(z=result.z, converged=result.converged, n_used=result.n_used, error="")
+    row["abs_difference"] = abs(result.z - analytic)
+    return [row]
+
+
+def _zscan_summary(rows: list[dict]) -> dict:
+    failed = sum(row["z"] is None for row in rows)
+    unconverged = sum(row["converged"] is False for row in rows)
+    return {"points": len(rows), "failed": failed, "unconverged": unconverged}
 
 
 def cmd_zscan(args: argparse.Namespace) -> int:
-    if args.boundary != "open":
-        raise UsageError("zscan is defined for open chains")
-    if args.phi != 0.0:
-        raise UsageError("--phi is validated for 0 only")
-    if args.tol <= 0 or args.trunc <= 0:
-        raise UsageError("--tol and --trunc must be positive")
     schedule = parse_schedule(args.n_schedule) if args.n_schedule else DEFAULT_SCHEDULE
-    mu_grid = parse_grid(args.mu_grid)
-    two_w_grid = parse_grid(args.two_w_grid)
+    mu_grid = sorted(parse_grid(args.mu_grid), reverse=True)
+    two_w_grid = sorted(parse_grid(args.two_w_grid))
     points = [
-        (mu, two_w, args.delta, schedule, args.tol, args.trunc)
-        for mu in sorted(mu_grid, reverse=True)
-        for two_w in sorted(two_w_grid)
+        make_params(args, n_sites=schedule[0], hopping=two_w / 2.0, chemical_potential=mu)
+        for mu in mu_grid
+        for two_w in two_w_grid
     ]
-    rows = _run_pool(_zscan_point, points, args.jobs)
-    header = ["mu", "two_w", "z", "converged", "n_used", "z_analytic", "abs_difference", "error"]
-    csv_rows = []
-    for row in rows:
-        failed = row["z"] is None
-        csv_rows.append(
-            [
-                _fmt(row["mu"]),
-                _fmt(row["two_w"]),
-                "" if failed else _fmt(row["z"], 3),
-                "" if failed else _fmt_bool(row["converged"]),
-                "" if failed else str(row["n_used"]),
-                _fmt(row["z_analytic"], 3),
-                "" if failed else _fmt(row["abs_difference"]),
-                row["error"],
-            ]
-        )
-    n_failed = sum(1 for row in rows if row["z"] is None)
-    n_unconverged = sum(1 for row in rows if row["z"] is not None and not row["converged"])
-    summary = {"points": len(rows), "failed": n_failed, "unconverged": n_unconverged}
-    emit(args, header, csv_rows, rows, summary, _config_dict(args, schedule=list(schedule)))
+    worker = partial(_zscan_point, schedule=schedule, tol=args.tol, trunc=args.trunc)
+    run_grid(args, worker, points, ZSCAN_COLUMNS, _zscan_summary, schedule=list(schedule))
     return 0
 
 
 # -- energy accuracy ---------------------------------------------------------
 
+ENERGY_COLUMNS = (
+    ("mu", 6), ("w", 6), ("energy_tensor", 6), ("energy_reference", 6),
+    ("abs_difference", 12), ("degenerate", None), ("error", None),
+)
 
-def _energy_point(payload: tuple) -> dict:
-    mu, w, n_sites, delta, trunc = payload
-    params = KitaevParams(
-        n_sites=n_sites,
-        hopping=w,
-        chemical_potential=mu,
-        pairing_magnitude=delta,
-        boundary="periodic",
-    )
-    row = {"mu": mu, "w": w}
+
+def _energy_point(params: KitaevParams, *, trunc: float) -> list[dict]:
     schur = schur_decompose(build_coupling_matrix(params))
     reference = -0.5 * float(np.sum(schur.epsilons))
-    row["energy_reference"] = reference
+    row = dict(mu=params.chemical_potential, w=params.hopping, energy_reference=reference)
+    row.update(energy_tensor=None, abs_difference=None, degenerate=schur.is_degenerate, error="")
     if schur.is_degenerate:
-        row.update(energy_tensor=None, abs_difference=None, degenerate=True, error="")
-        return row
+        return [row]
     try:
         state, _, _ = prepare_eigenstate(params, threshold=trunc)
         energy = energy_expectation(state, params)
-    except Exception as exc:
-        row.update(energy_tensor=None, abs_difference=None, degenerate=False, error=str(exc))
-        return row
-    row.update(
-        energy_tensor=energy,
-        abs_difference=abs(energy - reference),
-        degenerate=False,
-        error="",
-    )
-    return row
+    except Exception as exc:  # recorded in-row; the scan continues
+        row["error"] = str(exc)
+        return [row]
+    row.update(energy_tensor=energy, abs_difference=abs(energy - reference))
+    return [row]
+
+
+def _energy_summary(rows: list[dict]) -> dict:
+    differences = [row["abs_difference"] for row in rows if row["abs_difference"] is not None]
+    skipped = sum(row["degenerate"] for row in rows)
+    worst = max(differences, default="")
+    return {"points": len(rows), "degenerate_skipped": skipped, "max_abs_difference": worst}
 
 
 def cmd_energy_accuracy(args: argparse.Namespace) -> int:
-    if args.boundary != "periodic":
-        raise UsageError("energy-accuracy uses the periodic-chain shortcut; pass --boundary periodic")
-    if args.phi != 0.0:
-        raise UsageError("--phi is validated for 0 only")
-    if args.trunc <= 0:
-        raise UsageError("--trunc must be positive")
-    mu_grid = parse_grid(args.mu_grid)
-    w_grid = parse_grid(args.w_grid)
-    points = [
-        (mu, w, args.n, args.delta, args.trunc)
-        for w in sorted(w_grid)
-        for mu in sorted(mu_grid)
-    ]
-    rows = _run_pool(_energy_point, points, args.jobs)
-    header = ["mu", "w", "energy_tensor", "energy_reference", "abs_difference", "degenerate", "error"]
-    csv_rows = []
-    differences = [row["abs_difference"] for row in rows if row["abs_difference"] is not None]
-    for row in rows:
-        skipped = row["energy_tensor"] is None
-        csv_rows.append(
-            [
-                _fmt(row["mu"]),
-                _fmt(row["w"]),
-                "" if skipped else _fmt(row["energy_tensor"]),
-                _fmt(row["energy_reference"]),
-                "" if skipped else _fmt(row["abs_difference"], 12),
-                _fmt_bool(row["degenerate"]),
-                row["error"],
-            ]
-        )
-    summary = {
-        "points": len(rows),
-        "degenerate_skipped": sum(1 for row in rows if row["degenerate"]),
-        "max_abs_difference": (
-            (_fmt(max(differences), 12) if args.format == "csv" else max(differences))
-            if differences
-            else ""
-        ),
-    }
-    emit(args, header, csv_rows, rows, summary, _config_dict(args))
+    worker = partial(_energy_point, trunc=args.trunc)
+    run_grid(args, worker, _surface_points(args), ENERGY_COLUMNS, _energy_summary)
     return 0
 
 
 # -- particles ---------------------------------------------------------------
 
+PARTICLES_COLUMNS = (
+    ("mu", 6), ("w", 6), ("mean_particles", 6), ("parity", None), ("degenerate", None),
+    ("error", None),
+)
 
-def _particles_point(payload: tuple) -> dict:
-    mu, w, n_sites, delta, trunc = payload
-    params = KitaevParams(
-        n_sites=n_sites,
-        hopping=w,
-        chemical_potential=mu,
-        pairing_magnitude=delta,
-        boundary="periodic",
-    )
-    row = {"mu": mu, "w": w}
+
+def _particles_point(params: KitaevParams, *, trunc: float) -> list[dict]:
+    row = {"mu": params.chemical_potential, "w": params.hopping}
     try:
         state, _, plan = prepare_eigenstate(params, threshold=trunc)
-    except Exception as exc:
+    except Exception as exc:  # recorded in-row; the scan continues
         row.update(mean_particles=None, parity="", degenerate=None, error=str(exc))
-        return row
-    sector = parity([0] * n_sites, plan.particle_hole)
-    row.update(
-        mean_particles=mean_particle_number(state),
-        parity=sector,
-        degenerate=plan.degenerate,
-        error="",
-    )
-    return row
+        return [row]
+    sector = parity([0] * params.n_sites, plan.particle_hole)
+    row.update(mean_particles=mean_particle_number(state), parity=sector, error="")
+    row["degenerate"] = plan.degenerate
+    return [row]
+
+
+def _particles_summary(rows: list[dict]) -> dict:
+    return {"points": len(rows), "failed": sum(row["mean_particles"] is None for row in rows)}
 
 
 def cmd_particles(args: argparse.Namespace) -> int:
-    if args.boundary != "periodic":
-        raise UsageError("particles reproduces the periodic-chain surface; pass --boundary periodic")
-    if args.phi != 0.0:
-        raise UsageError("--phi is validated for 0 only")
-    if args.trunc <= 0:
-        raise UsageError("--trunc must be positive")
-    mu_grid = parse_grid(args.mu_grid)
-    w_grid = parse_grid(args.w_grid)
-    points = [
-        (mu, w, args.n, args.delta, args.trunc)
-        for w in sorted(w_grid)
-        for mu in sorted(mu_grid)
-    ]
-    rows = _run_pool(_particles_point, points, args.jobs)
-    header = ["mu", "w", "mean_particles", "parity", "degenerate", "error"]
-    csv_rows = []
-    for row in rows:
-        failed = row["mean_particles"] is None
-        csv_rows.append(
-            [
-                _fmt(row["mu"]),
-                _fmt(row["w"]),
-                "" if failed else _fmt(row["mean_particles"]),
-                row["parity"],
-                "" if failed else _fmt_bool(row["degenerate"]),
-                row["error"],
-            ]
-        )
-    summary = {
-        "points": len(rows),
-        "failed": sum(1 for row in rows if row["mean_particles"] is None),
-    }
-    emit(args, header, csv_rows, rows, summary, _config_dict(args))
+    worker = partial(_particles_point, trunc=args.trunc)
+    run_grid(args, worker, _surface_points(args), PARTICLES_COLUMNS, _particles_summary)
     return 0
 
 
@@ -392,10 +334,15 @@ _VERIFY_GRID = (
     (1.3, 1.7, 0.6),
 )
 
+VERIFY_COLUMNS = (
+    ("w", 6), ("mu", 6), ("delta", 6), ("check", None), ("status", None), ("residual", 12),
+    ("detail", None),
+)
 
-def _verify_point(payload: tuple) -> list[dict]:
-    w, mu, delta, n_sites, trunc = payload
-    params = KitaevParams(n_sites, w, mu, delta)
+
+def _verify_point(params: KitaevParams, *, trunc: float) -> list[dict]:
+    n_sites = params.n_sites
+    w, mu, delta = params.hopping, params.chemical_potential, params.pairing_magnitude
     point = {"w": w, "mu": mu, "delta": delta}
     schur = schur_decompose(build_coupling_matrix(params))
     h = oracle.dense_hamiltonian(n_sites, w, mu, delta)
@@ -445,74 +392,50 @@ def _verify_point(payload: tuple) -> list[dict]:
     return checks
 
 
+def _verify_summary(rows: list[dict]) -> dict:
+    status = [row["status"] for row in rows]
+    failures, skipped = status.count("fail"), status.count("skipped")
+    return {"checks": len(rows), "failures": failures, "skipped": skipped}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.boundary != "open":
-        raise UsageError("verify runs the open-chain equivalence suite")
-    if args.phi != 0.0:
-        raise UsageError("--phi is validated for 0 only")
     if not 2 <= args.n <= 8:
         raise UsageError("verify needs 2 <= --n <= 8 (dense reference)")
-    if args.w is None and args.mu is None:
-        points = [(w, mu, delta, args.n, args.trunc) for w, mu, delta in _VERIFY_GRID]
-    else:
-        points = [(args.w if args.w is not None else 1.0, args.mu or 0.0, args.delta, args.n, args.trunc)]
-    rows = [check for result in _run_pool(_verify_point, points, args.jobs) for check in result]
-    header = ["w", "mu", "delta", "check", "status", "residual", "detail"]
-    csv_rows = [
-        [
-            _fmt(row["w"]),
-            _fmt(row["mu"]),
-            _fmt(row["delta"]),
-            row["check"],
-            row["status"],
-            "" if row["residual"] is None else _fmt(row["residual"], 12),
-            row["detail"],
-        ]
-        for row in rows
+    grid = _VERIFY_GRID
+    if args.w is not None or args.mu is not None:
+        grid = [(args.w if args.w is not None else 1.0, args.mu or 0.0, args.delta)]
+    points = [
+        make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu, pairing_magnitude=d)
+        for w, mu, d in grid
     ]
-    failures = sum(1 for row in rows if row["status"] == "fail")
-    summary = {
-        "checks": len(rows),
-        "failures": failures,
-        "skipped": sum(1 for row in rows if row["status"] == "skipped"),
-    }
-    emit(args, header, csv_rows, rows, summary, _config_dict(args))
-    return 0 if failures == 0 else 1
+    worker = partial(_verify_point, trunc=args.trunc)
+    summary = run_grid(args, worker, points, VERIFY_COLUMNS, _verify_summary)
+    return 0 if summary["failures"] == 0 else 1
 
 
-# -- plumbing ----------------------------------------------------------------
+# -- parser ------------------------------------------------------------------
 
 
-def _run_pool(worker: Callable, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _config_dict(args: argparse.Namespace, **extra) -> dict:
-    config = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func",) and value is not None
-    }
-    config.update(extra)
-    return config
-
-
-def _add_common(parser: argparse.ArgumentParser, *, boundary: str, n_default: int) -> None:
-    parser.add_argument("--n", type=int, default=n_default, help="number of chain sites")
+def _command(sub, name: str, func: Callable, help_text: str, *, n_default: int | None = None,
+                grid: bool = True) -> argparse.ArgumentParser:
+    """A subparser with the shared flags; ``grid`` adds ``--trunc`` and ``--jobs``."""
+    parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
+    parser.set_defaults(func=func)
+    if n_default is not None:
+        parser.add_argument("--n", type=int, default=n_default, help="number of chain sites")
     parser.add_argument("--delta", type=float, default=1.0, help="pairing magnitude")
     parser.add_argument("--phi", type=float, default=0.0, help="pairing phase (validated 0 only)")
+    boundary = FIXED_BOUNDARY.get(name, "open")
     parser.add_argument(
         "--boundary", choices=("open", "periodic"), default=boundary, help="chain boundary"
     )
-    parser.add_argument(
-        "--trunc", type=float, default=TRUNCATION_THRESHOLD, help="relative truncation threshold"
-    )
+    if grid:
+        parser.add_argument("--trunc", type=float, default=TRUNCATION_THRESHOLD,
+                            help="relative truncation threshold")
+        parser.add_argument("--jobs", type=int, default=1, help="parallel workers for grid points")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for grid points")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,45 +444,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kitaev-chain spectra, eigenstates, and end-to-end correlation scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The cmd_* functions are looked up here, at call time, so wrappers
+    # installed on this module before main() runs take effect.
 
-    spectrum = sub.add_parser("spectrum", help="single-body energies and ground energy")
-    _add_common(spectrum, boundary="open", n_default=10)
+    spectrum = _command(sub, "spectrum", cmd_spectrum, "single-body energies and ground energy",
+                           n_default=10, grid=False)
     spectrum.add_argument("--w", type=float, default=1.0, help="hopping amplitude")
     spectrum.add_argument("--mu", type=float, default=0.0, help="chemical potential")
-    spectrum.set_defaults(func=cmd_spectrum)
 
-    zscan = sub.add_parser("zscan", help="saturated Z over a (mu, 2w) grid")
-    _add_common(zscan, boundary="open", n_default=8)
+    zscan = _command(sub, "zscan", cmd_zscan, "saturated Z over a (mu, 2w) grid")
     zscan.add_argument("--mu-grid", default="-4:4:1", help="mu grid (list or min:max:step)")
     zscan.add_argument("--two-w-grid", default="-4:4:1", help="2w grid (list or min:max:step)")
     zscan.add_argument("--n-schedule", default="", help="chain lengths (list or start:stop:step)")
     zscan.add_argument("--tol", type=float, default=DEFAULT_SATURATION_TOL, help="saturation tolerance")
-    zscan.set_defaults(func=cmd_zscan)
 
-    energy = sub.add_parser("energy-accuracy", help="tensor-route ground-energy error on a grid")
-    _add_common(energy, boundary="periodic", n_default=10)
-    energy.add_argument("--mu-grid", default="-4:4:0.5", help="mu grid (list or min:max:step)")
-    energy.add_argument("--w-grid", default="-4:4:0.5", help="w grid (list or min:max:step)")
-    energy.set_defaults(func=cmd_energy_accuracy)
+    for name, func, help_text in (
+        ("energy-accuracy", cmd_energy_accuracy, "tensor-route ground-energy error on a grid"),
+        ("particles", cmd_particles, "mean particle number and parity on a grid"),
+    ):
+        surface = _command(sub, name, func, help_text, n_default=10)
+        surface.add_argument("--mu-grid", default="-4:4:0.5", help="mu grid (list or min:max:step)")
+        surface.add_argument("--w-grid", default="-4:4:0.5", help="w grid (list or min:max:step)")
 
-    particles = sub.add_parser("particles", help="mean particle number and parity on a grid")
-    _add_common(particles, boundary="periodic", n_default=10)
-    particles.add_argument("--mu-grid", default="-4:4:0.5", help="mu grid (list or min:max:step)")
-    particles.add_argument("--w-grid", default="-4:4:0.5", help="w grid (list or min:max:step)")
-    particles.set_defaults(func=cmd_particles)
-
-    verify = sub.add_parser("verify", help="dense-reference equivalence suite")
-    _add_common(verify, boundary="open", n_default=6)
+    verify = _command(sub, "verify", cmd_verify, "dense-reference equivalence suite", n_default=6)
     verify.add_argument("--w", type=float, default=None, help="hopping (default: built-in grid)")
     verify.add_argument("--mu", type=float, default=None, help="chemical potential")
-    verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -571,3 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

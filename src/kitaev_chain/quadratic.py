@@ -22,6 +22,7 @@ site k // 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,11 +54,11 @@ class KitaevParams:
     n_sites : int
         Number of sites N, at least 2.
     hopping : float
-        Hopping amplitude w.
+        Hopping amplitude w, finite.
     chemical_potential : float
-        Chemical potential mu.
+        Chemical potential mu, finite.
     pairing_magnitude : float
-        Pairing magnitude |D| >= 0.
+        Pairing magnitude |D| >= 0, finite.
     pairing_phase : float
         Pairing phase phi in [0, 2*pi); the complex pairing is |D| e^{i phi}.
     boundary : str
@@ -74,6 +75,9 @@ class KitaevParams:
     def __post_init__(self) -> None:
         if int(self.n_sites) != self.n_sites or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
+        for name in ("hopping", "chemical_potential", "pairing_magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pairing_magnitude < 0:
             raise ValueError("pairing_magnitude must be non-negative")
         if not 0.0 <= self.pairing_phase < 2.0 * np.pi:

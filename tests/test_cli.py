@@ -5,6 +5,11 @@ and emitted text are checked exactly as a shell user would see them.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,12 +244,45 @@ class TestUsageErrors:
             ["zscan", "--tol", "0"],
             ["particles", "--boundary", "open"],
             ["spectrum", "--n", "1"],
+            ["spectrum", "--w", "nan"],
+            ["spectrum", "--mu", "inf"],
+            ["zscan", "--mu-grid", "nan"],
+            ["zscan", "--two-w-grid=-inf"],
+            ["zscan", "--mu-grid", "0:inf:1"],
+            ["zscan", "--mu-grid", "0:1:1e-300"],
+            ["zscan", "--n-schedule", "3:1000000000:1"],
+            ["zscan", "--n-schedule", "1,2"],
+            ["zscan", "--n-schedule", "16,8"],
+            ["zscan", "--tol", "nan"],
+            ["zscan", "--trunc", "inf"],
+            ["particles", "--delta", "-1"],
+            ["particles", "--delta", "nan"],
+            ["particles", "--n", "1"],
+            ["particles", "--trunc", "nan"],
+            ["energy-accuracy", "--w-grid", "inf"],
+            ["verify", "--trunc", "-1"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zscan", "--n", "99"],
+            ["spectrum", "--trunc", "-1"],
+            ["spectrum", "--jobs", "-3"],
+            ["zscan", "--n-sched", "8,16"],
+            ["particles", "--mu", "0:1:1"],
+        ],
+    )
+    def test_removed_and_abbreviated_flags_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -267,7 +305,162 @@ class TestParsers:
         assert cli.parse_grid("0.5") == (0.5,)
         assert np.allclose(cli.parse_grid("-1,0,2.5"), [-1.0, 0.0, 2.5])
 
-    @pytest.mark.parametrize("text", ["", "1:2", "1:0:1", "x,y"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1:2", "1:0:1", "x,y", "0:inf:1", "0:1:inf", "nan:1:1", "-1e308:1e308:1", "0:1:1e-300"],
+    )
     def test_bad_grids_raise(self, text):
         with pytest.raises(cli.UsageError):
             cli.parse_grid(text)
+
+    @pytest.mark.parametrize("text", ["3:1000000000:1", "1,2", "2,8", "16,8", "8,8", "8:0:4", "abc"])
+    def test_bad_schedules_raise(self, text):
+        with pytest.raises(cli.UsageError):
+            cli.parse_schedule(text)
+
+    def test_axis_cap_is_inclusive(self):
+        cap = cli.MAX_AXIS_POINTS
+        assert len(cli.parse_grid(f"1:{cap}:1")) == cap
+        assert len(cli.parse_schedule(f"3:{cap + 2}:1")) == cap
+        with pytest.raises(cli.UsageError):
+            cli.parse_grid(f"0:{cap}:1")
+        with pytest.raises(cli.UsageError):
+            cli.parse_schedule(",".join(str(n) for n in range(3, cap + 4)))
+
+
+def fail_at_mu(original, mu):
+    """Wrap a library call so it raises for one chemical potential."""
+
+    def wrapper(params, *args, **kwargs):
+        if params.chemical_potential == mu:
+            raise RuntimeError("injected failure")
+        return original(params, *args, **kwargs)
+
+    return wrapper
+
+
+F3, F6, F12 = (rf"-?\d+\.\d{{{k}}}" for k in (3, 6, 12))
+BOOL = "(true|false)"
+
+# argv, (library call, mu) to fail at, summary patterns, header, row patterns
+FORMAT_CASES = {
+    "spectrum": (
+        ["spectrum", "--n", "3", "--boundary", "periodic"],
+        None,
+        {"degenerate": BOOL, "ground_energy": F6, "max_deviation": F12},
+        "mode,epsilon,epsilon_analytic,deviation",
+        [rf"{mode},{F6},{F6},{F12}" for mode in (1, 2, 3)],
+    ),
+    "zscan": (
+        ["zscan", "--mu-grid", "3,4", "--two-w-grid", "1", "--n-schedule", "8,16"],
+        ("z_saturated", 4.0),
+        {"failed": "1", "points": "2", "unconverged": "[01]"},
+        "mu,two_w,z,converged,n_used,z_analytic,abs_difference,error",
+        [
+            rf"4\.000000,1\.000000,,,,{F3},,injected failure",
+            rf"3\.000000,1\.000000,{F3},{BOOL},(8|16),{F3},{F6},",
+        ],
+    ),
+    "energy-accuracy": (
+        ["energy-accuracy", "--mu-grid", "0,1,4", "--w-grid", "2"],
+        ("prepare_eigenstate", 1.0),
+        {"degenerate_skipped": "1", "max_abs_difference": F12, "points": "3"},
+        "mu,w,energy_tensor,energy_reference,abs_difference,degenerate,error",
+        [
+            rf"0\.000000,2\.000000,{F6},{F6},{F12},false,",
+            rf"1\.000000,2\.000000,,{F6},,false,injected failure",
+            rf"4\.000000,2\.000000,,{F6},,true,",
+        ],
+    ),
+    "particles": (
+        ["particles", "--mu-grid", "0,4", "--w-grid", "1"],
+        ("prepare_eigenstate", 4.0),
+        {"failed": "1", "points": "2"},
+        "mu,w,mean_particles,parity,degenerate,error",
+        [rf"0\.000000,1\.000000,{F6},(even|odd),{BOOL},", r"4\.000000,1\.000000,,,,injected failure"],
+    ),
+    "verify": (
+        ["verify", "--n", "2", "--w", "1", "--mu", "0"],
+        None,
+        {"checks": "4", "failures": "0", "skipped": "3"},
+        "w,mu,delta,check,status,residual,detail",
+        [
+            rf"1\.000000,0\.000000,1\.000000,spectrum_multiset,pass,{F12},",
+            r"1\.000000,0\.000000,1\.000000,ground_overlap,skipped,,degenerate ground level",
+            r"1\.000000,0\.000000,1\.000000,rdm_ends,skipped,,end-pair contraction needs 3 sites",
+            r"1\.000000,0\.000000,1\.000000,z_value,skipped,,degenerate ground level",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+def test_output_columns(capsys, monkeypatch, command):
+    """Pin each subcommand's CSV header, per-column format and JSON keys."""
+    argv, failing, summary, header, rows = FORMAT_CASES[command]
+    if failing:
+        name, mu = failing
+        monkeypatch.setattr(cli, name, fail_at_mu(getattr(cli, name), mu))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    expected = [f"# {key}={value}" for key, value in sorted(summary.items())]
+    expected += [re.escape(header)] + rows
+    lines = out.splitlines()
+    assert len(lines) == len(expected)
+    for pattern, line in zip(expected, lines):
+        assert re.fullmatch(pattern, line), (pattern, line)
+
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert set(data["summary"]) == set(summary)
+    assert [set(row) for row in data["rows"]] == [set(header.split(","))] * len(rows)
+    for row, line in zip(data["rows"], lines[-len(rows):]):
+        # a blank CSV cell is null in JSON, except the empty strings of text columns
+        blanks = {name for name, cell in zip(header.split(","), line.split(",")) if cell == ""}
+        assert {name for name, value in row.items() if value in (None, "")} == blanks
+
+
+class TestJobs:
+    def test_jobs_clamped_to_cpus_and_points(self, capsys, monkeypatch):
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        grid = ["verify", "--n", "3"]  # six built-in points
+        for jobs, workers in (("1000000", 4), ("3", 3)):
+            assert run_cli(capsys, grid + ["--jobs", jobs])[0] == 0
+            assert created[-1] == workers
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert run_cli(capsys, grid + ["--jobs", "1000000"])[0] == 0
+        assert created[-1] == 6
+        single = grid + ["--w", "1", "--mu", "0.5", "--jobs", "1000000"]
+        assert run_cli(capsys, single)[0] == 0
+        assert len(created) == 3  # one point runs in this process
+
+
+def test_module_runs_as_script():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "kitaev_chain.cli", "spectrum", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[2] == "mode,epsilon"

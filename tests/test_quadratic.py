@@ -38,6 +38,14 @@ class TestKitaevParams:
         with pytest.raises(ValueError):
             KitaevParams(4, 1.0, 0.0, 1.0, pairing_phase=2.0 * np.pi)
 
+    @pytest.mark.parametrize("field", ["hopping", "chemical_potential", "pairing_magnitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        fields = dict(n_sites=4, hopping=1.0, chemical_potential=0.0, pairing_magnitude=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            KitaevParams(**fields)
+
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):
             KitaevParams(4, 1.0, 0.0, 1.0, boundary="twisted")
