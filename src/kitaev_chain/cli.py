@@ -10,6 +10,7 @@ full precision).  Exit codes: 0 success, 1 numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .correlations import (
     z_saturated,
     z_value,
 )
-from .folding import prepare_eigenstate
+from .folding import compute_folding_plan, prepare_eigenstate, reconstruct_eigenstate
 from .quadratic import (
     KitaevParams,
     analytic_periodic_energies,
@@ -40,11 +41,15 @@ from .quadratic import (
 )
 from .tensor import TRUNCATION_THRESHOLD, energy_expectation
 
-__all__ = ["MAX_AXIS_POINTS", "main", "run"]
+__all__ = ["MAX_AXIS_POINTS", "MAX_GRID_POINTS", "main", "run"]
 
 #: Most values one grid axis or chain-length schedule may hold.  Ranges are
 #: sized before any value is built, so ``0:1:1e-300`` fails at once.
 MAX_AXIS_POINTS = 10_000
+
+#: Most points a whole grid may hold, checked on the axis lengths before any
+#: point's parameters are built.
+MAX_GRID_POINTS = 100_000
 
 #: Subcommands defined for one boundary only; it is also their default.
 FIXED_BOUNDARY = {"zscan": "open", "verify": "open",
@@ -88,7 +93,9 @@ def parse_grid(text: str) -> tuple[float, ...]:
             lo, hi, step = (float(part) for part in text.split(":"))
             if not (math.isfinite(lo) and math.isfinite(step) and step > 0 and hi >= lo):
                 raise ValueError
-            count = round((hi - lo) / step) + 1  # OverflowError when hi is infinite
+            # floor, so the last value never passes max; the 1e-9 absorbs rounding in the
+            # quotient (0:0.3:0.1 ends at 0.3); OverflowError when hi is infinite
+            count = math.floor((hi - lo) / step + 1e-9) + 1
         else:
             values = tuple(float(part) for part in text.split(","))
             count = len(values)
@@ -183,10 +190,18 @@ def run_grid(args, worker: Callable, points: list, columns, summarize, **config)
     return summary
 
 
+def grid_product(*axes: Sequence[float]) -> list[tuple[float, ...]]:
+    """Every combination of the axes' values, first axis outermost; more than
+    ``MAX_GRID_POINTS`` combinations is a usage error, raised before any is built."""
+    size = math.prod(len(axis) for axis in axes)
+    if size > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {size} points, more than {MAX_GRID_POINTS}")
+    return list(itertools.product(*axes))
+
+
 def _surface_points(args: argparse.Namespace) -> list[KitaevParams]:
     """The (mu, w) surface of energy-accuracy and particles: w, then mu, ascending."""
-    mu_grid = sorted(parse_grid(args.mu_grid))
-    grid = [(w, mu) for w in sorted(parse_grid(args.w_grid)) for mu in mu_grid]
+    grid = grid_product(sorted(parse_grid(args.w_grid)), sorted(parse_grid(args.mu_grid)))
     return [make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu) for w, mu in grid]
 
 
@@ -242,12 +257,12 @@ def _zscan_summary(rows: list[dict]) -> dict:
 
 def cmd_zscan(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.n_schedule) if args.n_schedule else DEFAULT_SCHEDULE
-    mu_grid = sorted(parse_grid(args.mu_grid), reverse=True)
-    two_w_grid = sorted(parse_grid(args.two_w_grid))
+    grid = grid_product(
+        sorted(parse_grid(args.mu_grid), reverse=True), sorted(parse_grid(args.two_w_grid))
+    )
     points = [
         make_params(args, n_sites=schedule[0], hopping=two_w / 2.0, chemical_potential=mu)
-        for mu in mu_grid
-        for two_w in two_w_grid
+        for mu, two_w in grid
     ]
     worker = partial(_zscan_point, schedule=schedule, tol=args.tol, trunc=args.trunc)
     run_grid(args, worker, points, ZSCAN_COLUMNS, _zscan_summary, schedule=list(schedule))
@@ -270,7 +285,9 @@ def _energy_point(params: KitaevParams, *, trunc: float) -> list[dict]:
     if schur.is_degenerate:
         return [row]
     try:
-        state, _, _ = prepare_eigenstate(params, threshold=trunc)
+        state = reconstruct_eigenstate(
+            compute_folding_plan(schur), [0] * params.n_sites, threshold=trunc
+        )
         energy = energy_expectation(state, params)
     except Exception as exc:  # recorded in-row; the scan continues
         row["error"] = str(exc)
@@ -361,13 +378,14 @@ def _verify_point(params: KitaevParams, *, trunc: float) -> list[dict]:
     residual = float(np.abs(rebuilt - dense_spectrum).max())
     record("spectrum_multiset", "pass" if residual < 1e-9 else "fail", residual)
 
-    state, _, plan = prepare_eigenstate(params, threshold=trunc)
+    plan = compute_folding_plan(schur)
+    state = reconstruct_eigenstate(plan, [0] * n_sites, threshold=trunc)
     vec = state.fock_coefficients().reshape(-1)
+    ground = None if plan.degenerate else oracle.ed_ground_state(h)[1]
 
     if plan.degenerate:
         record("ground_overlap", "skipped", None, "degenerate ground level")
     else:
-        _, ground = oracle.ed_ground_state(h)
         overlap = abs(np.vdot(ground, vec))
         record("ground_overlap", "pass" if overlap >= 1.0 - 1e-9 else "fail", max(0.0, 1.0 - overlap))
 
@@ -385,7 +403,6 @@ def _verify_point(params: KitaevParams, *, trunc: float) -> list[dict]:
         record("z_value", "skipped", None, "end-pair contraction needs 3 sites")
     else:
         sector = parity([0] * n_sites, plan.particle_hole)
-        _, ground = oracle.ed_ground_state(h)
         dense_z = abs(oracle.ed_expectation(oracle.dense_edge_operator(n_sites, "Q"), ground).real)
         residual = abs(z_value(state, sector) - dense_z)
         record("z_value", "pass" if residual < 1e-9 else "fail", residual)

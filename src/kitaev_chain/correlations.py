@@ -107,6 +107,7 @@ def parity(occupation: Sequence[int], particle_hole: bool) -> str:
 def z_value(state: TensorChain, parity: str) -> float:
     """|<Q>| from the end-pair reduced density matrix.
 
+    The parity sector only sets the sign of <Q>, which the magnitude drops.
     Bounded by 2 (operator norm of Q); at most 1 + rounding for the
     eigenstates of the chain.
     """

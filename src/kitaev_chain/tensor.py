@@ -13,7 +13,9 @@ matrix, applying a singular value decomposition, discarding singular values
 below a relative threshold, renormalizing the kept ones, and dividing out the
 outer Schmidt vectors.  Truncation is dynamic: nothing above the threshold is
 ever dropped, and exceeding the bond-dimension safety cap raises instead of
-silently degrading the state.
+silently degrading the state.  The singular vectors keep LAPACK's phases and
+its order within tied singular values: the canonical form fixes neither, and
+no observable depends on them (only the raw Gamma of ``to_json`` does).
 
 Sites and bonds are indexed 0-based: bond i sits between sites i and i+1.
 The basis order of two-site objects is |00>, |01>, |10>, |11> with the first
@@ -58,10 +60,6 @@ FOCK_SITE_LIMIT = 14
 #: Residual above which a gate matrix is rejected as non-unitary.
 _UNITARY_TOL = 1e-10
 
-#: Singular values closer than this (relative to the largest) are treated as
-#: tied and ordered deterministically by their phase-fixed left vectors.
-_SVD_TIE_TOL = 1e-14
-
 
 class TruncationError(RuntimeError):
     """Raised when a bond update leaves no singular value above threshold."""
@@ -105,44 +103,6 @@ class DensityBlock:
 
 def _ones_bond() -> np.ndarray:
     return np.ones(1)
-
-
-def _deterministic_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD with a reproducible convention for vector phases and tied values.
-
-    Each left singular vector is rotated so its first significant entry is
-    real positive (the right vector absorbs the opposite phase).  Groups of
-    singular values tied within ``_SVD_TIE_TOL`` (relative) are then ordered
-    lexicographically by the phase-fixed left vectors, making the output a
-    pure function of the input matrix.
-    """
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    mags = np.abs(u)
-    anchors = np.argmax(mags > 1e-12 * mags.max(axis=0, keepdims=True), axis=0)
-    pivots = u[anchors, np.arange(s.size)]
-    safe = np.abs(pivots) > 0.0
-    phases = np.where(safe, pivots / np.where(safe, np.abs(pivots), 1.0), 1.0)
-    u = u * phases.conj()[None, :]
-    vh = vh * phases[:, None]
-    tie = _SVD_TIE_TOL * max(1.0, float(s[0]) if s.size else 1.0)
-    if s.size > 1 and (s[:-1] - s[1:] <= tie).any():
-        order: list[int] = []
-        i = 0
-        while i < s.size:
-            j = i + 1
-            while j < s.size and s[j - 1] - s[j] <= tie:
-                j += 1
-            group = list(range(i, j))
-            if len(group) > 1:
-                group.sort(
-                    key=lambda c: tuple(
-                        np.round(np.stack([u[:, c].real, u[:, c].imag], axis=-1).ravel(), 12)
-                    )
-                )
-            order.extend(group)
-            i = j
-        u, s, vh = u[:, order], s[order], vh[order, :]
-    return u, s, vh
 
 
 class TensorChain:
@@ -270,8 +230,8 @@ class TensorChain:
             .reshape(2 * chi_l, 2 * chi_r)
         )
 
-        left_vecs, sigma, right_vecs = _deterministic_svd(m)
-        kept = sigma > threshold * sigma.max(initial=0.0) if sigma.size else sigma > 0
+        left_vecs, sigma, right_vecs = np.linalg.svd(m, full_matrices=False)
+        kept = sigma > threshold * sigma[0]
         rank = int(np.count_nonzero(kept))
         if rank == 0:
             raise TruncationError(

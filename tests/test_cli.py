@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kitaev_chain import cli
+from kitaev_chain import KitaevParams, cli, folding
 
 
 def run_cli(capsys, argv):
@@ -302,6 +302,12 @@ class TestParsers:
 
     def test_grid_forms(self):
         assert cli.parse_grid("-4:4:2") == (-4.0, -2.0, 0.0, 2.0, 4.0)
+        assert cli.parse_grid("-4:4:1") == tuple(float(k) for k in range(-4, 5))
+        assert cli.parse_grid("-4:4:0.5") == tuple(k / 2 for k in range(-8, 9))
+        # a range never passes its max, and rounding in (max - min) / step loses no point
+        assert cli.parse_grid("0:1:0.35") == (0.0, 0.35, 0.7)
+        assert cli.parse_grid("0:1:0.6") == (0.0, 0.6)
+        assert cli.parse_grid("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
         assert cli.parse_grid("0.5") == (0.5,)
         assert np.allclose(cli.parse_grid("-1,0,2.5"), [-1.0, 0.0, 2.5])
 
@@ -327,14 +333,28 @@ class TestParsers:
         with pytest.raises(cli.UsageError):
             cli.parse_schedule(",".join(str(n) for n in range(3, cap + 4)))
 
+    def test_grid_cap_is_checked_before_any_point(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        monkeypatch.setattr(cli, "make_params", None)  # building a point would exit 1, not 2
+        for argv in (
+            ["zscan", "--mu-grid", "0,1,2", "--two-w-grid", "1,2"],
+            ["particles", "--mu-grid", "0,1", "--w-grid", "1,2,3"],
+            ["energy-accuracy", "--mu-grid", "0:5:1", "--w-grid", "1"],
+        ):
+            code, _, err = run_cli(capsys, argv)
+            assert code == 2
+            assert err == "error: grid has 6 points, more than 5\n"
+        assert cli.grid_product((1.0, 2.0, 3.0, 4.0, 5.0), (6.0,))[-1] == (5.0, 6.0)  # inclusive
+
 
 def fail_at_mu(original, mu):
-    """Wrap a library call so it raises for one chemical potential."""
+    """Wrap a library call so it raises when its parameters have one chemical potential."""
 
-    def wrapper(params, *args, **kwargs):
+    def wrapper(*args, **kwargs):
+        params = next(arg for arg in args if isinstance(arg, KitaevParams))
         if params.chemical_potential == mu:
             raise RuntimeError("injected failure")
-        return original(params, *args, **kwargs)
+        return original(*args, **kwargs)
 
     return wrapper
 
@@ -363,7 +383,7 @@ FORMAT_CASES = {
     ),
     "energy-accuracy": (
         ["energy-accuracy", "--mu-grid", "0,1,4", "--w-grid", "2"],
-        ("prepare_eigenstate", 1.0),
+        ("energy_expectation", 1.0),
         {"degenerate_skipped": "1", "max_abs_difference": F12, "points": "3"},
         "mu,w,energy_tensor,energy_reference,abs_difference,degenerate,error",
         [
@@ -419,6 +439,28 @@ def test_output_columns(capsys, monkeypatch, command):
         # a blank CSV cell is null in JSON, except the empty strings of text columns
         blanks = {name for name, cell in zip(header.split(","), line.split(",")) if cell == ""}
         assert {name for name, value in row.items() if value in (None, "")} == blanks
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["energy-accuracy", "--n", "4", "--mu-grid", "0,1,4", "--w-grid", "2"], 3),
+        (["verify", "--n", "3"], 6),
+    ],
+)
+def test_one_schur_per_point(capsys, monkeypatch, argv, points):
+    """Each point's state is built from the decomposition the point already holds."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    original = cli.schur_decompose
+    monkeypatch.setattr(cli, "schur_decompose", counted)
+    monkeypatch.setattr(folding, "schur_decompose", counted)
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(calls) == points
 
 
 class TestJobs:
