@@ -87,7 +87,9 @@ def parse_schedule(text: str) -> tuple[int, ...]:
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parameter grid: ``0,0.5,1`` or ``min:max:step`` (inclusive)."""
+    """Parameter grid: ``0,0.5,1`` or ``min:max:step`` (inclusive, rounded to 10 decimals).
+
+    A range whose rounded values are not strictly increasing is a usage error."""
     try:
         if ":" in text:
             lo, hi, step = (float(part) for part in text.split(":"))
@@ -105,6 +107,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"grid {text!r} has more than {MAX_AXIS_POINTS} points")
     if ":" in text:
         values = tuple(round(lo + k * step, 10) for k in range(count))
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise UsageError(f"grid {text!r} has a step too fine for 10 decimals")
     return values
 
 

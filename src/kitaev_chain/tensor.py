@@ -17,6 +17,20 @@ silently degrading the state.  The singular vectors keep LAPACK's phases and
 its order within tied singular values: the canonical form fixes neither, and
 no observable depends on them (only the raw Gamma of ``to_json`` does).
 
+Parity (Z2) layout.  Every state the reconstruction builds is a parity
+eigenstate and every gate it applies conserves parity, so each Schmidt vector
+has a definite parity of its left half.  A bond lists the even-parity vectors
+first, each block with non-increasing lambda, and ``even_counts`` records how
+many are even (the last entry, for the right boundary, is 1 for an even and 0
+for an odd state).  The constructor infers the counts from the exact zeros of
+Gamma, so every state built or loaded in this layout carries them.  A
+parity-conserving two-site gate on such a state then splits the neighborhood
+into its two parity blocks and decomposes each one (half the dimension on
+each side, about a quarter of the work); the truncation threshold stays
+relative to the bond's largest singular value across both blocks.  Gates that
+mix parity, and states without definite parity or in another order, take the
+dense decomposition, which drops the layout (``even_counts`` becomes None).
+
 Sites and bonds are indexed 0-based: bond i sits between sites i and i+1.
 The basis order of two-site objects is |00>, |01>, |10>, |11> with the first
 slot belonging to the left site; Fock coefficients index site 0 as the most
@@ -59,6 +73,12 @@ FOCK_SITE_LIMIT = 14
 
 #: Residual above which a gate matrix is rejected as non-unitary.
 _UNITARY_TOL = 1e-10
+
+_IDENTITY = {2: np.eye(2), 4: np.eye(4)}
+
+#: Entries of a 4x4 gate (basis |00>, |01>, |10>, |11>) that couple even to odd states.
+_EVEN_PAIR = np.array([True, False, False, True])
+_PARITY_MIXING = _EVEN_PAIR[:, None] != _EVEN_PAIR[None, :]
 
 
 class TruncationError(RuntimeError):
@@ -105,6 +125,31 @@ def _ones_bond() -> np.ndarray:
     return np.ones(1)
 
 
+def _even_counts(gammas: Sequence[np.ndarray]) -> list[int] | None:
+    """For the bond right of each site, the number of even-parity Schmidt vectors listed first.
+
+    Reads the parity of each right Schmidt vector of a site off the exact
+    zeros of its Gamma, given the left bond's layout: a vector is even when
+    its nonzero entries all sit where the left vector's parity plus the local
+    occupation is even, and odd when they all sit where it is odd.  Returns
+    None as soon as a vector has no definite parity or an odd vector comes
+    before an even one.  The last entry is the right boundary bond.
+    """
+    counts = []
+    even = 1  # the empty left half of site 0 is even
+    for g in gammas:
+        nonzero = g != 0
+        to_even = nonzero[0, :even].any(axis=0) | nonzero[1, even:].any(axis=0)
+        to_odd = nonzero[1, :even].any(axis=0) | nonzero[0, even:].any(axis=0)
+        if (to_even == to_odd).any():
+            return None
+        even = int(np.count_nonzero(to_even))
+        if to_odd[:even].any():
+            return None
+        counts.append(even)
+    return counts
+
+
 class TensorChain:
     """Mutable canonical tensor-chain state.
 
@@ -113,6 +158,11 @@ class TensorChain:
     attached by state builders when the underlying single-body problem has a
     zero mode (the state is still well defined, but quantities that assume a
     unique eigenstate should refuse to use it).
+
+    ``even_counts`` is the parity layout (see the module docstring): one entry
+    per site, the number of even-parity Schmidt vectors listed first on the
+    bond to its right, or None when the state is not in that layout.  It is
+    inferred at construction and kept up to date by the gate methods.
     """
 
     def __init__(
@@ -146,6 +196,7 @@ class TensorChain:
         self.gammas = gammas
         self.lambdas = lambdas
         self.degenerate = bool(degenerate)
+        self.even_counts = _even_counts(gammas)
 
     # -- construction -----------------------------------------------------
 
@@ -183,11 +234,17 @@ class TensorChain:
     # -- gates ------------------------------------------------------------
 
     def apply_single_site_gate(self, site: int, u: np.ndarray) -> None:
-        """Contract a 2x2 unitary into the site tensor; bonds are untouched."""
+        """Contract a 2x2 unitary into the site tensor; bonds are untouched.
+
+        A gate that is not diagonal changes parities, so it drops the parity
+        layout.
+        """
         self._check_site(site)
         u = np.asarray(u, dtype=complex)
         _check_unitary(u, 2)
         self.gammas[site] = np.einsum("kl,lab->kab", u, self.gammas[site])
+        if u[0, 1] != 0 or u[1, 0] != 0:
+            self.even_counts = None
 
     def apply_two_site_gate(
         self,
@@ -202,7 +259,9 @@ class TensorChain:
         The neighborhood lambda_L Gamma lambda_M Gamma lambda_R is contracted
         with the gate, split by SVD, truncated to singular values above
         ``threshold`` relative to the largest, renormalized, and the outer
-        lambdas divided out again.
+        lambdas divided out again.  On a state in the parity layout, a gate
+        with no parity-mixing entry is split one parity block at a time;
+        any other gate takes one dense SVD and drops the layout.
 
         Raises
         ------
@@ -219,36 +278,60 @@ class TensorChain:
         lam_l = self._left_lambda(left_site)
         lam_m = self.lambdas[left_site]
         lam_r = self._right_lambda(left_site + 1)
-        chi_l, chi_r = lam_l.size, lam_r.size
+        chi_l, chi_m, chi_r = lam_l.size, lam_m.size, lam_r.size
         left = self.gammas[left_site] * (lam_l[:, None] * lam_m[None, :])[None, :, :]
         right = self.gammas[left_site + 1] * lam_r[None, None, :]
-        theta = np.tensordot(left, right, axes=([2], [1]))  # (j, a, k, c)
-        theta = u @ theta.transpose(0, 2, 1, 3).reshape(4, chi_l * chi_r)
+        # rows (j, a), columns (k, c): the product np.tensordot forms, without
+        # its per-call Python overhead
+        theta = left.reshape(-1, chi_m) @ right.transpose(1, 0, 2).reshape(chi_m, -1)
+        theta = u @ theta.reshape(2, chi_l, 2, chi_r).transpose(0, 2, 1, 3).reshape(4, -1)
         m = (
             theta.reshape(2, 2, chi_l, chi_r)
             .transpose(0, 2, 1, 3)
             .reshape(2 * chi_l, 2 * chi_r)
         )
 
-        left_vecs, sigma, right_vecs = np.linalg.svd(m, full_matrices=False)
-        kept = sigma > threshold * sigma[0]
-        rank = int(np.count_nonzero(kept))
-        if rank == 0:
-            raise TruncationError(
-                f"no singular value above threshold {threshold:g} on bond {left_site}"
-            )
-        if rank > max_bond:
-            raise BondOverflowError(
-                f"bond {left_site} would grow to {rank} (cap {max_bond})"
-            )
-        sigma = sigma[:rank]
+        counts = self.even_counts
+        if counts is None or np.count_nonzero(u[_PARITY_MIXING]):
+            left_vecs, sigma, right_vecs = np.linalg.svd(m, full_matrices=False)
+            rank = int(np.count_nonzero(sigma > threshold * sigma[0]))
+            _check_rank(rank, threshold, left_site, max_bond)
+            self.even_counts = None
+            sigma = sigma[:rank]
+            left_vecs = left_vecs[:, :rank]
+            right_vecs = right_vecs[:rank, :]
+        else:
+            # Row (j, a) of m has left-half parity p(a) + j: the even rows are
+            # j = 0 with a even and j = 1 with a odd, so in a-order they are the
+            # two ends of m; the odd rows are the contiguous middle.  Likewise
+            # for the columns (k, c).  m vanishes between the two blocks.
+            e_l = counts[left_site - 1] if left_site > 0 else 1
+            e_r = counts[left_site + 1]
+            rows = np.concatenate((m[:e_l], m[chi_l + e_l :]))
+            even = np.concatenate((rows[:, :e_r], rows[:, chi_r + e_r :]), axis=1)
+            odd = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
+            u_even, s_even, v_even = np.linalg.svd(even, full_matrices=False)
+            u_odd, s_odd, v_odd = np.linalg.svd(odd, full_matrices=False)
+            cut = threshold * max(s_even[0], s_odd[0])
+            n_even = int(np.count_nonzero(s_even > cut))
+            n_odd = int(np.count_nonzero(s_odd > cut))
+            rank = n_even + n_odd
+            _check_rank(rank, threshold, left_site, max_bond)
+            sigma = np.concatenate((s_even[:n_even], s_odd[:n_odd]))
+            left_vecs = np.zeros((2 * chi_l, rank), dtype=complex)
+            left_vecs[:e_l, :n_even] = u_even[:e_l, :n_even]
+            left_vecs[chi_l + e_l :, :n_even] = u_even[e_l:, :n_even]
+            left_vecs[e_l : chi_l + e_l, n_even:] = u_odd[:, :n_odd]
+            right_vecs = np.zeros((rank, 2 * chi_r), dtype=complex)
+            right_vecs[:n_even, :e_r] = v_even[:n_even, :e_r]
+            right_vecs[:n_even, chi_r + e_r :] = v_even[:n_even, e_r:]
+            right_vecs[n_even:, e_r : chi_r + e_r] = v_odd[:n_odd]
+            counts[left_site] = n_even
+
         self.lambdas[left_site] = sigma / np.sqrt(np.sum(sigma**2))
-        self.gammas[left_site] = (
-            left_vecs[:, :rank].reshape(2, chi_l, rank) / lam_l[None, :, None]
-        )
+        self.gammas[left_site] = left_vecs.reshape(2, chi_l, rank) / lam_l[None, :, None]
         self.gammas[left_site + 1] = (
-            right_vecs[:rank, :].reshape(rank, 2, chi_r).transpose(1, 0, 2)
-            / lam_r[None, None, :]
+            right_vecs.reshape(rank, 2, chi_r).transpose(1, 0, 2) / lam_r[None, None, :]
         )
 
     # -- diagnostics --------------------------------------------------------
@@ -275,6 +358,14 @@ class TensorChain:
 
         ``left``/``right``: orthonormality of the Schmidt vectors accumulated
         from either end, per site; ``bond``: |sum(lambda^2) - 1| per bond.
+
+        On a truncated state ``right`` does not measure damage.  The update
+        stores Gamma = V / lambda, so the weight a truncation discards is
+        divided by the Schmidt values of the left bond and magnified on vectors
+        with lambda near the threshold.  The open-chain ground states at
+        mu = 1, 3, 2 (w = |D| = 1, N = 16..40) read 0.004-0.53, each time on a
+        vector with lambda ~ 1e-12; restricted to lambda > 1e-6 the deviation
+        stays below 1e-10.
         """
         left = right = 0.0
         for site in range(self.n_sites):
@@ -399,10 +490,17 @@ class TensorChain:
             raise ValueError(f"site must lie in [0, {self.n_sites}), got {site}")
 
 
+def _check_rank(rank: int, threshold: float, bond: int, max_bond: int) -> None:
+    if rank == 0:
+        raise TruncationError(f"no singular value above threshold {threshold:g} on bond {bond}")
+    if rank > max_bond:
+        raise BondOverflowError(f"bond {bond} would grow to {rank} (cap {max_bond})")
+
+
 def _check_unitary(u: np.ndarray, dim: int) -> None:
     if u.shape != (dim, dim):
         raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
-    residual = np.abs(u.conj().T @ u - np.eye(dim)).max(initial=0.0)
+    residual = np.abs(u.conj().T @ u - _IDENTITY[dim]).max(initial=0.0)
     if residual > _UNITARY_TOL:
         raise ValueError(f"gate is not unitary (residual {residual:.3e})")
 

@@ -313,7 +313,18 @@ class TestParsers:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1:2", "1:0:1", "x,y", "0:inf:1", "0:1:inf", "nan:1:1", "-1e308:1e308:1", "0:1:1e-300"],
+        [
+            "",
+            "1:2",
+            "1:0:1",
+            "x,y",
+            "0:inf:1",
+            "0:1:inf",
+            "nan:1:1",
+            "-1e308:1e308:1",
+            "0:1:1e-300",
+            "0:1e-11:1e-12",  # eleven values that all round to 0.0
+        ],
     )
     def test_bad_grids_raise(self, text):
         with pytest.raises(cli.UsageError):

@@ -245,6 +245,130 @@ class TestTwoSiteGate:
             assert (lam > 0.0).all()
 
 
+def left_vector_parities(state: TensorChain, bond: int) -> np.ndarray:
+    """+1/-1 per left Schmidt vector on ``bond``, read off its Fock amplitudes.
+
+    Fails if a vector has weight in both parity sectors.
+    """
+    vecs = state.gammas[0][:, 0, :]
+    for site in range(1, bond + 1):
+        g = state.gammas[site]
+        vecs = np.einsum("xa,a,kab->xkb", vecs, state.lambdas[site - 1], g).reshape(-1, g.shape[2])
+    signs = np.array([(-1) ** bin(x).count("1") for x in range(vecs.shape[0])])
+    even = np.linalg.norm(vecs[signs > 0], axis=0)
+    odd = np.linalg.norm(vecs[signs < 0], axis=0)
+    assert (np.minimum(even, odd) < 1e-12 * np.maximum(even, odd)).all()
+    return np.where(even > odd, 1, -1)
+
+
+def recorded_svd_shapes(monkeypatch) -> tuple[list, list]:
+    """Record each SVD operand's shape and each two-site gate's (chi_L, chi_R)."""
+    shapes, blocks = [], []
+    svd = np.linalg.svd
+    gate = TensorChain.apply_two_site_gate
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def recording_gate(self, left_site, u, **kwargs):
+        blocks.append((self._left_lambda(left_site).size, self._right_lambda(left_site + 1).size))
+        return gate(self, left_site, u, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(TensorChain, "apply_two_site_gate", recording_gate)
+    return shapes, blocks
+
+
+class TestParityLayout:
+    GAPPED = KitaevParams(8, 1.0, 1.0, 1.0)
+
+    def test_product_state_counts(self):
+        assert TensorChain.product_state([0, 1, 1, 0]).even_counts == [1, 0, 1, 1]
+        assert TensorChain.product_state([1]).even_counts == [0]
+
+    def test_inference_rejects_other_orders_and_mixed_parity(self):
+        state = TensorChain.product_state([0, 0])
+        state.apply_two_site_gate(0, RNG_GATE)
+        assert state.even_counts == [1, 1]
+        odd_first = TensorChain(
+            [state.gammas[0][:, :, ::-1], state.gammas[1][:, ::-1, :]], state.lambdas
+        )
+        assert odd_first.even_counts is None
+        mixed = TensorChain.product_state([0, 0])
+        mixed.apply_two_site_gate(0, haar_unitary(4, 3))
+        assert mixed.even_counts is None
+        assert mixed.copy().even_counts is None
+
+    @pytest.mark.parametrize(
+        "occupation",
+        [None, [1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 0]],
+        ids=["ground", "excited-even", "excited-odd"],
+    )
+    def test_eigenstates_list_even_vectors_first(self, occupation):
+        state, _, _ = prepare_eigenstate(self.GAPPED, occupation)
+        counts = state.even_counts
+        assert counts is not None
+        for bond, lam in enumerate(state.lambdas):
+            even = counts[bond]
+            np.testing.assert_array_equal(
+                left_vector_parities(state, bond), [1] * even + [-1] * (lam.size - even)
+            )
+            assert (np.diff(lam[:even]) <= 0).all() and (np.diff(lam[even:]) <= 0).all()
+        assert counts[-1] == (1 if state.parity_expectation() > 0 else 0)
+
+    def test_layout_survives_copy_and_json(self):
+        state, _, _ = prepare_eigenstate(self.GAPPED, [0, 1, 0, 0, 0, 0, 0, 0])
+        assert state.copy().even_counts == state.even_counts
+        assert TensorChain.from_json(state.to_json()).even_counts == state.even_counts
+
+    @pytest.mark.parametrize("n_sites", [8, 10])
+    @pytest.mark.parametrize("mu", [1.0, 2.0])
+    def test_lambdas_match_dense_schmidt_values(self, n_sites, mu):
+        state, _, plan = prepare_eigenstate(KitaevParams(n_sites, 1.0, mu, 1.0))
+        assert not plan.degenerate and state.even_counts is not None
+        _, ground = oracle.ed_ground_state(oracle.dense_hamiltonian(n_sites, 1.0, mu, 1.0))
+        for bond, lam in enumerate(state.lambdas):
+            dense = np.linalg.svd(ground.reshape(2 ** (bond + 1), -1), compute_uv=False)
+            dense = dense[dense > 1e-12 * dense[0]]
+            ours = np.sort(lam)[::-1]
+            size = max(dense.size, ours.size)
+            np.testing.assert_allclose(
+                np.pad(ours, (0, size - ours.size)),
+                np.pad(dense, (0, size - dense.size)),
+                rtol=0.0,
+                atol=1e-10,
+            )
+
+    @pytest.mark.parametrize("mu", [1.0, 2.0], ids=["gapped", "critical"])
+    def test_each_svd_is_one_parity_block(self, monkeypatch, mu):
+        shapes, blocks = recorded_svd_shapes(monkeypatch)
+        prepare_eigenstate(KitaevParams(12, 1.0, mu, 1.0))
+        assert blocks
+        assert shapes == [block for block in blocks for _ in range(2)]
+
+    def test_parity_mixing_gate_takes_dense_path(self, monkeypatch):
+        state, _, _ = prepare_eigenstate(self.GAPPED)
+        u = haar_unitary(4, 7)
+        expected = np.kron(u, np.eye(2**6)) @ dense_vector(state)
+        shapes, blocks = recorded_svd_shapes(monkeypatch)
+        state.apply_two_site_gate(0, u)
+        assert state.even_counts is None
+        np.testing.assert_allclose(dense_vector(state), expected, atol=1e-10)
+        residuals = state.canonical_residuals()
+        assert max(residuals.values()) < 1e-10
+        state.apply_two_site_gate(1, RNG_GATE)  # parity conserving, but no layout left
+        assert shapes == [(2 * chi_l, 2 * chi_r) for chi_l, chi_r in blocks]
+
+    def test_single_site_gates(self):
+        state, _, _ = prepare_eigenstate(self.GAPPED)
+        counts = list(state.even_counts)
+        state.apply_single_site_gate(3, np.diag([1j, -1.0]))
+        assert state.even_counts == counts
+        state.apply_single_site_gate(3, SWAP01)
+        assert state.even_counts is None
+
+
 class TestReducedDensityMatrices:
     def test_site_vacuum(self):
         state = TensorChain.product_state([0, 0, 0])
