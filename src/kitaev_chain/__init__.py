@@ -29,6 +29,7 @@ from .folding import (
     gate_matrix_odd,
     prepare_eigenstate,
     reconstruct_eigenstate,
+    reduce_modes,
     reference_state,
     replay_plan,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "parity",
     "prepare_eigenstate",
     "reconstruct_eigenstate",
+    "reduce_modes",
     "reference_state",
     "replay_plan",
     "schur_decompose",

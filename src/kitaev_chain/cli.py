@@ -288,10 +288,10 @@ def _energy_point(params: KitaevParams, *, trunc: float) -> list[dict]:
     row.update(energy_tensor=None, abs_difference=None, degenerate=schur.is_degenerate, error="")
     if schur.is_degenerate:
         return [row]
+    occupation = [0] * params.n_sites
     try:
-        state = reconstruct_eigenstate(
-            compute_folding_plan(schur), [0] * params.n_sites, threshold=trunc
-        )
+        plan = compute_folding_plan(schur, occupation)
+        state = reconstruct_eigenstate(plan, occupation, threshold=trunc)
         energy = energy_expectation(state, params)
     except Exception as exc:  # recorded in-row; the scan continues
         row["error"] = str(exc)
@@ -382,8 +382,9 @@ def _verify_point(params: KitaevParams, *, trunc: float) -> list[dict]:
     residual = float(np.abs(rebuilt - dense_spectrum).max())
     record("spectrum_multiset", "pass" if residual < 1e-9 else "fail", residual)
 
-    plan = compute_folding_plan(schur)
-    state = reconstruct_eigenstate(plan, [0] * n_sites, threshold=trunc)
+    occupation = [0] * n_sites
+    plan = compute_folding_plan(schur, occupation)
+    state = reconstruct_eigenstate(plan, occupation, threshold=trunc)
     vec = state.fock_coefficients().reshape(-1)
     ground = None if plan.degenerate else oracle.ed_ground_state(h)[1]
 

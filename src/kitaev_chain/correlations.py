@@ -16,6 +16,7 @@ reproduces them, which is covered by tests).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,8 +158,8 @@ def z_saturated(
     """
     if params.boundary != "open":
         raise ValueError("Z saturation is defined for open chains")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     schedule = tuple(int(n) for n in (DEFAULT_SCHEDULE if schedule is None else schedule))
     if not schedule or schedule[0] < 3:
         raise ValueError("schedule must contain chain lengths of at least 3 sites")

@@ -19,6 +19,16 @@ Each rotation corresponds to a Fock-space gate on the Majorana pair
 single-site phase gate; columns straddling a bond (even j, 0-based) give a
 two-site gate.  Replaying the gates in reverse order with negated angles on
 the reference occupation state builds the corresponding chain eigenstate.
+
+An eigenstate fixes W only up to a unitary mixing of its modes: it is the
+Gaussian state annihilated by the complex modes a_k = W[2k] + i s_k W[2k+1]
+(s_k = -1 on occupied modes, +1 otherwise), and any a -> U a with U in U(N)
+leaves their span, hence the state, unchanged.  ``reduce_modes`` picks the U
+that makes mode k vanish beyond Majorana N+k (a QR factorization with the
+Majorana order reversed), so folding the reduced matrix needs about N^2
+nonzero rotations instead of up to 2N^2 - N, and its replay reaches lower
+intermediate bond dimensions.  A plan folded from a reduced matrix records
+the occupation it was reduced for and builds only that eigenstate.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ __all__ = [
     "Rotation",
     "FoldingPlan",
     "compute_folding_plan",
+    "reduce_modes",
     "replay_plan",
     "gate_matrix_even",
     "gate_matrix_odd",
@@ -85,6 +96,10 @@ class FoldingPlan:
     degenerate : bool
         Carried over from the decomposition: a numerically zero single-body
         energy makes the targeted eigenstate non-unique.
+    occupation : tuple of int or None
+        The occupation the folded matrix was reduced for (``reduce_modes``);
+        the plan then builds that eigenstate only.  None when the plan folds
+        the Schur factor itself and serves every occupation.
     """
 
     n_sites: int
@@ -92,6 +107,7 @@ class FoldingPlan:
     particle_hole: bool
     replay_residual: float
     degenerate: bool
+    occupation: tuple[int, ...] | None = None
 
 
 def _rotation_angle(entry_high: float, entry_low: float) -> float:
@@ -112,13 +128,47 @@ def _apply_rotation(matrix: np.ndarray, rotation: Rotation) -> None:
     matrix[:, hi] = -s * low_col + c * high_col
 
 
-def compute_folding_plan(schur: MajoranaSchur) -> FoldingPlan:
+def reduce_modes(w_matrix: np.ndarray, occupation: Sequence[int]) -> np.ndarray:
+    """Recombine the modes of an orthogonal W, keeping its eigenstate.
+
+    Builds a_k = W[2k] + i s_k W[2k+1] (s_k = -1 on occupied modes, +1
+    otherwise), takes the QR factorization of ``a[:, ::-1]`` and flips R back,
+    so that mode k has no weight beyond Majorana N+k.  A phase per mode makes
+    that last entry real and non-negative, so the imaginary row ends one
+    Majorana earlier.  Returns ``[Re a'_k; s_k Im a'_k]`` interleaved, which is
+    orthogonal again.  The recombination is unitary on the modes, so it
+    commutes with the reference state's complex structure: the occupation,
+    the particle-hole flag of the fold and the parity keep their meaning, and
+    the same eigenstate is built from about N^2 nonzero rotations.
+    """
+    w = np.asarray(w_matrix, dtype=float)
+    n_sites = w.shape[0] // 2
+    signs = 1 - 2 * as_occupation(occupation, n_sites)
+    modes = w[0::2] + 1j * signs[:, None] * w[1::2]
+    r = np.linalg.qr(modes[:, ::-1], mode="r")[::-1, ::-1]
+    last = r[np.arange(n_sites), n_sites + np.arange(n_sites)]
+    magnitude = np.abs(last)
+    r *= np.divide(last.conj(), magnitude, out=np.ones_like(last), where=magnitude > 0.0)[:, None]
+    reduced = np.empty_like(w)
+    reduced[0::2] = r.real
+    reduced[1::2] = signs[:, None] * r.imag
+    return reduced
+
+
+def compute_folding_plan(
+    schur: MajoranaSchur, occupation: Sequence[int] | None = None
+) -> FoldingPlan:
     """Fold the rows of the orthogonal factor into an ordered rotation plan.
+
+    Without an occupation the plan folds ``schur.w_matrix`` itself and serves
+    every occupation.  With one it folds ``reduce_modes(schur.w_matrix,
+    occupation)``, about half the nonzero rotations, and records the
+    occupation: the plan then builds that eigenstate only.
 
     Raises
     ------
     ValueError
-        If the input matrix is not orthogonal.
+        If the input matrix is not orthogonal, or the occupation is invalid.
     RuntimeError
         If the folded matrix misses its target beyond tolerance (numerical
         failure is surfaced, never ignored).
@@ -127,6 +177,9 @@ def compute_folding_plan(schur: MajoranaSchur) -> FoldingPlan:
     dim = w.shape[0]
     if np.abs(w @ w.T - np.eye(dim)).max(initial=0.0) > _ORTHOGONALITY_TOL:
         raise ValueError("folding requires an orthogonal matrix")
+    if occupation is not None:
+        occupation = tuple(as_occupation(occupation, dim // 2).tolist())
+        w = reduce_modes(w, occupation)
 
     rotations: list[Rotation] = []
     for row in range(dim - 1):
@@ -150,6 +203,7 @@ def compute_folding_plan(schur: MajoranaSchur) -> FoldingPlan:
         particle_hole=particle_hole,
         replay_residual=residual,
         degenerate=schur.is_degenerate,
+        occupation=occupation,
     )
 
 
@@ -222,8 +276,19 @@ def reconstruct_eigenstate(
     The returned state carries the plan's degeneracy flag; its energy equals
     the sum of the occupied single-body energies measured from the ground
     state.
+
+    Raises
+    ------
+    ValueError
+        If ``threshold`` is not in [0, 1), or the plan was reduced for
+        another occupation (its gates would build a wrong state).
     """
-    state = reference_state(plan.n_sites, occupation, plan.particle_hole)
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
+    bits = tuple(as_occupation(occupation, plan.n_sites).tolist())
+    if plan.occupation not in (None, bits):
+        raise ValueError(f"the plan was reduced for occupation {plan.occupation}, not {bits}")
+    state = reference_state(plan.n_sites, bits, plan.particle_hole)
     state.degenerate = plan.degenerate
     for rotation in reversed(plan.rotations):
         if rotation.angle == 0.0:
@@ -253,6 +318,8 @@ def prepare_eigenstate(
     """Full pipeline: parameters -> coupling matrix -> plan -> tensor state.
 
     ``occupation`` defaults to the ground state (all diagonal modes empty).
+    The plan folds the Schur factor reduced for that occupation
+    (``reduce_modes``), so it builds this eigenstate only.
     Only real positive pairing (phase 0) is supported on this path: the
     two-site gate matrix used for reconstruction is phase-free.
 
@@ -263,10 +330,10 @@ def prepare_eigenstate(
         raise ValueError(
             "eigenstate reconstruction is validated for pairing_phase = 0 only"
         )
-    schur = schur_decompose(build_coupling_matrix(params))
-    plan = compute_folding_plan(schur)
     if occupation is None:
         occupation = [0] * params.n_sites
+    schur = schur_decompose(build_coupling_matrix(params))
+    plan = compute_folding_plan(schur, occupation)
     state = reconstruct_eigenstate(
         plan, occupation, threshold=threshold, max_bond=max_bond
     )

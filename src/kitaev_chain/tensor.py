@@ -359,13 +359,13 @@ class TensorChain:
         ``left``/``right``: orthonormality of the Schmidt vectors accumulated
         from either end, per site; ``bond``: |sum(lambda^2) - 1| per bond.
 
-        On a truncated state ``right`` does not measure damage.  The update
-        stores Gamma = V / lambda, so the weight a truncation discards is
-        divided by the Schmidt values of the left bond and magnified on vectors
+        On a truncated state ``left`` and ``right`` do not measure damage.
+        The update stores Gamma divided by the Schmidt values of an outer
+        bond, so the weight a truncation discards is magnified on vectors
         with lambda near the threshold.  The open-chain ground states at
-        mu = 1, 3, 2 (w = |D| = 1, N = 16..40) read 0.004-0.53, each time on a
-        vector with lambda ~ 1e-12; restricted to lambda > 1e-6 the deviation
-        stays below 1e-10.
+        mu = 1, 3, 2 (w = |D| = 1, N = 16..40) read up to 0.04 (``left``) and
+        0.34 (``right``), each time on a vector with lambda below 3e-11;
+        restricted to lambda > 1e-6 both deviations stay below 1e-10.
         """
         left = right = 0.0
         for site in range(self.n_sites):

@@ -236,14 +236,13 @@ def test_criterion_06_tensor_energy_accuracy():
 def test_criterion_07_critical_diagonal_history():
     """The mu = 2w = 2 cell: Z must fall slowly and never saturate at 1e-3.
 
-    The pinned reconstruction develops a volume-law entanglement transient on
-    this gapless line, so at default knobs the bond budget is exhausted
-    partway up the schedule (N = 56 needs a bond of ~510 vs the 256 cap;
-    completing N = 96 at the default threshold needs ~17000).  The attempt
-    below is made faithfully and, when it overflows, the claimed physics is
-    verified on the exact covariance route instead -- strictly decreasing
-    history, sub-tolerance step only at the schedule boundary, hence
-    converged=False -- and the test is recorded as an expected failure.
+    The whole default schedule runs on the tensor route: each ground state is
+    built from the fold of its mode-reduced Schur factor, whose replay peaks
+    at a bond of 194 at N = 96, within the default cap of 256.  Should a
+    state ever exceed the cap, the claimed physics is verified on the exact
+    covariance route instead -- strictly decreasing history, sub-tolerance
+    step only at the schedule boundary, hence converged=False -- and the test
+    is recorded as an expected failure.
     """
     params = open_chain(8, 1.0, 2.0)
     try:
@@ -275,8 +274,8 @@ def test_criterion_07_critical_diagonal_history():
         assert strictly_decreasing and not interior_saturation
         assert final_step < 1e-3  # slow decrease: boundary step already sub-tol
         pytest.xfail(
-            "end-to-end tensor route cannot hold the volume-law transient of "
-            f"the gapless diagonal within default bonds ({exc}); exact-route "
+            "end-to-end tensor route overflows the default bond cap on "
+            f"the gapless diagonal ({exc}); exact-route "
             "history verified strictly decreasing and non-saturating"
         )
     values = [z for _, z in result.history]

@@ -229,8 +229,9 @@ class TestZSaturated:
 
     def test_rejects_bad_inputs(self):
         params = KitaevParams(8, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            z_saturated(params, tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                z_saturated(params, tol=tol)
         with pytest.raises(ValueError):
             z_saturated(params, schedule=(8, 8))
         with pytest.raises(ValueError):

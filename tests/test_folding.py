@@ -25,6 +25,7 @@ from kitaev_chain import (
     gate_matrix_odd,
     prepare_eigenstate,
     reconstruct_eigenstate,
+    reduce_modes,
     reference_state,
     replay_plan,
     schur_decompose,
@@ -124,6 +125,80 @@ class TestComputeFoldingPlan:
         assert plan.particle_hole == (np.linalg.det(w) < 0.0)
 
 
+def complex_structure(occupation) -> np.ndarray:
+    """Multiplication by i on the modes a_k = W[2k] + i s_k W[2k+1], row-wise."""
+    dim = 2 * len(occupation)
+    j = np.zeros((dim, dim))
+    for k, bit in enumerate(occupation):
+        sign = 1 - 2 * bit
+        j[2 * k, 2 * k + 1] = -sign
+        j[2 * k + 1, 2 * k] = sign
+    return j
+
+
+# The benchmark ladder: gapped topological, gapped trivial and critical, |D| = 1.
+LADDER = [(n, mu) for mu in (1.0, 3.0, 2.0) for n in (16, 32, 40)]
+
+REDUCTION_POINTS = [
+    (6, 1.0, 0.5, 1.0, "open"),
+    (9, 0.8, 1.7, 1.0, "open"),
+    (12, 1.0, 2.0, 1.0, "open"),
+    (6, 0.0, 2.0, 0.0, "open"),  # atomic limit: QR pivots that are exactly zero
+    (8, 1.0, 1.0, 1.0, "periodic"),
+    (10, 2.0, 4.0, 1.0, "periodic"),  # a zero mode at momentum pi
+    (11, 1.0, 3.0, 1.0, "periodic"),
+]
+
+
+class TestReduceModes:
+    @pytest.mark.parametrize("n_sites,hopping,mu,pairing,boundary", REDUCTION_POINTS)
+    def test_reduced_plan_builds_the_same_state(self, n_sites, hopping, mu, pairing, boundary):
+        params = KitaevParams(n_sites, hopping, mu, pairing, boundary=boundary)
+        schur = schur_decompose(build_coupling_matrix(params))
+        full = compute_folding_plan(schur)
+        rng = np.random.default_rng(n_sites)
+        for occupation in [[0] * n_sites] + [list(rng.integers(0, 2, n_sites)) for _ in range(7)]:
+            reduced = compute_folding_plan(schur, occupation)
+            assert reduced.occupation == tuple(occupation)
+            assert reduced.particle_hole == full.particle_hole
+            expected = dense_vector(reconstruct_eigenstate(full, occupation))
+            built = dense_vector(reconstruct_eigenstate(reduced, occupation))
+            assert abs(np.vdot(expected, built)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_sites,hopping,mu,pairing,boundary", REDUCTION_POINTS)
+    def test_recombination_commutes_with_reference_structure(
+        self, n_sites, hopping, mu, pairing, boundary
+    ):
+        params = KitaevParams(n_sites, hopping, mu, pairing, boundary=boundary)
+        w = schur_decompose(build_coupling_matrix(params)).w_matrix
+        occupation = list(np.random.default_rng(n_sites).integers(0, 2, n_sites))
+        reduced = reduce_modes(w, occupation)
+        dim = 2 * n_sites
+        np.testing.assert_allclose(reduced @ reduced.T, np.eye(dim), atol=1e-13)
+        mixing = reduced @ w.T
+        j = complex_structure(occupation)
+        np.testing.assert_allclose(mixing @ j, j @ mixing, atol=1e-13)
+        # Mode k has no weight beyond Majorana N + k.
+        for k in range(n_sites):
+            assert not reduced[2 * k : 2 * k + 2, n_sites + k + 1 :].any()
+
+    @pytest.mark.parametrize("n_sites,mu", LADDER)
+    def test_ladder_fold_needs_about_half_the_rotations(self, n_sites, mu):
+        schur = schur_decompose(build_coupling_matrix(KitaevParams(n_sites, 1.0, mu, 1.0)))
+        plan = compute_folding_plan(schur, [0] * n_sites)
+        nonzero = sum(rotation.angle != 0.0 for rotation in plan.rotations)
+        assert nonzero <= 0.55 * (2 * n_sites**2 - n_sites)
+
+    def test_reduced_plan_refuses_another_occupation(self):
+        schur = schur_decompose(build_coupling_matrix(KitaevParams(6, 1.0, 0.5, 1.0)))
+        plan = compute_folding_plan(schur, [0, 1, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="reduced for occupation"):
+            reconstruct_eigenstate(plan, [0] * 6)
+        _, _, ground_plan = prepare_eigenstate(KitaevParams(6, 1.0, 0.5, 1.0))
+        with pytest.raises(ValueError, match="reduced for occupation"):
+            reconstruct_eigenstate(ground_plan, [1, 0, 0, 0, 0, 0])
+
+
 class TestGateMatrices:
     def test_even_theta_zero(self):
         np.testing.assert_allclose(gate_matrix_even(0.0), np.eye(2), atol=1e-15)
@@ -210,6 +285,17 @@ class TestReconstruction:
         plan = compute_folding_plan(manual_schur(np.eye(6), [1.0, 0.8, 0.5]))
         with pytest.raises(ValueError):
             reconstruct_eigenstate(plan, (0, 0))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-12, 1.0])
+    @pytest.mark.parametrize("build", ["prepare", "reconstruct"])
+    def test_rejects_bad_threshold(self, build, threshold):
+        params = KitaevParams(4, 1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            if build == "prepare":
+                prepare_eigenstate(params, threshold=threshold)
+            else:
+                schur = schur_decompose(build_coupling_matrix(params))
+                reconstruct_eigenstate(compute_folding_plan(schur), [0] * 4, threshold=threshold)
 
     def test_rejects_nonzero_pairing_phase(self):
         params = KitaevParams(4, 1.0, 0.5, 1.0, pairing_phase=0.3)
