@@ -31,7 +31,6 @@ from .folding import (
     reconstruct_eigenstate,
     reduce_modes,
     reference_state,
-    replay_plan,
 )
 from .quadratic import (
     CouplingMatrix,
@@ -85,7 +84,6 @@ __all__ = [
     "reconstruct_eigenstate",
     "reduce_modes",
     "reference_state",
-    "replay_plan",
     "schur_decompose",
     "z_analytic",
     "z_saturated",

@@ -162,10 +162,12 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise UsageError(f"{args.command} is defined for {boundary} chains only")
     if args.phi != 0.0:
         raise UsageError("--phi is validated for 0 only")
-    for flag in ("trunc", "tol"):
-        value = getattr(args, flag, None)
-        if value is not None and not 0.0 < value < math.inf:
-            raise UsageError(f"--{flag} must be finite and positive")
+    if getattr(args, "trunc", None) is not None and not 0.0 < args.trunc < 1.0:
+        raise UsageError("--trunc must lie in (0, 1)")
+    if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
+        raise UsageError("--tol must be finite and positive")
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError("--jobs must be at least 1")
 
 
 def make_params(args: argparse.Namespace, **fields) -> KitaevParams:
@@ -291,7 +293,7 @@ def _energy_point(params: KitaevParams, *, trunc: float) -> list[dict]:
     occupation = [0] * params.n_sites
     try:
         plan = compute_folding_plan(schur, occupation)
-        state = reconstruct_eigenstate(plan, occupation, threshold=trunc)
+        state = reconstruct_eigenstate(plan, threshold=trunc)
         energy = energy_expectation(state, params)
     except Exception as exc:  # recorded in-row; the scan continues
         row["error"] = str(exc)
@@ -384,7 +386,7 @@ def _verify_point(params: KitaevParams, *, trunc: float) -> list[dict]:
 
     occupation = [0] * n_sites
     plan = compute_folding_plan(schur, occupation)
-    state = reconstruct_eigenstate(plan, occupation, threshold=trunc)
+    state = reconstruct_eigenstate(plan, threshold=trunc)
     vec = state.fock_coefficients().reshape(-1)
     ground = None if plan.degenerate else oracle.ed_ground_state(h)[1]
 

@@ -25,10 +25,11 @@ Gaussian state annihilated by the complex modes a_k = W[2k] + i s_k W[2k+1]
 (s_k = -1 on occupied modes, +1 otherwise), and any a -> U a with U in U(N)
 leaves their span, hence the state, unchanged.  ``reduce_modes`` picks the U
 that makes mode k vanish beyond Majorana N+k (a QR factorization with the
-Majorana order reversed), so folding the reduced matrix needs about N^2
-nonzero rotations instead of up to 2N^2 - N, and its replay reaches lower
-intermediate bond dimensions.  A plan folded from a reduced matrix records
-the occupation it was reduced for and builds only that eigenstate.
+Majorana order reversed), and every plan folds that reduced matrix: about
+N^2 nonzero rotations instead of up to 2N^2 - N, with lower intermediate
+bond dimensions in the replay.  A plan is therefore the fold of one
+eigenstate: it records its occupation, lists only its nonzero rotations
+(one gate each), and builds that eigenstate alone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "FoldingPlan",
     "compute_folding_plan",
     "reduce_modes",
-    "replay_plan",
     "gate_matrix_even",
     "gate_matrix_odd",
     "reference_state",
@@ -77,16 +77,16 @@ class Rotation(NamedTuple):
 
 @dataclass(frozen=True)
 class FoldingPlan:
-    """Ordered rotations that reduce W to the identity (up to the flagged sign).
+    """Ordered rotations that reduce one eigenstate's reduced W to the identity.
 
     Attributes
     ----------
     n_sites : int
         Number of chain sites N (the matrix is 2N x 2N).
     rotations : tuple of Rotation
-        All (row, column) pairs for row = 0..2N-2, column = 2N-1 down to
-        row+1, in execution order, zero angles included.  Angles lie in
-        (-pi, pi].
+        The nonzero rotations among the (row, column) pairs for row =
+        0..2N-2, column = 2N-1 down to row+1, in execution order; each is
+        one gate of the reconstruction.  Angles lie in (-pi, pi].
     particle_hole : bool
         True when the last diagonal entry folds to -1, i.e. the last
         reference-site occupation must be read through a particle-hole
@@ -94,12 +94,12 @@ class FoldingPlan:
     replay_residual : float
         Max deviation of the fully folded matrix from its target.
     degenerate : bool
-        Carried over from the decomposition: a numerically zero single-body
-        energy makes the targeted eigenstate non-unique.
-    occupation : tuple of int or None
-        The occupation the folded matrix was reduced for (``reduce_modes``);
-        the plan then builds that eigenstate only.  None when the plan folds
-        the Schur factor itself and serves every occupation.
+        The targeted eigenstate is not unique: the decomposition has a
+        numerically zero single-body energy, or the occupation fills a level
+        of equal energies (within ``schur.zero_tol``) only in part.
+    occupation : tuple of int
+        The occupation the folded matrix was reduced for (``reduce_modes``),
+        i.e. the one eigenstate the plan builds.
     """
 
     n_sites: int
@@ -107,7 +107,7 @@ class FoldingPlan:
     particle_hole: bool
     replay_residual: float
     degenerate: bool
-    occupation: tuple[int, ...] | None = None
+    occupation: tuple[int, ...]
 
 
 def _rotation_angle(entry_high: float, entry_low: float) -> float:
@@ -155,15 +155,17 @@ def reduce_modes(w_matrix: np.ndarray, occupation: Sequence[int]) -> np.ndarray:
     return reduced
 
 
-def compute_folding_plan(
-    schur: MajoranaSchur, occupation: Sequence[int] | None = None
-) -> FoldingPlan:
-    """Fold the rows of the orthogonal factor into an ordered rotation plan.
+def _splits_a_level(schur: MajoranaSchur, occupation: np.ndarray) -> bool:
+    """True when modes of equal energy (within ``schur.zero_tol``) are filled unequally."""
+    tied = np.abs(np.diff(schur.epsilons)) < schur.zero_tol
+    return bool(np.any(tied & (occupation[1:] != occupation[:-1])))
 
-    Without an occupation the plan folds ``schur.w_matrix`` itself and serves
-    every occupation.  With one it folds ``reduce_modes(schur.w_matrix,
-    occupation)``, about half the nonzero rotations, and records the
-    occupation: the plan then builds that eigenstate only.
+
+def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> FoldingPlan:
+    """Fold the Schur factor reduced for ``occupation`` into a rotation plan.
+
+    Folds ``reduce_modes(schur.w_matrix, occupation)`` and records the
+    occupation and its nonzero rotations: the plan builds that eigenstate.
 
     Raises
     ------
@@ -177,17 +179,16 @@ def compute_folding_plan(
     dim = w.shape[0]
     if np.abs(w @ w.T - np.eye(dim)).max(initial=0.0) > _ORTHOGONALITY_TOL:
         raise ValueError("folding requires an orthogonal matrix")
-    if occupation is not None:
-        occupation = tuple(as_occupation(occupation, dim // 2).tolist())
-        w = reduce_modes(w, occupation)
+    occupation = as_occupation(occupation, dim // 2)
+    w = reduce_modes(w, occupation)
 
     rotations: list[Rotation] = []
     for row in range(dim - 1):
         for column in range(dim - 1, row, -1):
             angle = _rotation_angle(w[row, column], w[row, column - 1])
-            rotation = Rotation(row, column, angle)
-            rotations.append(rotation)
             if angle != 0.0:
+                rotation = Rotation(row, column, angle)
+                rotations.append(rotation)
                 _apply_rotation(w, rotation)
 
     particle_hole = bool(w[-1, -1] < 0.0)
@@ -202,24 +203,9 @@ def compute_folding_plan(
         rotations=tuple(rotations),
         particle_hole=particle_hole,
         replay_residual=residual,
-        degenerate=schur.is_degenerate,
-        occupation=occupation,
+        degenerate=schur.is_degenerate or _splits_a_level(schur, occupation),
+        occupation=tuple(occupation.tolist()),
     )
-
-
-def replay_plan(w_matrix: np.ndarray, plan: FoldingPlan) -> np.ndarray:
-    """Apply the plan's rotations to a copy of ``w_matrix`` and return it.
-
-    On the matrix the plan was computed from, the result is the identity with
-    the last diagonal entry -1 when the particle-hole flag is set.
-    """
-    w = np.array(w_matrix, dtype=float)
-    if w.shape != (2 * plan.n_sites, 2 * plan.n_sites):
-        raise ValueError(f"matrix shape {w.shape} does not match the plan")
-    for rotation in plan.rotations:
-        if rotation.angle != 0.0:
-            _apply_rotation(w, rotation)
-    return w
 
 
 def gate_matrix_even(theta: float) -> np.ndarray:
@@ -261,17 +247,16 @@ def reference_state(
 
 def reconstruct_eigenstate(
     plan: FoldingPlan,
-    occupation: Sequence[int],
     *,
     threshold: float = TRUNCATION_THRESHOLD,
     max_bond: int = MAX_BOND_DIMENSION,
 ) -> TensorChain:
-    """Build the chain eigenstate for an occupation of the diagonal modes.
+    """Build the chain eigenstate of the plan's occupation.
 
     Undoes the folding on the reference state: rotations replay in reverse
     order with negated angles, each as a Fock-space gate.  Odd columns
     (0-based) act within site (column - 1) // 2; even columns straddle sites
-    (column // 2 - 1, column // 2).  Zero-angle rotations are skipped.
+    (column // 2 - 1, column // 2).
 
     The returned state carries the plan's degeneracy flag; its energy equals
     the sum of the occupied single-body energies measured from the ground
@@ -280,19 +265,13 @@ def reconstruct_eigenstate(
     Raises
     ------
     ValueError
-        If ``threshold`` is not in [0, 1), or the plan was reduced for
-        another occupation (its gates would build a wrong state).
+        If ``threshold`` is not in [0, 1).
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
-    bits = tuple(as_occupation(occupation, plan.n_sites).tolist())
-    if plan.occupation not in (None, bits):
-        raise ValueError(f"the plan was reduced for occupation {plan.occupation}, not {bits}")
-    state = reference_state(plan.n_sites, bits, plan.particle_hole)
+    state = reference_state(plan.n_sites, plan.occupation, plan.particle_hole)
     state.degenerate = plan.degenerate
     for rotation in reversed(plan.rotations):
-        if rotation.angle == 0.0:
-            continue
         column = rotation.column
         if column % 2 == 1:
             state.apply_single_site_gate(
@@ -318,8 +297,6 @@ def prepare_eigenstate(
     """Full pipeline: parameters -> coupling matrix -> plan -> tensor state.
 
     ``occupation`` defaults to the ground state (all diagonal modes empty).
-    The plan folds the Schur factor reduced for that occupation
-    (``reduce_modes``), so it builds this eigenstate only.
     Only real positive pairing (phase 0) is supported on this path: the
     two-site gate matrix used for reconstruction is phase-free.
 
@@ -334,7 +311,5 @@ def prepare_eigenstate(
         occupation = [0] * params.n_sites
     schur = schur_decompose(build_coupling_matrix(params))
     plan = compute_folding_plan(schur, occupation)
-    state = reconstruct_eigenstate(
-        plan, occupation, threshold=threshold, max_bond=max_bond
-    )
+    state = reconstruct_eigenstate(plan, threshold=threshold, max_bond=max_bond)
     return state, schur, plan

@@ -537,7 +537,8 @@ def energy_expectation(state: TensorChain, params: KitaevParams) -> float:
     identical pair density matrices on every bond, so <H> equals N times the
     energy of one bulk bond carrying a half mu share from each side.  This
     shortcut needs at least 3 sites and a unique eigenstate; it is refused
-    when the state carries the degeneracy flag.
+    when the state carries the degeneracy flag (a zero mode, or a level of
+    equal single-body energies filled only in part).
     """
     n = state.n_sites
     if n != params.n_sites:

@@ -1,54 +1,32 @@
 """Independent Z route through the one-body (Majorana covariance) picture.
 
 Test helper, deliberately outside the library: the library evaluates Z from
-the many-body tensor state, while this route never leaves the one-body
-picture.  The reference covariance of the diagonal modes (a 2x2 block per
-mode, sign set by the occupation, with the particle-hole flip applied to the
-last mode) is rotated through the same reversed plan used for state
-reconstruction; Z is then read directly from two end-to-end entries.  Any
-sign or ordering mistake in either route breaks the agreement tests.
+the many-body tensor state built by replaying a folding plan, while this
+route never leaves the one-body picture and never folds.  An eigenstate with
+mode occupations n_k has <i g'_{2k} g'_{2k+1}> = 2 n_k - 1 for its diagonal
+Majorana modes g' = W g, so its covariance in the bare modes is
+C = W^T (+)_k (2 n_k - 1) [[0, 1], [-1, 0]] W, straight from the Schur
+factor.  Z is then read directly from two end-to-end entries.  Any sign or
+ordering mistake in either route breaks the agreement tests.
 """
-
-import dataclasses
 
 import numpy as np
 
-from kitaev_chain import (
-    KitaevParams,
-    build_coupling_matrix,
-    compute_folding_plan,
-    schur_decompose,
-)
+from kitaev_chain import KitaevParams, build_coupling_matrix, schur_decompose
 
-__all__ = ["covariance_matrix", "covariance_z", "covariance_z_history"]
+__all__ = ["covariance_matrix", "covariance_z"]
 
 
 def covariance_matrix(params: KitaevParams, occupation=None) -> np.ndarray:
-    """C_{kl} = <i gamma_k gamma_l> (k != l) of the reconstructed eigenstate."""
+    """C_{kl} = <i gamma_k gamma_l> (k != l) of the eigenstate with ``occupation``."""
     n = params.n_sites
-    schur = schur_decompose(build_coupling_matrix(params))
-    plan = compute_folding_plan(schur)
+    w = schur_decompose(build_coupling_matrix(params)).w_matrix
     bits = [0] * n if occupation is None else [int(b) for b in occupation]
-    if plan.particle_hole:
-        bits[-1] ^= 1
-    c = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        sign = 1.0 if bits[k] == 0 else -1.0
-        c[2 * k, 2 * k + 1] = sign
-        c[2 * k + 1, 2 * k] = -sign
-    for rotation in reversed(plan.rotations):
-        theta = -rotation.angle
-        if theta == 0.0:
-            continue
-        cos, sin = np.cos(theta), np.sin(theta)
-        lo, hi = rotation.column - 1, rotation.column
-        row_lo = cos * c[lo, :] - sin * c[hi, :]
-        row_hi = sin * c[lo, :] + cos * c[hi, :]
-        c[lo, :], c[hi, :] = row_lo, row_hi
-        col_lo = cos * c[:, lo] - sin * c[:, hi]
-        col_hi = sin * c[:, lo] + cos * c[:, hi]
-        c[:, lo], c[:, hi] = col_lo, col_hi
-    return c
+    diagonal = np.zeros((2 * n, 2 * n))
+    for k, bit in enumerate(bits):
+        diagonal[2 * k, 2 * k + 1] = 2 * bit - 1
+        diagonal[2 * k + 1, 2 * k] = 1 - 2 * bit
+    return w.T @ diagonal @ w
 
 
 def covariance_z(params: KitaevParams, occupation=None) -> float:
@@ -56,9 +34,3 @@ def covariance_z(params: KitaevParams, occupation=None) -> float:
     n = params.n_sites
     c = covariance_matrix(params, occupation)
     return abs(c[1, 2 * n - 2] - c[0, 2 * n - 1])
-
-
-def covariance_z_history(params: KitaevParams, schedule) -> list[tuple[int, float]]:
-    return [
-        (n, covariance_z(dataclasses.replace(params, n_sites=n))) for n in schedule
-    ]

@@ -4,10 +4,7 @@ Each test prints one verdict line (``[criterion NN] PASS/FAIL -- ...``); run
 
     pytest tests/test_acceptance.py -v -s
 
-to see the lines live.  Criterion 7 documents a known infeasibility of the
-pinned pipeline at default knobs: the test attempts it faithfully, proves the
-physics on an exact independent route, and is recorded as an expected
-failure rather than silently weakened.
+to see the lines live.
 """
 
 import dataclasses
@@ -15,7 +12,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from covariance_route import covariance_z, covariance_z_history
 from kitaev_chain import (
     DEFAULT_SCHEDULE,
     KitaevParams,
@@ -33,7 +29,6 @@ from kitaev_chain import (
     z_saturated,
     z_value,
 )
-from kitaev_chain.tensor import BondOverflowError
 
 # Frozen three-decimal reference values of the saturated end-to-end
 # correlation Z on the integer (mu, 2w) grid at pairing 1.  The printed
@@ -238,46 +233,11 @@ def test_criterion_07_critical_diagonal_history():
 
     The whole default schedule runs on the tensor route: each ground state is
     built from the fold of its mode-reduced Schur factor, whose replay peaks
-    at a bond of 194 at N = 96, within the default cap of 256.  Should a
-    state ever exceed the cap, the claimed physics is verified on the exact
-    covariance route instead -- strictly decreasing history, sub-tolerance
-    step only at the schedule boundary, hence converged=False -- and the test
-    is recorded as an expected failure.
+    at a bond of 194 at N = 96, within the default cap of 256; an overflow
+    fails the test.
     """
     params = open_chain(8, 1.0, 2.0)
-    try:
-        result = z_saturated(params, tol=1e-3)
-    except BondOverflowError as exc:
-        history = covariance_z_history(params, DEFAULT_SCHEDULE)
-        values = [z for _, z in history]
-        steps = -np.diff(values)
-        strictly_decreasing = bool(np.all(steps > 0.0))
-        interior_saturation = bool(np.any(steps[:-1] < 1e-3))
-        final_step = float(steps[-1])
-        # cross-check the exact route against the tensor route where the
-        # latter still fits the bond budget
-        for n in (8, 16):
-            small = dataclasses.replace(params, n_sites=n)
-            state, _, plan = prepare_eigenstate(small)
-            sector = parity([0] * n, plan.particle_hole)
-            assert abs(z_value(state, sector) - covariance_z(small)) < 1e-9
-        verdict(
-            7,
-            "critical-diagonal Z history",
-            False,
-            f"tensor route overflows the default bond cap ({exc}); exact "
-            f"covariance route over N = 8..96: strictly decreasing = "
-            f"{strictly_decreasing}, no interior sub-1e-3 step = "
-            f"{not interior_saturation}, boundary step = {final_step:.2e} "
-            f"-> converged would be False",
-        )
-        assert strictly_decreasing and not interior_saturation
-        assert final_step < 1e-3  # slow decrease: boundary step already sub-tol
-        pytest.xfail(
-            "end-to-end tensor route overflows the default bond cap on "
-            f"the gapless diagonal ({exc}); exact-route "
-            "history verified strictly decreasing and non-saturating"
-        )
+    result = z_saturated(params, tol=1e-3)
     values = [z for _, z in result.history]
     ok = (not result.converged) and all(np.diff(values) < 0.0)
     verdict(7, "critical-diagonal Z history", ok,

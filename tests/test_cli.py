@@ -261,6 +261,12 @@ class TestUsageErrors:
             ["particles", "--trunc", "nan"],
             ["energy-accuracy", "--w-grid", "inf"],
             ["verify", "--trunc", "-1"],
+            ["particles", "--trunc", "1.5"],
+            ["zscan", "--trunc", "1"],
+            ["energy-accuracy", "--trunc", "1.5"],
+            ["verify", "--trunc", "1.5"],
+            ["particles", "--jobs", "0"],
+            ["zscan", "--jobs", "-2"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covariance_route import covariance_z
+from covariance_route import covariance_matrix, covariance_z
 from kitaev_chain import (
     DEFAULT_SCHEDULE,
     KitaevParams,
@@ -182,6 +182,34 @@ class TestZValue:
         state, _, plan = prepare_eigenstate(params)
         sector = parity([0] * 64, plan.particle_hole)
         assert z_value(state, sector) == pytest.approx(1.0, abs=5e-3)
+
+
+def dense_covariance(state: TensorChain) -> np.ndarray:
+    """<i gamma_k gamma_l> of a state, from the dense oracle's Majorana operators."""
+    vec = dense_vector(state)
+    modes = np.column_stack(
+        [oracle.dense_majorana(state.n_sites, k) @ vec for k in range(2 * state.n_sites)]
+    )
+    return (1j * modes.conj().T @ modes).real
+
+
+class TestCovarianceRoute:
+    @pytest.mark.parametrize(
+        "params,occupation",
+        [
+            # Split levels at a zero-mode point: the eigenstate mixes momenta +-k,
+            # so its covariance has even-even and odd-odd entries.
+            (KitaevParams(10, 2.0, 4.0, 1.0, boundary="periodic"), [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]),
+            (KitaevParams(10, 2.0, 4.0, 1.0, boundary="periodic"), [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (KitaevParams(10, 2.0, 4.0, 1.0, boundary="periodic"), [0, 0, 0, 0, 0, 0, 0, 1, 0, 1]),
+            (KitaevParams(8, 1.0, 0.8, 1.0), [0, 1, 0, 1, 0, 0, 1, 0]),
+        ],
+    )
+    def test_full_covariance_matches_dense_majoranas(self, params, occupation):
+        state, _, _ = prepare_eigenstate(params, occupation)
+        np.testing.assert_allclose(
+            covariance_matrix(params, occupation), dense_covariance(state), atol=1e-12
+        )
 
 
 class TestZSaturated:

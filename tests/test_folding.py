@@ -1,17 +1,20 @@
 """Tests for the rotation-plan folding and eigenstate reconstruction.
 
 Small matrices with hand-checkable folds pin the angle/sign conventions; the
-dense oracle provides eigenvector overlaps for reconstructed states, and
-hypothesis drives the fold/replay round trip over random orthogonal matrices.
+dense oracle provides eigenvector overlaps for reconstructed states, the
+plan-free covariance route checks chains beyond its reach, and hypothesis
+drives the fold/replay round trip over random orthogonal matrices.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covariance_route import covariance_matrix, covariance_z
 from kitaev_chain import (
     FoldingPlan,
     KitaevParams,
@@ -23,12 +26,13 @@ from kitaev_chain import (
     energy_expectation,
     gate_matrix_even,
     gate_matrix_odd,
+    parity,
     prepare_eigenstate,
     reconstruct_eigenstate,
     reduce_modes,
     reference_state,
-    replay_plan,
     schur_decompose,
+    z_value,
 )
 from kitaev_chain import oracle
 
@@ -51,8 +55,20 @@ def dense_vector(state) -> np.ndarray:
     return state.fock_coefficients().reshape(-1)
 
 
-def eigenspace_weight(params: KitaevParams, vec: np.ndarray, energy: float) -> float:
-    """Norm of the projection of ``vec`` onto the eigenspace at ``energy``."""
+def replayed(matrix: np.ndarray, plan: FoldingPlan) -> np.ndarray:
+    """``matrix`` times the plan's rotations, each as an explicit Givens matrix."""
+    result = np.array(matrix, dtype=float)
+    for rotation in plan.rotations:
+        givens = np.eye(result.shape[0])
+        lo, hi = rotation.column - 1, rotation.column
+        c, s = np.cos(rotation.angle), np.sin(rotation.angle)
+        givens[[lo, hi, lo, hi], [lo, hi, hi, lo]] = c, c, -s, s
+        result = result @ givens
+    return result
+
+
+@functools.lru_cache(maxsize=2)
+def dense_eigensystem(params: KitaevParams) -> tuple[np.ndarray, np.ndarray]:
     h = oracle.dense_hamiltonian(
         params.n_sites,
         params.hopping,
@@ -61,7 +77,12 @@ def eigenspace_weight(params: KitaevParams, vec: np.ndarray, energy: float) -> f
         params.pairing_phase,
         boundary=params.boundary,
     )
-    values, vectors = np.linalg.eigh(h)
+    return np.linalg.eigh(h)
+
+
+def eigenspace_weight(params: KitaevParams, vec: np.ndarray, energy: float) -> float:
+    """Norm of the projection of ``vec`` onto the eigenspace at ``energy``."""
+    values, vectors = dense_eigensystem(params)
     members = np.abs(values - energy) < 1e-8 * max(1.0, abs(energy))
     assert members.any(), "no dense eigenvalue at the predicted energy"
     overlaps = vectors[:, members].conj().T @ vec
@@ -69,59 +90,63 @@ def eigenspace_weight(params: KitaevParams, vec: np.ndarray, energy: float) -> f
 
 
 class TestComputeFoldingPlan:
-    def test_identity_folds_to_nothing(self):
-        plan = compute_folding_plan(manual_schur(np.eye(4), [2.0, 1.0]))
+    def test_identity_folds_to_single_site_quarter_turns(self):
+        # reduce_modes does not keep the identity: it rephases each site's mode to
+        # the block [[0, 1], [-1, 0]], which folds to one single-site quarter turn.
+        reduced = reduce_modes(np.eye(4), [0, 0])
+        np.testing.assert_array_equal(reduced, np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+        plan = compute_folding_plan(manual_schur(np.eye(4), [2.0, 1.0]), [0, 0])
         assert plan.n_sites == 2
-        assert len(plan.rotations) == 6  # 3 + 2 + 1 column visits
-        assert all(rot.angle == 0.0 for rot in plan.rotations)
+        assert plan.occupation == (0, 0)
+        assert plan.rotations == (Rotation(0, 1, np.pi / 2), Rotation(2, 3, np.pi / 2))
         assert plan.particle_hole is False
-        assert plan.replay_residual == 0.0
+        assert plan.replay_residual < 1e-15
 
     def test_two_by_two_quarter_turn(self):
         w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        plan = compute_folding_plan(manual_schur(w, [0.7]))
+        np.testing.assert_array_equal(reduce_modes(w, [0]), w)
+        plan = compute_folding_plan(manual_schur(w, [0.7]), [0])
         assert plan.rotations == (Rotation(0, 1, np.pi / 2),)
         assert plan.particle_hole is False
-        np.testing.assert_allclose(replay_plan(w, plan), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(replayed(w, plan), np.eye(2), atol=1e-15)
 
     def test_two_by_two_reflection_sets_particle_hole(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        plan = compute_folding_plan(manual_schur(w, [0.7]))
+        np.testing.assert_array_equal(reduce_modes(w, [0]), w)
+        plan = compute_folding_plan(manual_schur(w, [0.7]), [0])
         assert plan.particle_hole is True
-        np.testing.assert_allclose(replay_plan(w, plan), np.diag([1.0, -1.0]), atol=1e-15)
+        np.testing.assert_allclose(replayed(w, plan), np.diag([1.0, -1.0]), atol=1e-15)
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
-            compute_folding_plan(manual_schur(1.1 * np.eye(4), [1.0, 0.5]))
+            compute_folding_plan(manual_schur(1.1 * np.eye(4), [1.0, 0.5]), [0, 0])
 
     def test_plan_is_immutable(self):
-        plan = compute_folding_plan(manual_schur(np.eye(2), [1.0]))
+        plan = compute_folding_plan(manual_schur(np.eye(2), [1.0]), [0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.particle_hole = True
-
-    def test_replay_rejects_wrong_shape(self):
-        plan = compute_folding_plan(manual_schur(np.eye(2), [1.0]))
-        with pytest.raises(ValueError):
-            replay_plan(np.eye(4), plan)
 
     @settings(max_examples=40, deadline=None)
     @given(
         n_sites=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=2**31),
         reflect=st.booleans(),
+        bits=st.integers(min_value=0, max_value=31),
     )
-    def test_fold_replay_round_trip(self, n_sites, seed, reflect):
+    def test_fold_replay_round_trip(self, n_sites, seed, reflect, bits):
         w = random_orthogonal(2 * n_sites, seed)
         if reflect:
             w[0, :] = -w[0, :]
-        plan = compute_folding_plan(manual_schur(w, np.linspace(2.0, 1.0, n_sites)))
-        assert all(-np.pi < rot.angle <= np.pi for rot in plan.rotations)
+        occupation = [(bits >> k) & 1 for k in range(n_sites)]
+        plan = compute_folding_plan(manual_schur(w, np.linspace(2.0, 1.0, n_sites)), occupation)
+        assert all(-np.pi < rot.angle <= np.pi and rot.angle != 0.0 for rot in plan.rotations)
         target = np.eye(2 * n_sites)
         if plan.particle_hole:
             target[-1, -1] = -1.0
-        np.testing.assert_allclose(replay_plan(w, plan), target, atol=1e-9)
+        np.testing.assert_allclose(replayed(reduce_modes(w, occupation), plan), target, atol=1e-9)
         assert plan.replay_residual < 1e-9
-        # The terminal sign is the determinant the row rotations cannot absorb.
+        # The terminal sign is the determinant the row rotations cannot absorb;
+        # the mode recombination is unitary, so it keeps the determinant.
         assert plan.particle_hole == (np.linalg.det(w) < 0.0)
 
 
@@ -153,17 +178,29 @@ REDUCTION_POINTS = [
 class TestReduceModes:
     @pytest.mark.parametrize("n_sites,hopping,mu,pairing,boundary", REDUCTION_POINTS)
     def test_reduced_plan_builds_the_same_state(self, n_sites, hopping, mu, pairing, boundary):
+        """The eigenstate of each occupation: in the dense eigenspace at N <= 10, and
+        with the plan-free covariance's fillings and Z beyond the dense oracle."""
         params = KitaevParams(n_sites, hopping, mu, pairing, boundary=boundary)
         schur = schur_decompose(build_coupling_matrix(params))
-        full = compute_folding_plan(schur)
         rng = np.random.default_rng(n_sites)
         for occupation in [[0] * n_sites] + [list(rng.integers(0, 2, n_sites)) for _ in range(7)]:
-            reduced = compute_folding_plan(schur, occupation)
-            assert reduced.occupation == tuple(occupation)
-            assert reduced.particle_hole == full.particle_hole
-            expected = dense_vector(reconstruct_eigenstate(full, occupation))
-            built = dense_vector(reconstruct_eigenstate(reduced, occupation))
-            assert abs(np.vdot(expected, built)) == pytest.approx(1.0, abs=1e-12)
+            plan = compute_folding_plan(schur, occupation)
+            assert plan.occupation == tuple(occupation)
+            state = reconstruct_eigenstate(plan)
+            sector = parity(occupation, plan.particle_hole)
+            expected_parity = 1.0 if sector == "even" else -1.0
+            assert state.parity_expectation() == pytest.approx(expected_parity, abs=1e-10)
+            if n_sites <= oracle.MAX_SITES:
+                energy = eigenenergy(schur.epsilons, occupation)
+                weight = eigenspace_weight(params, dense_vector(state), energy)
+                assert weight == pytest.approx(1.0, abs=1e-10)
+                continue
+            c = covariance_matrix(params, occupation)
+            filling = [state.rdm_site(j).entries[1, 1].real for j in range(n_sites)]
+            expected = [(1.0 + c[2 * j, 2 * j + 1]) / 2.0 for j in range(n_sites)]
+            np.testing.assert_allclose(filling, expected, atol=1e-10)
+            z = covariance_z(params, occupation)
+            assert z_value(state, sector) == pytest.approx(z, abs=1e-10)
 
     @pytest.mark.parametrize("n_sites,hopping,mu,pairing,boundary", REDUCTION_POINTS)
     def test_recombination_commutes_with_reference_structure(
@@ -186,17 +223,8 @@ class TestReduceModes:
     def test_ladder_fold_needs_about_half_the_rotations(self, n_sites, mu):
         schur = schur_decompose(build_coupling_matrix(KitaevParams(n_sites, 1.0, mu, 1.0)))
         plan = compute_folding_plan(schur, [0] * n_sites)
-        nonzero = sum(rotation.angle != 0.0 for rotation in plan.rotations)
-        assert nonzero <= 0.55 * (2 * n_sites**2 - n_sites)
-
-    def test_reduced_plan_refuses_another_occupation(self):
-        schur = schur_decompose(build_coupling_matrix(KitaevParams(6, 1.0, 0.5, 1.0)))
-        plan = compute_folding_plan(schur, [0, 1, 0, 0, 0, 0])
-        with pytest.raises(ValueError, match="reduced for occupation"):
-            reconstruct_eigenstate(plan, [0] * 6)
-        _, _, ground_plan = prepare_eigenstate(KitaevParams(6, 1.0, 0.5, 1.0))
-        with pytest.raises(ValueError, match="reduced for occupation"):
-            reconstruct_eigenstate(ground_plan, [1, 0, 0, 0, 0, 0])
+        assert all(rotation.angle != 0.0 for rotation in plan.rotations)
+        assert len(plan.rotations) <= 0.55 * (2 * n_sites**2 - n_sites)
 
 
 class TestGateMatrices:
@@ -259,10 +287,11 @@ class TestReferenceState:
 
 class TestReconstruction:
     def test_zero_angle_plan_returns_reference(self):
-        plan = compute_folding_plan(manual_schur(np.eye(4), [1.0, 0.5]))
-        state = reconstruct_eigenstate(plan, (0, 0))
+        plan = FoldingPlan(2, (), particle_hole=False, replay_residual=0.0, degenerate=False,
+                           occupation=(1, 0))
+        state = reconstruct_eigenstate(plan)
         amps = state.fock_coefficients()
-        assert amps[0, 0] == pytest.approx(1.0)
+        assert amps[1, 0] == pytest.approx(1.0)
         assert state.bond_dimensions == (1,)
 
     def test_ground_energy_matches_spectrum(self):
@@ -282,9 +311,31 @@ class TestReconstruction:
         assert energy_expectation(state, params) == pytest.approx(expected, abs=1e-8)
 
     def test_occupation_length_must_match_plan(self):
-        plan = compute_folding_plan(manual_schur(np.eye(6), [1.0, 0.8, 0.5]))
-        with pytest.raises(ValueError):
-            reconstruct_eigenstate(plan, (0, 0))
+        with pytest.raises(ValueError, match="length 3"):
+            compute_folding_plan(manual_schur(np.eye(6), [1.0, 0.8, 0.5]), (0, 0))
+
+    def test_split_level_state_is_flagged_and_refused(self):
+        # Periodic N = 8: modes 1 and 2 share epsilon = 2.80 (momenta +-k); filling one
+        # of them picks an eigenstate that is not translation invariant.
+        params = KitaevParams(8, 1.0, 1.0, 1.0, boundary="periodic")
+        occupation = [0, 1, 0, 0, 0, 0, 0, 0]
+        state, schur, plan = prepare_eigenstate(params, occupation)
+        assert not schur.is_degenerate
+        assert abs(schur.epsilons[1] - schur.epsilons[2]) < schur.zero_tol
+        assert plan.degenerate and state.degenerate
+        with pytest.raises(ValueError, match="degenerate"):
+            energy_expectation(state, params)
+        weight = eigenspace_weight(params, dense_vector(state), eigenenergy(schur.epsilons, occupation))
+        assert weight == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("occupation", [[0] * 8, [1] + [0] * 7, [0, 1, 1, 0, 0, 0, 0, 0]])
+    def test_unsplit_periodic_level_energy(self, occupation):
+        # Mode 0 (epsilon = 3) is a level of its own; modes 1 and 2 fill a level together.
+        params = KitaevParams(8, 1.0, 1.0, 1.0, boundary="periodic")
+        state, schur, plan = prepare_eigenstate(params, occupation)
+        assert not plan.degenerate
+        expected = eigenenergy(schur.epsilons, occupation)
+        assert energy_expectation(state, params) == pytest.approx(expected, abs=1e-8)
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-12, 1.0])
     @pytest.mark.parametrize("build", ["prepare", "reconstruct"])
@@ -295,7 +346,7 @@ class TestReconstruction:
                 prepare_eigenstate(params, threshold=threshold)
             else:
                 schur = schur_decompose(build_coupling_matrix(params))
-                reconstruct_eigenstate(compute_folding_plan(schur), [0] * 4, threshold=threshold)
+                reconstruct_eigenstate(compute_folding_plan(schur, [0] * 4), threshold=threshold)
 
     def test_rejects_nonzero_pairing_phase(self):
         params = KitaevParams(4, 1.0, 0.5, 1.0, pairing_phase=0.3)
