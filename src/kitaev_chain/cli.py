@@ -160,8 +160,6 @@ def _check_flags(args: argparse.Namespace) -> None:
     boundary = FIXED_BOUNDARY.get(args.command, args.boundary)
     if args.boundary != boundary:
         raise UsageError(f"{args.command} is defined for {boundary} chains only")
-    if args.phi != 0.0:
-        raise UsageError("--phi is validated for 0 only")
     if getattr(args, "trunc", None) is not None and not 0.0 < args.trunc < 1.0:
         raise UsageError("--trunc must lie in (0, 1)")
     if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
@@ -172,7 +170,7 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 def make_params(args: argparse.Namespace, **fields) -> KitaevParams:
     """Parameters from the shared flags plus ``fields``; invalid values are usage errors."""
-    shared = dict(pairing_magnitude=args.delta, pairing_phase=args.phi, boundary=args.boundary)
+    shared = dict(pairing_magnitude=args.delta, boundary=args.boundary)
     try:
         return KitaevParams(**{**shared, **fields})
     except ValueError as exc:
@@ -357,6 +355,9 @@ _VERIFY_GRID = (
     (1.3, 1.7, 0.6),
 )
 
+#: The single point ``verify`` checks when any of its coordinates is set by a flag.
+VERIFY_POINT = {"w": 1.0, "mu": 0.0, "delta": 1.0}
+
 VERIFY_COLUMNS = (
     ("w", 6), ("mu", 6), ("delta", 6), ("check", None), ("status", None), ("residual", 12),
     ("detail", None),
@@ -425,15 +426,18 @@ def _verify_summary(rows: list[dict]) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.n <= 8:
         raise UsageError("verify needs 2 <= --n <= 8 (dense reference)")
-    grid = _VERIFY_GRID
-    if args.w is not None or args.mu is not None:
-        grid = [(args.w if args.w is not None else 1.0, args.mu or 0.0, args.delta)]
+    # any of --w, --mu, --delta selects one point, which JSON config then records
+    chosen = {key: getattr(args, key) for key in VERIFY_POINT if getattr(args, key) is not None}
+    grid, config = _VERIFY_GRID, {}
+    if chosen:
+        config = {**VERIFY_POINT, **chosen}
+        grid = [(config["w"], config["mu"], config["delta"])]
     points = [
         make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu, pairing_magnitude=d)
         for w, mu, d in grid
     ]
     worker = partial(_verify_point, trunc=args.trunc)
-    summary = run_grid(args, worker, points, VERIFY_COLUMNS, _verify_summary)
+    summary = run_grid(args, worker, points, VERIFY_COLUMNS, _verify_summary, **config)
     return 0 if summary["failures"] == 0 else 1
 
 
@@ -448,7 +452,6 @@ def _command(sub, name: str, func: Callable, help_text: str, *, n_default: int |
     if n_default is not None:
         parser.add_argument("--n", type=int, default=n_default, help="number of chain sites")
     parser.add_argument("--delta", type=float, default=1.0, help="pairing magnitude")
-    parser.add_argument("--phi", type=float, default=0.0, help="pairing phase (validated 0 only)")
     boundary = FIXED_BOUNDARY.get(name, "open")
     parser.add_argument(
         "--boundary", choices=("open", "periodic"), default=boundary, help="chain boundary"
@@ -493,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = _command(sub, "verify", cmd_verify, "dense-reference equivalence suite", n_default=6)
     verify.add_argument("--w", type=float, default=None, help="hopping (default: built-in grid)")
     verify.add_argument("--mu", type=float, default=None, help="chemical potential")
+    verify.set_defaults(delta=None)  # unset: the built-in grid sets each point's |D|
     return parser
 
 

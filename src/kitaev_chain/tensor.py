@@ -17,19 +17,18 @@ silently degrading the state.  The singular vectors keep LAPACK's phases and
 its order within tied singular values: the canonical form fixes neither, and
 no observable depends on them (only the raw Gamma of ``to_json`` does).
 
-Parity (Z2) layout.  Every state the reconstruction builds is a parity
-eigenstate and every gate it applies conserves parity, so each Schmidt vector
-has a definite parity of its left half.  A bond lists the even-parity vectors
-first, each block with non-increasing lambda, and ``even_counts`` records how
-many are even (the last entry, for the right boundary, is 1 for an even and 0
-for an odd state).  The constructor infers the counts from the exact zeros of
-Gamma, so every state built or loaded in this layout carries them.  A
-parity-conserving two-site gate on such a state then splits the neighborhood
-into its two parity blocks and decomposes each one (half the dimension on
-each side, about a quarter of the work); the truncation threshold stays
-relative to the bond's largest singular value across both blocks.  Gates that
-mix parity, and states without definite parity or in another order, take the
-dense decomposition, which drops the layout (``even_counts`` becomes None).
+Parity (Z2) layout.  Every state here is a parity eigenstate, every gate
+conserves parity, and each Schmidt vector has a definite parity of its left
+half.  A bond lists the even-parity vectors first, each block with
+non-increasing lambda, and ``even_counts`` records how many are even (the last
+entry, for the right boundary, is 1 for an even and 0 for an odd state).  The
+layout is an invariant, checked where a state or gate enters: the constructor
+(and so ``from_json``) infers the counts from the exact zeros of Gamma and
+rejects a state that has none, and the gate methods reject a gate that mixes
+parity.  A two-site gate then splits the neighborhood into its two parity
+blocks and decomposes each one (half the dimension on each side, about a
+quarter of the work of one dense decomposition); the truncation threshold
+stays relative to the bond's largest singular value across both blocks.
 
 Sites and bonds are indexed 0-based: bond i sits between sites i and i+1.
 The basis order of two-site objects is |00>, |01>, |10>, |11> with the first
@@ -76,9 +75,10 @@ _UNITARY_TOL = 1e-10
 
 _IDENTITY = {2: np.eye(2), 4: np.eye(4)}
 
-#: Entries of a 4x4 gate (basis |00>, |01>, |10>, |11>) that couple even to odd states.
-_EVEN_PAIR = np.array([True, False, False, True])
-_PARITY_MIXING = _EVEN_PAIR[:, None] != _EVEN_PAIR[None, :]
+#: Entries of a 2x2 gate (basis |0>, |1>) and of a 4x4 gate (basis |00>, |01>,
+#: |10>, |11>) that couple even to odd states.
+_EVEN = {2: np.array([True, False]), 4: np.array([True, False, False, True])}
+_PARITY_MIXING = {dim: even[:, None] != even[None, :] for dim, even in _EVEN.items()}
 
 
 class TruncationError(RuntimeError):
@@ -125,27 +125,32 @@ def _ones_bond() -> np.ndarray:
     return np.ones(1)
 
 
-def _even_counts(gammas: Sequence[np.ndarray]) -> list[int] | None:
+def _even_counts(gammas: Sequence[np.ndarray]) -> list[int]:
     """For the bond right of each site, the number of even-parity Schmidt vectors listed first.
 
     Reads the parity of each right Schmidt vector of a site off the exact
     zeros of its Gamma, given the left bond's layout: a vector is even when
     its nonzero entries all sit where the left vector's parity plus the local
-    occupation is even, and odd when they all sit where it is odd.  Returns
-    None as soon as a vector has no definite parity or an odd vector comes
-    before an even one.  The last entry is the right boundary bond.
+    occupation is even, and odd when they all sit where it is odd.  The last
+    entry is the right boundary bond.
+
+    Raises
+    ------
+    ValueError
+        If a vector has no definite parity or an odd vector comes before an
+        even one.
     """
     counts = []
     even = 1  # the empty left half of site 0 is even
-    for g in gammas:
+    for site, g in enumerate(gammas):
         nonzero = g != 0
         to_even = nonzero[0, :even].any(axis=0) | nonzero[1, even:].any(axis=0)
         to_odd = nonzero[1, :even].any(axis=0) | nonzero[0, even:].any(axis=0)
         if (to_even == to_odd).any():
-            return None
+            raise ValueError(f"bond right of site {site} has a vector of no definite parity")
         even = int(np.count_nonzero(to_even))
         if to_odd[:even].any():
-            return None
+            raise ValueError(f"bond right of site {site} lists an odd vector before an even one")
         counts.append(even)
     return counts
 
@@ -161,8 +166,9 @@ class TensorChain:
 
     ``even_counts`` is the parity layout (see the module docstring): one entry
     per site, the number of even-parity Schmidt vectors listed first on the
-    bond to its right, or None when the state is not in that layout.  It is
-    inferred at construction and kept up to date by the gate methods.
+    bond to its right.  It is inferred at construction, which raises
+    ``ValueError`` for a state outside the layout, and kept up to date by the
+    gate methods, which raise ``ValueError`` for a gate that mixes parity.
     """
 
     def __init__(
@@ -234,17 +240,15 @@ class TensorChain:
     # -- gates ------------------------------------------------------------
 
     def apply_single_site_gate(self, site: int, u: np.ndarray) -> None:
-        """Contract a 2x2 unitary into the site tensor; bonds are untouched.
+        """Contract a diagonal 2x2 unitary into the site tensor; bonds are untouched.
 
-        A gate that is not diagonal changes parities, so it drops the parity
-        layout.
+        A gate that is not diagonal would change parities and is rejected
+        with ``ValueError``.
         """
         self._check_site(site)
         u = np.asarray(u, dtype=complex)
-        _check_unitary(u, 2)
+        _check_gate(u, 2)
         self.gammas[site] = np.einsum("kl,lab->kab", u, self.gammas[site])
-        if u[0, 1] != 0 or u[1, 0] != 0:
-            self.even_counts = None
 
     def apply_two_site_gate(
         self,
@@ -257,14 +261,14 @@ class TensorChain:
         """Contract a 4x4 unitary into sites (left_site, left_site + 1).
 
         The neighborhood lambda_L Gamma lambda_M Gamma lambda_R is contracted
-        with the gate, split by SVD, truncated to singular values above
-        ``threshold`` relative to the largest, renormalized, and the outer
-        lambdas divided out again.  On a state in the parity layout, a gate
-        with no parity-mixing entry is split one parity block at a time;
-        any other gate takes one dense SVD and drops the layout.
+        with the gate, split by one SVD per parity block, truncated to
+        singular values above ``threshold`` relative to the largest,
+        renormalized, and the outer lambdas divided out again.
 
         Raises
         ------
+        ValueError
+            If the gate is not unitary or has an entry that mixes parity.
         TruncationError
             If no singular value survives the threshold.
         BondOverflowError
@@ -273,7 +277,7 @@ class TensorChain:
         if not 0 <= left_site < self.n_sites - 1:
             raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
         u = np.asarray(u, dtype=complex)
-        _check_unitary(u, 4)
+        _check_gate(u, 4)
 
         lam_l = self._left_lambda(left_site)
         lam_m = self.lambdas[left_site]
@@ -292,41 +296,37 @@ class TensorChain:
         )
 
         counts = self.even_counts
-        if counts is None or np.count_nonzero(u[_PARITY_MIXING]):
-            left_vecs, sigma, right_vecs = np.linalg.svd(m, full_matrices=False)
-            rank = int(np.count_nonzero(sigma > threshold * sigma[0]))
-            _check_rank(rank, threshold, left_site, max_bond)
-            self.even_counts = None
-            sigma = sigma[:rank]
-            left_vecs = left_vecs[:, :rank]
-            right_vecs = right_vecs[:rank, :]
-        else:
-            # Row (j, a) of m has left-half parity p(a) + j: the even rows are
-            # j = 0 with a even and j = 1 with a odd, so in a-order they are the
-            # two ends of m; the odd rows are the contiguous middle.  Likewise
-            # for the columns (k, c).  m vanishes between the two blocks.
-            e_l = counts[left_site - 1] if left_site > 0 else 1
-            e_r = counts[left_site + 1]
-            rows = np.concatenate((m[:e_l], m[chi_l + e_l :]))
-            even = np.concatenate((rows[:, :e_r], rows[:, chi_r + e_r :]), axis=1)
-            odd = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
-            u_even, s_even, v_even = np.linalg.svd(even, full_matrices=False)
-            u_odd, s_odd, v_odd = np.linalg.svd(odd, full_matrices=False)
-            cut = threshold * max(s_even[0], s_odd[0])
-            n_even = int(np.count_nonzero(s_even > cut))
-            n_odd = int(np.count_nonzero(s_odd > cut))
-            rank = n_even + n_odd
-            _check_rank(rank, threshold, left_site, max_bond)
-            sigma = np.concatenate((s_even[:n_even], s_odd[:n_odd]))
-            left_vecs = np.zeros((2 * chi_l, rank), dtype=complex)
-            left_vecs[:e_l, :n_even] = u_even[:e_l, :n_even]
-            left_vecs[chi_l + e_l :, :n_even] = u_even[e_l:, :n_even]
-            left_vecs[e_l : chi_l + e_l, n_even:] = u_odd[:, :n_odd]
-            right_vecs = np.zeros((rank, 2 * chi_r), dtype=complex)
-            right_vecs[:n_even, :e_r] = v_even[:n_even, :e_r]
-            right_vecs[:n_even, chi_r + e_r :] = v_even[:n_even, e_r:]
-            right_vecs[n_even:, e_r : chi_r + e_r] = v_odd[:n_odd]
-            counts[left_site] = n_even
+        # Row (j, a) of m has left-half parity p(a) + j: the even rows are
+        # j = 0 with a even and j = 1 with a odd, so in a-order they are the
+        # two ends of m; the odd rows are the contiguous middle.  Likewise
+        # for the columns (k, c).  m vanishes between the two blocks.
+        e_l = counts[left_site - 1] if left_site > 0 else 1
+        e_r = counts[left_site + 1]
+        rows = np.concatenate((m[:e_l], m[chi_l + e_l :]))
+        even = np.concatenate((rows[:, :e_r], rows[:, chi_r + e_r :]), axis=1)
+        odd = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
+        u_even, s_even, v_even = np.linalg.svd(even, full_matrices=False)
+        u_odd, s_odd, v_odd = np.linalg.svd(odd, full_matrices=False)
+        cut = threshold * max(s_even[0], s_odd[0])
+        n_even = int(np.count_nonzero(s_even > cut))
+        n_odd = int(np.count_nonzero(s_odd > cut))
+        rank = n_even + n_odd
+        if rank == 0:
+            raise TruncationError(
+                f"no singular value above threshold {threshold:g} on bond {left_site}"
+            )
+        if rank > max_bond:
+            raise BondOverflowError(f"bond {left_site} would grow to {rank} (cap {max_bond})")
+        sigma = np.concatenate((s_even[:n_even], s_odd[:n_odd]))
+        left_vecs = np.zeros((2 * chi_l, rank), dtype=complex)
+        left_vecs[:e_l, :n_even] = u_even[:e_l, :n_even]
+        left_vecs[chi_l + e_l :, :n_even] = u_even[e_l:, :n_even]
+        left_vecs[e_l : chi_l + e_l, n_even:] = u_odd[:, :n_odd]
+        right_vecs = np.zeros((rank, 2 * chi_r), dtype=complex)
+        right_vecs[:n_even, :e_r] = v_even[:n_even, :e_r]
+        right_vecs[:n_even, chi_r + e_r :] = v_even[:n_even, e_r:]
+        right_vecs[n_even:, e_r : chi_r + e_r] = v_odd[:n_odd]
+        counts[left_site] = n_even
 
         self.lambdas[left_site] = sigma / np.sqrt(np.sum(sigma**2))
         self.gammas[left_site] = left_vecs.reshape(2, chi_l, rank) / lam_l[None, :, None]
@@ -414,21 +414,11 @@ class TensorChain:
         rho = np.einsum("jkac,lmac->jklm", y, y.conj()).reshape(4, 4)
         return DensityBlock(rho)
 
-    def rdm_ends(self, *, max_bond: int = MAX_BOND_DIMENSION) -> DensityBlock:
-        """Reduced density matrix of (site 0, site N-1) via bulk transfer matrices.
-
-        Raises
-        ------
-        BondOverflowError
-            If any internal bond exceeds ``max_bond`` (contraction budget).
-        """
+    def rdm_ends(self) -> DensityBlock:
+        """Reduced density matrix of (site 0, site N-1) via bulk transfer matrices."""
         n = self.n_sites
         if n < 3:
             raise ValueError("end-pair density matrix requires at least 3 sites")
-        if max(self.bond_dimensions) > max_bond:
-            raise BondOverflowError(
-                f"bond dimension {max(self.bond_dimensions)} exceeds contraction budget {max_bond}"
-            )
         first = self.gammas[0][:, 0, :] * self.lambdas[0][None, :]
         acc = np.einsum("ka,lb->klab", first, first.conj())
         for site in range(1, n - 1):
@@ -490,19 +480,15 @@ class TensorChain:
             raise ValueError(f"site must lie in [0, {self.n_sites}), got {site}")
 
 
-def _check_rank(rank: int, threshold: float, bond: int, max_bond: int) -> None:
-    if rank == 0:
-        raise TruncationError(f"no singular value above threshold {threshold:g} on bond {bond}")
-    if rank > max_bond:
-        raise BondOverflowError(f"bond {bond} would grow to {rank} (cap {max_bond})")
-
-
-def _check_unitary(u: np.ndarray, dim: int) -> None:
+def _check_gate(u: np.ndarray, dim: int) -> None:
+    """Reject a gate of the wrong shape, one that is not unitary, or one that mixes parity."""
     if u.shape != (dim, dim):
         raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
     residual = np.abs(u.conj().T @ u - _IDENTITY[dim]).max(initial=0.0)
     if residual > _UNITARY_TOL:
         raise ValueError(f"gate is not unitary (residual {residual:.3e})")
+    if np.count_nonzero(u[_PARITY_MIXING[dim]]):
+        raise ValueError("gate mixes parity: it couples even and odd states")
 
 
 def bond_hamiltonian(

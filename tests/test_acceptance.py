@@ -29,6 +29,7 @@ from kitaev_chain import (
     z_saturated,
     z_value,
 )
+from parity_gates import random_pair_gate
 
 # Frozen three-decimal reference values of the saturated end-to-end
 # correlation Z on the integer (mu, 2w) grid at pairing 1.  The printed
@@ -279,17 +280,6 @@ def test_criterion_08_excited_state_z_matches_ground():
             f"worst |dZ| = {worst:.2e}")
 
 
-def _random_parity_preserving_gate(rng: np.random.Generator) -> np.ndarray:
-    """Two-site unitary block-diagonal in the {|00>,|11>} / {|01>,|10>} split."""
-    gate = np.zeros((4, 4), dtype=complex)
-    for pair in ((0, 3), (1, 2)):
-        block = np.linalg.qr(
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        )[0]
-        gate[np.ix_(pair, pair)] = block
-    return gate
-
-
 def test_criterion_09_invariants_through_random_circuit():
     n = 8
     state = TensorChain.product_state([0] * n)
@@ -298,7 +288,7 @@ def test_criterion_09_invariants_through_random_circuit():
     worst = {"canonical": 0.0, "norm": 0.0, "rdm": 0.0, "parity": 0.0}
     for _ in range(200):
         site = int(rng.integers(0, n - 1))
-        state.apply_two_site_gate(site, _random_parity_preserving_gate(rng))
+        state.apply_two_site_gate(site, random_pair_gate(rng))
 
         residuals = state.canonical_residuals()
         worst["canonical"] = max(worst["canonical"], *residuals.values())

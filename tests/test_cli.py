@@ -226,6 +226,22 @@ class TestVerify:
         # the end-pair contraction is defined from three sites up
         assert by_check["rdm_ends"]["status"] == "skipped"
 
+    def test_delta_alone_selects_one_point(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--delta", "0.5", "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert {(row["w"], row["mu"], row["delta"]) for row in data["rows"]} == {(1.0, 0.0, 0.5)}
+        assert {key: data["config"][key] for key in ("w", "mu", "delta")} == {
+            "w": 1.0, "mu": 0.0, "delta": 0.5,
+        }
+
+    def test_default_grid_config_names_no_point(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--n", "3", "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert {row["delta"] for row in data["rows"]} == {0.6, 1.0}
+        assert not {"w", "mu", "delta"} & data["config"].keys()
+
     def test_n_out_of_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--n", "12"])
         assert code == 2
@@ -236,7 +252,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["zscan", "--phi", "0.3"],
+            ["verify", "--delta", "-1"],
             ["zscan", "--boundary", "periodic"],
             ["zscan", "--n-schedule", "8:0:-4"],
             ["zscan", "--n-schedule", "abc"],
@@ -282,6 +298,7 @@ class TestUsageErrors:
             ["spectrum", "--jobs", "-3"],
             ["zscan", "--n-sched", "8,16"],
             ["particles", "--mu", "0:1:1"],
+            ["zscan", "--phi", "0.3"],
         ],
     )
     def test_removed_and_abbreviated_flags_exit_two(self, capsys, argv):

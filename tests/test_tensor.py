@@ -3,7 +3,8 @@
 Frozen worked examples pin the gate/SVD conventions; the dense oracle
 (brute-force Fock vectors and partial traces) provides the independent route
 for reduced density matrices, and hypothesis drives random circuits through
-the canonical-form invariants.
+the canonical-form invariants.  Every gate is parity conserving: a chain
+holds parity eigenstates only and rejects any other gate or state.
 """
 
 import json
@@ -25,8 +26,9 @@ from kitaev_chain import (
     schur_decompose,
     build_coupling_matrix,
 )
-from kitaev_chain import oracle
-from kitaev_chain.tensor import FOCK_SITE_LIMIT
+from kitaev_chain import oracle, z_value
+from kitaev_chain.tensor import FOCK_SITE_LIMIT, MAX_BOND_DIMENSION
+from parity_gates import random_pair_gate, random_site_phase
 
 RNG_GATE = np.sqrt(0.5) * (
     np.eye(4, dtype=complex) + 1j * np.fliplr(np.eye(4))
@@ -34,13 +36,12 @@ RNG_GATE = np.sqrt(0.5) * (
 
 SWAP01 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+#: X on both sites: |00> <-> |11> and |01> <-> |10>; conserves parity.
+FLIP_PAIR = np.fliplr(np.eye(4)).astype(complex)
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Deterministic Haar-ish unitary from a QR factorization."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+def pair_gate(seed: int) -> np.ndarray:
+    return random_pair_gate(np.random.default_rng(seed))
 
 
 def random_circuit(n_sites: int, seed: int, depth: int = 3) -> TensorChain:
@@ -49,10 +50,18 @@ def random_circuit(n_sites: int, seed: int, depth: int = 3) -> TensorChain:
     rng = np.random.default_rng(seed)
     for layer in range(depth):
         for left in range(n_sites - 1):
-            state.apply_two_site_gate(left, haar_unitary(4, int(rng.integers(2**32))))
-        state.apply_single_site_gate(
-            int(rng.integers(n_sites)), haar_unitary(2, int(rng.integers(2**32)))
-        )
+            state.apply_two_site_gate(left, random_pair_gate(rng))
+        state.apply_single_site_gate(int(rng.integers(n_sites)), random_site_phase(rng))
+    return state
+
+
+def brickwork(n_sites: int, layers: int, seed: int, max_bond: int) -> TensorChain:
+    """Product state pushed through ``layers`` alternating layers of random gates."""
+    state = TensorChain.product_state([0] * n_sites)
+    rng = np.random.default_rng(seed)
+    for layer in range(layers):
+        for left in range(layer % 2, n_sites - 1, 2):
+            state.apply_two_site_gate(left, random_pair_gate(rng), max_bond=max_bond)
     return state
 
 
@@ -116,9 +125,10 @@ class TestConstruction:
     def test_copy_is_independent(self):
         state = TensorChain.product_state([0, 0, 0])
         clone = state.copy()
-        clone.apply_single_site_gate(0, SWAP01)
+        clone.apply_two_site_gate(0, FLIP_PAIR)
         np.testing.assert_allclose(state.rdm_site(0).entries, np.diag([1.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(clone.rdm_site(0).entries, np.diag([0.0, 1.0]), atol=1e-12)
+        assert state.even_counts == [1, 1, 1] and clone.even_counts == [0, 1, 1]
 
 
 class TestSingleSiteGate:
@@ -138,11 +148,14 @@ class TestSingleSiteGate:
             state.rdm_site(0).entries, np.diag([0.0, 1.0]), atol=1e-12
         )
 
-    def test_swap_gate_relabels_basis(self):
-        state = TensorChain.product_state([0, 0, 0])
-        state.apply_single_site_gate(1, SWAP01)
-        amps = dense_vector(state)
-        assert amps[0b010] == pytest.approx(1.0, abs=1e-12)
+    def test_rejects_non_diagonal_gate(self):
+        state = random_circuit(4, seed=19)
+        before = dense_vector(state)
+        tilt = np.array([[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]])
+        for u in (SWAP01, tilt):
+            with pytest.raises(ValueError, match="mixes parity"):
+                state.apply_single_site_gate(1, u)
+        np.testing.assert_array_equal(dense_vector(state), before)
 
     def test_rejects_non_unitary(self):
         state = TensorChain.product_state([0, 0])
@@ -158,7 +171,7 @@ class TestSingleSiteGate:
         state = random_circuit(4, seed=3)
         frozen = [g.copy() for g in state.gammas]
         lambdas = [l.copy() for l in state.lambdas]
-        state.apply_single_site_gate(1, haar_unitary(2, 11))
+        state.apply_single_site_gate(1, random_site_phase(np.random.default_rng(11)))
         for site in (0, 2, 3):
             np.testing.assert_array_equal(state.gammas[site], frozen[site])
         for bond in range(3):
@@ -186,7 +199,7 @@ class TestTwoSiteGate:
     def test_gate_then_inverse_restores(self):
         state = random_circuit(5, seed=9)
         before = dense_vector(state)
-        u = haar_unitary(4, 21)
+        u = pair_gate(21)
         state.apply_two_site_gate(2, u)
         state.apply_two_site_gate(2, u.conj().T)
         np.testing.assert_allclose(dense_vector(state), before, atol=1e-10)
@@ -216,7 +229,7 @@ class TestTwoSiteGate:
         state = random_circuit(5, seed=13)
         frozen = [g.copy() for g in state.gammas]
         lambdas = [l.copy() for l in state.lambdas]
-        state.apply_two_site_gate(2, haar_unitary(4, 17))
+        state.apply_two_site_gate(2, pair_gate(17))
         for site in (0, 1, 4):
             np.testing.assert_array_equal(state.gammas[site], frozen[site])
         for bond in (0, 1, 3):
@@ -287,18 +300,28 @@ class TestParityLayout:
         assert TensorChain.product_state([0, 1, 1, 0]).even_counts == [1, 0, 1, 1]
         assert TensorChain.product_state([1]).even_counts == [0]
 
-    def test_inference_rejects_other_orders_and_mixed_parity(self):
+    def test_constructor_rejects_states_outside_layout(self):
         state = TensorChain.product_state([0, 0])
         state.apply_two_site_gate(0, RNG_GATE)
         assert state.even_counts == [1, 1]
-        odd_first = TensorChain(
-            [state.gammas[0][:, :, ::-1], state.gammas[1][:, ::-1, :]], state.lambdas
-        )
-        assert odd_first.even_counts is None
-        mixed = TensorChain.product_state([0, 0])
-        mixed.apply_two_site_gate(0, haar_unitary(4, 3))
-        assert mixed.even_counts is None
-        assert mixed.copy().even_counts is None
+        with pytest.raises(ValueError, match="odd vector before an even one"):
+            TensorChain([state.gammas[0][:, :, ::-1], state.gammas[1][:, ::-1, :]], state.lambdas)
+        plus = np.full((2, 1, 1), np.sqrt(0.5), dtype=complex)  # (|0> + |1>)/sqrt(2)
+        with pytest.raises(ValueError, match="no definite parity"):
+            TensorChain([plus, state.gammas[1][:, :1, :]], [np.ones(1)])
+        with pytest.raises(ValueError, match="no definite parity"):
+            TensorChain([state.gammas[0][:, :, :1], plus], [np.ones(1)])
+
+    def test_from_json_rejects_states_outside_layout(self):
+        state = TensorChain.product_state([0, 0, 0])
+        state.apply_two_site_gate(0, RNG_GATE)
+        payload = json.loads(state.to_json())
+        # list bond 0's odd Schmidt vector first, as a dense update could
+        payload["gammas"][0] = [[row[::-1] for row in g] for g in payload["gammas"][0]]
+        payload["gammas"][1] = [g[::-1] for g in payload["gammas"][1]]
+        payload["lambdas"][0] = payload["lambdas"][0][::-1]
+        with pytest.raises(ValueError, match="odd vector before an even one"):
+            TensorChain.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize(
         "occupation",
@@ -347,26 +370,26 @@ class TestParityLayout:
         assert blocks
         assert shapes == [block for block in blocks for _ in range(2)]
 
-    def test_parity_mixing_gate_takes_dense_path(self, monkeypatch):
+    def test_rejects_parity_mixing_gate(self):
         state, _, _ = prepare_eigenstate(self.GAPPED)
-        u = haar_unitary(4, 7)
-        expected = np.kron(u, np.eye(2**6)) @ dense_vector(state)
-        shapes, blocks = recorded_svd_shapes(monkeypatch)
-        state.apply_two_site_gate(0, u)
-        assert state.even_counts is None
-        np.testing.assert_allclose(dense_vector(state), expected, atol=1e-10)
-        residuals = state.canonical_residuals()
-        assert max(residuals.values()) < 1e-10
-        state.apply_two_site_gate(1, RNG_GATE)  # parity conserving, but no layout left
-        assert shapes == [(2 * chi_l, 2 * chi_r) for chi_l, chi_r in blocks]
+        before = dense_vector(state)
+        counts = list(state.even_counts)
+        mixing = pair_gate(7)
+        mixing[:, [1, 3]] = mixing[:, [3, 1]]  # still unitary; |01> -> even states
+        for u in (mixing, np.kron(SWAP01, np.eye(2))):
+            with pytest.raises(ValueError, match="mixes parity"):
+                state.apply_two_site_gate(0, u)
+        np.testing.assert_array_equal(dense_vector(state), before)
+        assert state.even_counts == counts
 
     def test_single_site_gates(self):
         state, _, _ = prepare_eigenstate(self.GAPPED)
         counts = list(state.even_counts)
         state.apply_single_site_gate(3, np.diag([1j, -1.0]))
         assert state.even_counts == counts
-        state.apply_single_site_gate(3, SWAP01)
-        assert state.even_counts is None
+        with pytest.raises(ValueError, match="mixes parity"):
+            state.apply_single_site_gate(3, SWAP01)
+        assert state.even_counts == counts
 
 
 class TestReducedDensityMatrices:
@@ -420,10 +443,18 @@ class TestReducedDensityMatrices:
         with pytest.raises(ValueError):
             state.rdm_ends()
 
-    def test_ends_contraction_budget(self):
-        state = random_circuit(4, seed=2)
-        with pytest.raises(BondOverflowError):
-            state.rdm_ends(max_bond=1)
+    def test_ends_read_bonds_above_default_cap(self):
+        n_sites = 18
+        state = brickwork(n_sites, layers=9, seed=5, max_bond=2 * MAX_BOND_DIMENSION)
+        assert max(state.bond_dimensions) > MAX_BOND_DIMENSION
+        rho = state.rdm_ends().entries.reshape(2, 2, 2, 2)
+        np.testing.assert_allclose(
+            np.einsum("jklk->jl", rho), state.rdm_site(0).entries, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            np.einsum("kjkl->jl", rho), state.rdm_site(n_sites - 1).entries, atol=1e-10
+        )
+        assert 0.0 <= z_value(state, "even") <= 2.0
 
     @settings(max_examples=20, deadline=None)
     @given(
