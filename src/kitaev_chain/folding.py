@@ -7,12 +7,16 @@ to bottom) and column j (last down to k+1), the angle
 
     theta = atan2(W[k, j], W[k, j-1])
 
-rotates columns (j-1, j) so that W[k, j] vanishes while the surviving
-coefficient stays non-negative.  After all rows are processed W is the
-identity except possibly for the sign of the last diagonal entry; a negative
-sign is recorded as the particle-hole flag (the last diagonal mode comes out
-as minus a bare mode, exchanging the roles of filled and empty for the last
-site's reference occupation).
+rotates columns (j-1, j) so that W[k, j] vanishes.  The row's final rotation
+(j = k+1) keeps the diagonal entry non-negative; every other one takes theta
+mod pi, in (-pi/2, pi/2], so the surviving coefficient keeps its sign instead
+of costing a rotation by pi.  A rotation that is the identity to double
+precision (|sin(theta/2)| < 2^-53, as from the exponentially small tails of a
+gapped mode) is skipped; the replay residual still checks the whole fold.
+After all rows are processed W is the identity except possibly for the sign
+of the last diagonal entry; a negative sign is recorded as the particle-hole
+flag (the last diagonal mode comes out as minus a bare mode, exchanging the
+roles of filled and empty for the last site's reference occupation).
 
 Each rotation corresponds to a Fock-space gate on the Majorana pair
 (column j-1, column j).  Columns of the same site (odd j, 0-based) give a
@@ -26,10 +30,11 @@ Gaussian state annihilated by the complex modes a_k = W[2k] + i s_k W[2k+1]
 leaves their span, hence the state, unchanged.  ``reduce_modes`` picks the U
 that makes mode k vanish beyond Majorana N+k (a QR factorization with the
 Majorana order reversed), and every plan folds that reduced matrix: about
-N^2 nonzero rotations instead of up to 2N^2 - N, with lower intermediate
-bond dimensions in the replay.  A plan is therefore the fold of one
-eigenstate: it records its occupation, lists only its nonzero rotations
-(one gate each), and builds that eigenstate alone.
+N^2 rotations instead of up to 2N^2 - N (exactly N^2 on the benchmark
+ladder's ground states), with lower intermediate bond dimensions in the
+replay.  A plan is therefore the fold of one eigenstate: it records its
+occupation, lists only the rotations it needs (one gate each), and builds
+that eigenstate alone.
 """
 
 from __future__ import annotations
@@ -66,6 +71,10 @@ _ORTHOGONALITY_TOL = 1e-10
 #: Residual above which the folded matrix is reported as a numerical failure.
 _REPLAY_TOL = 1e-9
 
+#: A rotation with |sin(angle / 2)| below this is the identity to double
+#: precision (cos(angle / 2) rounds to 1) and is left out of the plan.
+_IDENTITY_SIN = 2.0**-53
+
 
 class Rotation(NamedTuple):
     """One plane rotation: row being folded, higher column index, angle."""
@@ -84,9 +93,11 @@ class FoldingPlan:
     n_sites : int
         Number of chain sites N (the matrix is 2N x 2N).
     rotations : tuple of Rotation
-        The nonzero rotations among the (row, column) pairs for row =
-        0..2N-2, column = 2N-1 down to row+1, in execution order; each is
-        one gate of the reconstruction.  Angles lie in (-pi, pi].
+        The rotations among the (row, column) pairs for row = 0..2N-2,
+        column = 2N-1 down to row+1, that are not the identity to double
+        precision, in execution order; each is one gate of the
+        reconstruction.  A row's final rotation (column = row+1) has its
+        angle in (-pi, pi], every other one in (-pi/2, pi/2].
     particle_hole : bool
         True when the last diagonal entry folds to -1, i.e. the last
         reference-site occupation must be read through a particle-hole
@@ -110,12 +121,21 @@ class FoldingPlan:
     occupation: tuple[int, ...]
 
 
-def _rotation_angle(entry_high: float, entry_low: float) -> float:
-    """Angle with sin signed like the high-column entry, cos like the low one."""
+def _rotation_angle(entry_high: float, entry_low: float, *, final: bool) -> float:
+    """Angle of the rotation that moves the high-column entry onto the low one.
+
+    The row's final rotation (onto the diagonal) takes the angle in (-pi, pi]
+    that leaves a non-negative diagonal entry; every other rotation takes it
+    mod pi, in (-pi/2, pi/2], and keeps the sign of the low entry.
+    """
     if entry_high == 0.0 and entry_low == 0.0:
         return 0.0
     theta = float(np.arctan2(entry_high, entry_low))
-    return np.pi if theta == -np.pi else theta
+    if final:
+        return np.pi if theta == -np.pi else theta
+    if theta > np.pi / 2:
+        return theta - np.pi
+    return theta + np.pi if theta <= -np.pi / 2 else theta
 
 
 def _apply_rotation(matrix: np.ndarray, rotation: Rotation) -> None:
@@ -139,7 +159,7 @@ def reduce_modes(w_matrix: np.ndarray, occupation: Sequence[int]) -> np.ndarray:
     orthogonal again.  The recombination is unitary on the modes, so it
     commutes with the reference state's complex structure: the occupation,
     the particle-hole flag of the fold and the parity keep their meaning, and
-    the same eigenstate is built from about N^2 nonzero rotations.
+    the same eigenstate is built from about N^2 rotations.
     """
     w = np.asarray(w_matrix, dtype=float)
     n_sites = w.shape[0] // 2
@@ -165,7 +185,8 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     """Fold the Schur factor reduced for ``occupation`` into a rotation plan.
 
     Folds ``reduce_modes(schur.w_matrix, occupation)`` and records the
-    occupation and its nonzero rotations: the plan builds that eigenstate.
+    occupation and the rotations that are not the identity to double
+    precision: the plan builds that eigenstate.
 
     Raises
     ------
@@ -185,8 +206,8 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     rotations: list[Rotation] = []
     for row in range(dim - 1):
         for column in range(dim - 1, row, -1):
-            angle = _rotation_angle(w[row, column], w[row, column - 1])
-            if angle != 0.0:
+            angle = _rotation_angle(w[row, column], w[row, column - 1], final=column == row + 1)
+            if abs(np.sin(angle / 2.0)) >= _IDENTITY_SIN:
                 rotation = Rotation(row, column, angle)
                 rotations.append(rotation)
                 _apply_rotation(w, rotation)

@@ -226,6 +226,22 @@ class TestReduceModes:
         assert all(rotation.angle != 0.0 for rotation in plan.rotations)
         assert len(plan.rotations) <= 0.55 * (2 * n_sites**2 - n_sites)
 
+    @pytest.mark.parametrize(
+        "n_sites,mu,occupation",
+        [(n, mu, None) for n, mu in LADDER] + [(16, 1.0, [1] + [0] * 15)],
+    )
+    def test_fold_needs_exactly_n_squared_rotations(self, n_sites, mu, occupation):
+        """Rotations that are the identity to double precision are left out, and a
+        non-final rotation keeps the sign of the entry it folds onto."""
+        schur = schur_decompose(build_coupling_matrix(KitaevParams(n_sites, 1.0, mu, 1.0)))
+        plan = compute_folding_plan(schur, occupation or [0] * n_sites)
+        assert len(plan.rotations) == n_sites**2
+        assert sum(rotation.column % 2 == 0 for rotation in plan.rotations) == n_sites**2 // 2
+        for rotation in plan.rotations:
+            if rotation.column > rotation.row + 1:
+                assert abs(rotation.angle) <= np.pi / 2
+        assert plan.replay_residual < 1e-13
+
 
 class TestGateMatrices:
     def test_even_theta_zero(self):

@@ -70,6 +70,23 @@ def dense_vector(state: TensorChain) -> np.ndarray:
     return state.fock_coefficients().reshape(-1)
 
 
+def dense_block(state: TensorChain, sites: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of the Fock amplitudes onto ``sites``, the first one most significant."""
+    amps = np.moveaxis(state.fock_coefficients(), sites, range(len(sites)))
+    kept = amps.reshape(2 ** len(sites), -1)
+    return kept @ kept.conj().T
+
+
+#: Brickwork circuits (n_sites, layers, seed) whose bonds grow beyond 2.
+BRICKWORK = [(6, 5, 11), (8, 6, 12), (10, 7, 13)]
+
+
+def scaled_chain(state: TensorChain, site: int, factor: float) -> TensorChain:
+    """``state`` with one site tensor multiplied by ``factor`` (norm scaled by it)."""
+    gammas = [g * factor if k == site else g for k, g in enumerate(state.gammas)]
+    return TensorChain(gammas, state.lambdas)
+
+
 class TestDensityBlock:
     def test_accepts_valid_two_by_two(self):
         block = DensityBlock(np.diag([0.25, 0.75]))
@@ -257,6 +274,14 @@ class TestTwoSiteGate:
         for lam in state.lambdas:
             assert (lam > 0.0).all()
 
+    def test_canonical_residuals_report_a_scaled_site_tensor(self):
+        state = brickwork(8, layers=6, seed=12, max_bond=MAX_BOND_DIMENSION)
+        assert max(state.canonical_residuals().values()) < 1e-10
+        damaged = scaled_chain(state, 3, 1.1).canonical_residuals()
+        assert damaged["left"] == pytest.approx(1.1**2 - 1.0, abs=1e-10)
+        assert damaged["right"] == pytest.approx(1.1**2 - 1.0, abs=1e-10)
+        assert damaged["bond"] < 1e-10
+
 
 def left_vector_parities(state: TensorChain, bond: int) -> np.ndarray:
     """+1/-1 per left Schmidt vector on ``bond``, read off its Fock amplitudes.
@@ -432,6 +457,20 @@ class TestReducedDensityMatrices:
                 np.einsum("kjkl->jl", rho), state.rdm_site(left + 1).entries, atol=1e-10
             )
 
+    @pytest.mark.parametrize("n_sites,layers,seed", BRICKWORK)
+    def test_site_and_pair_match_dense_partial_traces(self, n_sites, layers, seed):
+        state = brickwork(n_sites, layers, seed, max_bond=MAX_BOND_DIMENSION)
+        state.apply_single_site_gate(1, random_site_phase(np.random.default_rng(seed)))
+        assert max(state.bond_dimensions) > 2
+        for site in range(n_sites):
+            np.testing.assert_allclose(
+                state.rdm_site(site).entries, dense_block(state, (site,)), atol=1e-12
+            )
+        for left in range(n_sites - 1):
+            np.testing.assert_allclose(
+                state.rdm_pair(left).entries, dense_block(state, (left, left + 1)), atol=1e-12
+            )
+
     def test_ends_vacuum(self):
         state = TensorChain.product_state([0, 0, 0, 0])
         expected = np.zeros((4, 4))
@@ -515,6 +554,29 @@ class TestParityExpectation:
         assert state.parity_expectation() == pytest.approx(before, abs=1e-10)
 
 
+class TestUnnormalisedChain:
+    @pytest.mark.parametrize("n_sites,layers,seed", BRICKWORK)
+    def test_norm_and_parity_read_the_scale(self, n_sites, layers, seed):
+        state = brickwork(n_sites, layers, seed, max_bond=MAX_BOND_DIMENSION)
+        scaled = scaled_chain(state, n_sites // 2, 1.1)
+        amps = dense_vector(scaled)
+        signs = np.array([(-1) ** bin(x).count("1") for x in range(amps.size)])
+        assert scaled.norm() == pytest.approx(np.linalg.norm(amps), abs=1e-12)
+        assert scaled.norm() == pytest.approx(1.1, abs=1e-12)
+        parity = float(np.sum(signs * np.abs(amps) ** 2))
+        assert scaled.parity_expectation() == pytest.approx(parity, abs=1e-12)
+        assert abs(scaled.parity_expectation()) == pytest.approx(1.1**2, abs=1e-12)
+
+
+def payload_with(site0_entry=None, **fields) -> str:
+    """JSON of the product state |01> with one Gamma entry or whole fields replaced."""
+    payload = json.loads(TensorChain.product_state([0, 1]).to_json())
+    if site0_entry is not None:
+        payload["gammas"][0][0][0][0] = site0_entry
+    payload.update(fields)
+    return json.dumps(payload)
+
+
 class TestSerialization:
     def test_round_trip(self):
         state = random_circuit(4, seed=41)
@@ -525,6 +587,51 @@ class TestSerialization:
         np.testing.assert_allclose(dense_vector(loaded), dense_vector(state), atol=1e-12)
         for a, b in zip(loaded.lambdas, state.lambdas):
             np.testing.assert_allclose(a, b, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "[]",
+            '"chain"',
+            "null",
+            "not json",
+            '{"lambdas": []}',
+            '{"gammas": []}',
+            payload_with(gammas=5),
+            payload_with(gammas=[[[[[1.0]]], [[[0.0]]]]], lambdas=[]),
+            payload_with(gammas=[[[[[1.0, 0.0, 0.0]]], [[[0.0, 0.0, 0.0]]]]], lambdas=[]),
+            payload_with(gammas=[[[1.0], [0.0]]], lambdas=[]),
+            payload_with(site0_entry=1.0),
+            payload_with(site0_entry=["a", 0.0]),
+            payload_with(site0_entry=[{}, 0.0]),
+            payload_with(site0_entry=[float("nan"), 0.0]),
+            payload_with(lambdas=[[float("nan")]]),
+            payload_with(gammas=[], lambdas=[]),
+        ],
+        ids=[
+            "empty-object",
+            "list",
+            "string",
+            "null",
+            "not-json",
+            "no-gammas",
+            "no-lambdas",
+            "gammas-not-a-list",
+            "entry-not-a-pair",
+            "entry-a-triple",
+            "no-pair-axis",
+            "ragged-gamma",
+            "entry-a-string",
+            "entry-an-object",
+            "nan-entry",
+            "nan-lambda",
+            "no-sites",
+        ],
+    )
+    def test_from_json_rejects_malformed_payloads(self, text):
+        with pytest.raises(ValueError):
+            TensorChain.from_json(text)
 
     def test_payload_shape_and_determinism(self):
         state = random_circuit(3, seed=43)
