@@ -41,7 +41,12 @@ from .quadratic import (
 )
 from .tensor import TRUNCATION_THRESHOLD, energy_expectation
 
-__all__ = ["MAX_AXIS_POINTS", "MAX_GRID_POINTS", "main", "run"]
+__all__ = ["MAX_AXIS_POINTS", "MAX_GRID_POINTS", "MAX_SITES", "main", "run"]
+
+#: Most sites a chain may have, from ``--n`` or a ``--n-schedule`` entry.  Its
+#: coupling matrix is 2N x 2N doubles, 128 MB at this cap; the check runs before
+#: any matrix is built, so a larger N is a usage error, not a failed allocation.
+MAX_SITES = 2048
 
 #: Most values one grid axis or chain-length schedule may hold.  Ranges are
 #: sized before any value is built, so ``0:1:1e-300`` fails at once.
@@ -83,6 +88,8 @@ def parse_schedule(text: str) -> tuple[int, ...]:
         raise UsageError(f"schedule {text!r} has more than {MAX_AXIS_POINTS} entries")
     if not values or values[0] < 3 or any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError(f"schedule {text!r} needs increasing chain lengths of at least 3 sites")
+    if values[-1] > MAX_SITES:
+        raise UsageError(f"schedule {text!r} has a chain longer than {MAX_SITES} sites")
     return tuple(values)
 
 
@@ -160,6 +167,8 @@ def _check_flags(args: argparse.Namespace) -> None:
     boundary = FIXED_BOUNDARY.get(args.command, args.boundary)
     if args.boundary != boundary:
         raise UsageError(f"{args.command} is defined for {boundary} chains only")
+    if getattr(args, "n", 0) > MAX_SITES:
+        raise UsageError(f"--n must be at most {MAX_SITES} sites")
     if getattr(args, "trunc", None) is not None and not 0.0 < args.trunc < 1.0:
         raise UsageError("--trunc must lie in (0, 1)")
     if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:

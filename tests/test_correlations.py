@@ -19,12 +19,14 @@ from kitaev_chain import (
     DEFAULT_SCHEDULE,
     KitaevParams,
     TensorChain,
+    build_coupling_matrix,
     edge_operator_matrix,
     gate_matrix_even,
     gate_matrix_odd,
     mean_particle_number,
     parity,
     prepare_eigenstate,
+    schur_decompose,
     z_analytic,
     z_saturated,
     z_value,
@@ -210,6 +212,32 @@ class TestCovarianceRoute:
         np.testing.assert_allclose(
             covariance_matrix(params, occupation), dense_covariance(state), atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # Topological points need an edge splitting far above rounding: at
+            # mu = 0.7 it is 4e-17 at N = 40, and the ground level is not unique.
+            KitaevParams(12, 1.0, 0.7, 1.0),
+            *(KitaevParams(n, 1.0, mu, 1.0) for n in (12, 40, 96) for mu in (1.8, 3.0)),
+            KitaevParams(10, 0.8, 2.5, 0.6, boundary="periodic"),
+        ],
+        ids=lambda p: f"{p.boundary}-N{p.n_sites}-mu{p.chemical_potential}",
+    )
+    def test_ground_covariance_matches_hermitian_eigenbasis(self, params):
+        # The covariance route reads W from schur_decompose; pin it to a LAPACK
+        # route that shares nothing with it: i A = V diag(lam) V^H, and the
+        # ground state fills every negative level, C = Re(i V sign(lam) V^H).
+        coupling = build_coupling_matrix(params)
+        schur = schur_decompose(coupling)
+        assert not schur.is_degenerate
+        lam, v = np.linalg.eigh(1j * coupling.entries)
+        reference = (1j * (v * np.sign(lam)) @ v.conj().T).real
+        np.testing.assert_allclose(covariance_matrix(params), reference, rtol=0.0, atol=1e-12)
+        # the eigenvalues of i A are +-eps_k
+        magnitudes = np.sort(np.abs(lam))[::-1]
+        np.testing.assert_allclose(magnitudes[0::2], schur.epsilons, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(magnitudes[1::2], schur.epsilons, rtol=0.0, atol=1e-12)
 
 
 class TestZSaturated:

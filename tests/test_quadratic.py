@@ -3,7 +3,7 @@
 Frozen small cases pin the entry conventions; the dense oracle provides an
 independent route to the same physics (Fock-space Hamiltonian built straight
 from creation/annihilation operators), and hypothesis drives the decomposition
-over random antisymmetric matrices.
+over random chiral (even-odd) antisymmetric matrices.
 """
 
 import itertools
@@ -118,9 +118,17 @@ class TestCouplingMatrix:
         np.testing.assert_allclose(via_majoranas, direct, atol=1e-12)
 
 
-def _random_antisymmetric(dim, seed):
+def _random_chiral(n_pairs, seed):
+    """A random antisymmetric matrix that couples even modes to odd ones only.
+
+    Its even-odd block B is Gaussian; about one draw in three zeroes a random
+    set of B's rows, so exact zero modes occur."""
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(dim, dim))
+    b = rng.normal(size=(n_pairs, n_pairs))
+    if rng.random() < 1 / 3:
+        b[rng.random(n_pairs) < 0.5] = 0.0
+    m = np.zeros((2 * n_pairs, 2 * n_pairs))
+    m[0::2, 1::2] = b
     return m - m.T
 
 
@@ -150,6 +158,15 @@ class TestSchurDecompose:
         with pytest.raises(ValueError):
             schur_decompose(np.eye(4))
 
+    @pytest.mark.parametrize("k, l", [(0, 2), (1, 3)], ids=["even-even", "odd-odd"])
+    def test_rejects_even_even_coupling(self, k, l):
+        # A Kitaev chain never couples two even or two odd Majoranas; the
+        # chiral SVD would silently drop such an entry, so it is refused.
+        a = build_coupling_matrix(KitaevParams(3, 1.0, 0.5, 0.8)).entries.copy()
+        a[k, l], a[l, k] = 0.3, -0.3
+        with pytest.raises(ValueError, match="even Majoranas to odd"):
+            schur_decompose(a)
+
     def test_deterministic(self):
         a = build_coupling_matrix(KitaevParams(6, 1.0, 0.4, 0.8))
         r1 = schur_decompose(a)
@@ -160,7 +177,7 @@ class TestSchurDecompose:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
     def test_random_antisymmetric_properties(self, n_pairs, seed):
-        a = _random_antisymmetric(2 * n_pairs, seed)
+        a = _random_chiral(n_pairs, seed)
         scale = max(1.0, np.abs(a).max())
         res = schur_decompose(a)
         dim = 2 * n_pairs
