@@ -2,8 +2,8 @@
 
 The pipeline: build the real antisymmetric Majorana coupling matrix of the
 chain (``quadratic``), reduce it to canonical 2x2 blocks and fold the
-orthogonal factor into an ordered sequence of two-mode rotations
-(``folding``), replay the rotations as parity-conserving Fock gates on a
+orthogonal factor into an ordered sequence of paired two-mode rotations
+(``folding``), replay them as real parity-conserving two-site gates on a
 canonical tensor chain (``tensor``), and evaluate end-to-end correlations and
 the Z measure (``correlations``).  A dense exact-diagonalization ``oracle``
 validates everything at small sizes, and ``cli`` exposes table/figure-data
@@ -24,9 +24,8 @@ from .correlations import (
 from .folding import (
     FoldingPlan,
     Rotation,
+    bond_gate,
     compute_folding_plan,
-    gate_matrix_even,
-    gate_matrix_odd,
     prepare_eigenstate,
     reconstruct_eigenstate,
     reduce_modes,
@@ -70,14 +69,13 @@ __all__ = [
     "ZResult",
     "analytic_periodic_energies",
     "as_occupation",
+    "bond_gate",
     "bond_hamiltonian",
     "build_coupling_matrix",
     "compute_folding_plan",
     "edge_operator_matrix",
     "eigenenergy",
     "energy_expectation",
-    "gate_matrix_even",
-    "gate_matrix_odd",
     "mean_particle_number",
     "parity",
     "prepare_eigenstate",

@@ -1,40 +1,49 @@
-"""Folding an orthogonal Majorana transformation into two-mode rotations.
+"""Folding a chiral Majorana transformation into real two-site gates.
 
 The canonical decomposition yields an orthogonal matrix W whose rows express
-the diagonal Majorana modes in the bare ones.  Folding eliminates the row
-entries with plane rotations acting on adjacent column pairs: for row k (top
-to bottom) and column j (last down to k+1), the angle
-
-    theta = atan2(W[k, j], W[k, j-1])
-
-rotates columns (j-1, j) so that W[k, j] vanishes.  The row's final rotation
-(j = k+1) keeps the diagonal entry non-negative; every other one takes theta
-mod pi, in (-pi/2, pi/2], so the surviving coefficient keeps its sign instead
-of costing a rotation by pi.  A rotation that is the identity to double
-precision (|sin(theta/2)| < 2^-53, as from the exponentially small tails of a
-gapped mode) is skipped; the replay residual still checks the whole fold.
-After all rows are processed W is the identity except possibly for the sign
-of the last diagonal entry; a negative sign is recorded as the particle-hole
-flag (the last diagonal mode comes out as minus a bare mode, exchanging the
-roles of filled and empty for the last site's reference occupation).
-
-Each rotation corresponds to a Fock-space gate on the Majorana pair
-(column j-1, column j).  Columns of the same site (odd j, 0-based) give a
-single-site phase gate; columns straddling a bond (even j, 0-based) give a
-two-site gate.  Replaying the gates in reverse order with negated angles on
-the reference occupation state builds the corresponding chain eigenstate.
+the diagonal Majorana modes in the bare ones.  Every Kitaev-chain coupling
+joins an even Majorana to an odd one, so W is chiral: row 2k (the even half
+of mode k) acts on the even Majoranas only and row 2k+1 on the odd ones, and
+W is two orthogonal N x N blocks, E[k, j] = W[2k, 2j] and
+F[k, j] = W[2k+1, 2j+1].  Its eigenstate is a real Gaussian state.
 
 An eigenstate fixes W only up to a unitary mixing of its modes: it is the
-Gaussian state annihilated by the complex modes a_k = W[2k] + i s_k W[2k+1]
-(s_k = -1 on occupied modes, +1 otherwise), and any a -> U a with U in U(N)
-leaves their span, hence the state, unchanged.  ``reduce_modes`` picks the U
-that makes mode k vanish beyond Majorana N+k (a QR factorization with the
-Majorana order reversed), and every plan folds that reduced matrix: about
-N^2 rotations instead of up to 2N^2 - N (exactly N^2 on the benchmark
-ladder's ground states), with lower intermediate bond dimensions in the
-replay.  A plan is therefore the fold of one eigenstate: it records its
-occupation, lists only the rotations it needs (one gate each), and builds
-that eigenstate alone.
+Gaussian state annihilated by a_k = W[2k] + i s_k W[2k+1] (s_k = -1 on
+occupied modes, +1 otherwise), and any a -> O a with O in U(N) leaves their
+span, hence the state, unchanged.  ``reduce_modes`` picks the real O that
+makes mode k vanish beyond Majorana N+k (a QR factorization of the real
+N x 2N matrix of the a_k with the Majorana order reversed); the result is
+chiral again.
+
+Folding eliminates the entries of E and F in lockstep with plane rotations
+of adjacent columns: for row k (top to bottom) and column j (last down to
+k+1), each block takes the angle
+
+    theta = atan2(B[k, j], B[k, j-1])
+
+that rotates its columns (j-1, j) so that B[k, j] vanishes.  The row's final
+rotation (j = k+1) keeps the diagonal entry non-negative; every other one
+takes theta mod pi, in (-pi/2, pi/2], so the surviving coefficient keeps its
+sign instead of costing a rotation by pi.  A step whose two angles are both
+the identity to double precision (|sin(theta/2)| < 2^-53, as beyond Majorana
+N+k or in the exponentially small tails of a gapped mode) is skipped; the
+fold residual still checks the whole fold.  The reduced modes leave about
+N^2/4 steps (exactly floor(N^2/4) on the ground states of the benchmark
+ladder).  After all rows E and F are the identity except possibly for the
+sign of their last diagonal entry; opposite signs are recorded as the
+particle-hole flag (the last diagonal mode comes out with its odd half
+reversed, exchanging the roles of filled and empty for the last site's
+reference occupation).
+
+Each step rotates the even pair (gamma_{2j-2}, gamma_{2j}) and the odd pair
+(gamma_{2j-1}, gamma_{2j+1}), all four on sites (j-1, j): one real,
+parity-conserving two-site gate (``bond_gate``).  Replaying the gates in
+reverse order on the reference occupation state builds the eigenstate with
+real tensors; on the benchmark ladder the replay's bond dimensions stay
+within a few of the target's, and on its critical points never exceed
+them.  A plan is the fold of one eigenstate: it
+records its occupation, lists only the steps it needs (one gate each), and
+builds that eigenstate alone.
 """
 
 from __future__ import annotations
@@ -58,8 +67,7 @@ __all__ = [
     "FoldingPlan",
     "compute_folding_plan",
     "reduce_modes",
-    "gate_matrix_even",
-    "gate_matrix_odd",
+    "bond_gate",
     "reference_state",
     "reconstruct_eigenstate",
     "prepare_eigenstate",
@@ -75,35 +83,49 @@ _REPLAY_TOL = 1e-9
 #: precision (cos(angle / 2) rounds to 1) and is left out of the plan.
 _IDENTITY_SIN = 2.0**-53
 
+#: Majorana products on sites (j, j+1) in the basis |00>, |01>, |10>, |11>:
+#: gamma_{2j} gamma_{2j+2} = J (x) X and gamma_{2j+1} gamma_{2j+3} = -X (x) J.
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_EVEN_PAIR = np.kron(_J, _X)
+_ODD_PAIR = -np.kron(_X, _J)
+_IDENTITY4 = np.eye(4)
+
 
 class Rotation(NamedTuple):
-    """One plane rotation: row being folded, higher column index, angle."""
+    """One fold step: row being folded, higher column index, even and odd angles.
+
+    The step rotates columns (column-1, column) of the even block by
+    ``even_angle`` and of the odd block by ``odd_angle``: one gate on sites
+    (column-1, column).
+    """
 
     row: int
     column: int
-    angle: float
+    even_angle: float
+    odd_angle: float
 
 
 @dataclass(frozen=True)
 class FoldingPlan:
-    """Ordered rotations that reduce one eigenstate's reduced W to the identity.
+    """Ordered fold steps that reduce one eigenstate's reduced W to the identity.
 
     Attributes
     ----------
     n_sites : int
-        Number of chain sites N (the matrix is 2N x 2N).
+        Number of chain sites N (each block is N x N).
     rotations : tuple of Rotation
-        The rotations among the (row, column) pairs for row = 0..2N-2,
-        column = 2N-1 down to row+1, that are not the identity to double
-        precision, in execution order; each is one gate of the
-        reconstruction.  A row's final rotation (column = row+1) has its
-        angle in (-pi, pi], every other one in (-pi/2, pi/2].
+        The steps among the (row, column) pairs for row = 0..N-2, column =
+        N-1 down to row+1, whose two angles are not both the identity to
+        double precision, in execution order; each is one gate of the
+        reconstruction.  A row's final step (column = row+1) has its angles
+        in (-pi, pi], every other one in (-pi/2, pi/2].
     particle_hole : bool
-        True when the last diagonal entry folds to -1, i.e. the last
-        reference-site occupation must be read through a particle-hole
-        exchange.
+        True when the even and the odd block fold to opposite last diagonal
+        signs, i.e. the last reference-site occupation must be read through
+        a particle-hole exchange.
     replay_residual : float
-        Max deviation of the fully folded matrix from its target.
+        Max deviation of the two folded blocks from their targets.
     degenerate : bool
         The targeted eigenstate is not unique: the decomposition has a
         numerically zero single-body energy, or the occupation fills a level
@@ -138,40 +160,48 @@ def _rotation_angle(entry_high: float, entry_low: float, *, final: bool) -> floa
     return theta + np.pi if theta <= -np.pi / 2 else theta
 
 
-def _apply_rotation(matrix: np.ndarray, rotation: Rotation) -> None:
-    """Rotate columns (column-1, column) of ``matrix`` in place."""
-    c, s = np.cos(rotation.angle), np.sin(rotation.angle)
-    lo, hi = rotation.column - 1, rotation.column
-    low_col = matrix[:, lo].copy()
-    high_col = matrix[:, hi].copy()
-    matrix[:, lo] = c * low_col + s * high_col
-    matrix[:, hi] = -s * low_col + c * high_col
+def _rotate_columns(block: np.ndarray, column: int, angle: float) -> None:
+    """Rotate columns (column-1, column) of ``block`` in place."""
+    c, s = np.cos(angle), np.sin(angle)
+    low_col = block[:, column - 1].copy()
+    high_col = block[:, column].copy()
+    block[:, column - 1] = c * low_col + s * high_col
+    block[:, column] = -s * low_col + c * high_col
 
 
 def reduce_modes(w_matrix: np.ndarray, occupation: Sequence[int]) -> np.ndarray:
-    """Recombine the modes of an orthogonal W, keeping its eigenstate.
+    """Recombine the modes of a chiral orthogonal W, keeping its eigenstate.
 
-    Builds a_k = W[2k] + i s_k W[2k+1] (s_k = -1 on occupied modes, +1
-    otherwise), takes the QR factorization of ``a[:, ::-1]`` and flips R back,
-    so that mode k has no weight beyond Majorana N+k.  A phase per mode makes
-    that last entry real and non-negative, so the imaginary row ends one
-    Majorana earlier.  Returns ``[Re a'_k; s_k Im a'_k]`` interleaved, which is
-    orthogonal again.  The recombination is unitary on the modes, so it
-    commutes with the reference state's complex structure: the occupation,
-    the particle-hole flag of the fold and the parity keep their meaning, and
-    the same eigenstate is built from about N^2 rotations.
+    Builds the real N x 2N matrix M of the modes a_k, M[k, 2j] = W[2k, 2j] and
+    M[k, 2j+1] = s_k W[2k+1, 2j+1] (s_k = -1 on occupied modes, +1
+    otherwise), takes the QR factorization of ``M[:, ::-1]`` and flips R back,
+    so that mode k has no weight beyond Majorana N+k; each row's sign makes
+    that last entry non-negative.  Returns the chiral matrix with even block
+    R[:, 0::2] and odd block s R[:, 1::2], which is orthogonal again.  The
+    recombination is real and orthogonal on the modes, so it commutes with
+    the reference state's complex structure: the occupation, the
+    particle-hole flag of the fold and the parity keep their meaning, and the
+    same eigenstate is built from about N^2/4 steps.
+
+    Raises
+    ------
+    ValueError
+        If W couples an even row to an odd Majorana or an odd row to an even
+        one, or the occupation is invalid.
     """
     w = np.asarray(w_matrix, dtype=float)
     n_sites = w.shape[0] // 2
+    if w[0::2, 1::2].any() or w[1::2, 0::2].any():
+        raise ValueError("folding requires a chiral matrix: even rows on even Majoranas only")
     signs = 1 - 2 * as_occupation(occupation, n_sites)
-    modes = w[0::2] + 1j * signs[:, None] * w[1::2]
+    modes = np.empty((n_sites, 2 * n_sites))
+    modes[:, 0::2] = w[0::2, 0::2]
+    modes[:, 1::2] = signs[:, None] * w[1::2, 1::2]
     r = np.linalg.qr(modes[:, ::-1], mode="r")[::-1, ::-1]
-    last = r[np.arange(n_sites), n_sites + np.arange(n_sites)]
-    magnitude = np.abs(last)
-    r *= np.divide(last.conj(), magnitude, out=np.ones_like(last), where=magnitude > 0.0)[:, None]
-    reduced = np.empty_like(w)
-    reduced[0::2] = r.real
-    reduced[1::2] = signs[:, None] * r.imag
+    r[r[np.arange(n_sites), n_sites + np.arange(n_sites)] < 0.0] *= -1.0
+    reduced = np.zeros_like(w)
+    reduced[0::2, 0::2] = r[:, 0::2]
+    reduced[1::2, 1::2] = signs[:, None] * r[:, 1::2]
     return reduced
 
 
@@ -182,16 +212,18 @@ def _splits_a_level(schur: MajoranaSchur, occupation: np.ndarray) -> bool:
 
 
 def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> FoldingPlan:
-    """Fold the Schur factor reduced for ``occupation`` into a rotation plan.
+    """Fold the Schur factor reduced for ``occupation`` into a gate plan.
 
-    Folds ``reduce_modes(schur.w_matrix, occupation)`` and records the
-    occupation and the rotations that are not the identity to double
-    precision: the plan builds that eigenstate.
+    Folds the even and odd blocks of ``reduce_modes(schur.w_matrix,
+    occupation)`` in lockstep and records the occupation and the steps whose
+    angles are not both the identity to double precision: the plan builds
+    that eigenstate.
 
     Raises
     ------
     ValueError
-        If the input matrix is not orthogonal, or the occupation is invalid.
+        If the input matrix is not orthogonal or not chiral, or the occupation
+        is invalid.
     RuntimeError
         If the folded matrix misses its target beyond tolerance (numerical
         failure is surfaced, never ignored).
@@ -202,53 +234,49 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
         raise ValueError("folding requires an orthogonal matrix")
     occupation = as_occupation(occupation, dim // 2)
     w = reduce_modes(w, occupation)
+    even, odd = w[0::2, 0::2], w[1::2, 1::2]
+    n_sites = dim // 2
 
     rotations: list[Rotation] = []
-    for row in range(dim - 1):
-        for column in range(dim - 1, row, -1):
-            angle = _rotation_angle(w[row, column], w[row, column - 1], final=column == row + 1)
-            if abs(np.sin(angle / 2.0)) >= _IDENTITY_SIN:
-                rotation = Rotation(row, column, angle)
-                rotations.append(rotation)
-                _apply_rotation(w, rotation)
+    for row in range(n_sites - 1):
+        for column in range(n_sites - 1, row, -1):
+            final = column == row + 1
+            even_angle = _rotation_angle(even[row, column], even[row, column - 1], final=final)
+            odd_angle = _rotation_angle(odd[row, column], odd[row, column - 1], final=final)
+            if max(abs(np.sin(even_angle / 2.0)), abs(np.sin(odd_angle / 2.0))) >= _IDENTITY_SIN:
+                rotations.append(Rotation(row, column, even_angle, odd_angle))
+                _rotate_columns(even, column, even_angle)
+                _rotate_columns(odd, column, odd_angle)
 
-    particle_hole = bool(w[-1, -1] < 0.0)
-    target = np.eye(dim)
-    if particle_hole:
-        target[-1, -1] = -1.0
-    residual = float(np.abs(w - target).max(initial=0.0))
+    residual = 0.0
+    for block in (even, odd):
+        target = np.eye(n_sites)
+        target[-1, -1] = -1.0 if block[-1, -1] < 0.0 else 1.0
+        residual = max(residual, float(np.abs(block - target).max(initial=0.0)))
     if residual > _REPLAY_TOL:
         raise RuntimeError(f"folding failed to reach the identity (residual {residual:.3e})")
     return FoldingPlan(
-        n_sites=dim // 2,
+        n_sites=n_sites,
         rotations=tuple(rotations),
-        particle_hole=particle_hole,
+        particle_hole=bool((even[-1, -1] < 0.0) != (odd[-1, -1] < 0.0)),
         replay_residual=residual,
         degenerate=schur.is_degenerate or _splits_a_level(schur, occupation),
         occupation=tuple(occupation.tolist()),
     )
 
 
-def gate_matrix_even(theta: float) -> np.ndarray:
-    """Single-site gate diag(e^{i theta/2}, e^{-i theta/2}).
+def bond_gate(even_angle: float, odd_angle: float) -> np.ndarray:
+    """Real two-site gate of one fold step on sites (j, j+1).
 
-    Realizes the rotation generated by the two Majorana modes of one site;
-    diagonal, hence parity preserving.
+    (cos(a/2) I - sin(a/2) gamma_{2j} gamma_{2j+2}) times
+    (cos(b/2) I - sin(b/2) gamma_{2j+1} gamma_{2j+3}) with a = ``even_angle``
+    and b = ``odd_angle``, in the basis |00>, |01>, |10>, |11>.  Each factor
+    is real orthogonal (the square of a Majorana pair product is -1), the two
+    commute, and both conserve parity.
     """
-    half = theta / 2.0
-    return np.diag([np.exp(1j * half), np.exp(-1j * half)])
-
-
-def gate_matrix_odd(theta: float) -> np.ndarray:
-    """Two-site gate cos(theta/2) I + i sin(theta/2) * antidiag(1, 1, 1, 1).
-
-    Realizes the rotation generated by the bond-straddling Majorana pair in
-    the basis |00>, |01>, |10>, |11>; couples only equal-parity states.
-    """
-    half = theta / 2.0
-    return np.cos(half) * np.eye(4, dtype=complex) + 1j * np.sin(half) * np.fliplr(
-        np.eye(4)
-    )
+    even = np.cos(even_angle / 2.0) * _IDENTITY4 - np.sin(even_angle / 2.0) * _EVEN_PAIR
+    odd = np.cos(odd_angle / 2.0) * _IDENTITY4 - np.sin(odd_angle / 2.0) * _ODD_PAIR
+    return even @ odd
 
 
 def reference_state(
@@ -274,10 +302,10 @@ def reconstruct_eigenstate(
 ) -> TensorChain:
     """Build the chain eigenstate of the plan's occupation.
 
-    Undoes the folding on the reference state: rotations replay in reverse
-    order with negated angles, each as a Fock-space gate.  Odd columns
-    (0-based) act within site (column - 1) // 2; even columns straddle sites
-    (column // 2 - 1, column // 2).
+    Undoes the folding on the reference state: the steps replay in reverse
+    order, each as ``bond_gate(even_angle, odd_angle)`` on sites
+    (column - 1, column).  Every gate is real, so the state's tensors stay
+    real.
 
     The returned state carries the plan's degeneracy flag; its energy equals
     the sum of the occupied single-body energies measured from the ground
@@ -293,18 +321,12 @@ def reconstruct_eigenstate(
     state = reference_state(plan.n_sites, plan.occupation, plan.particle_hole)
     state.degenerate = plan.degenerate
     for rotation in reversed(plan.rotations):
-        column = rotation.column
-        if column % 2 == 1:
-            state.apply_single_site_gate(
-                (column - 1) // 2, gate_matrix_even(-rotation.angle)
-            )
-        else:
-            state.apply_two_site_gate(
-                column // 2 - 1,
-                gate_matrix_odd(-rotation.angle),
-                threshold=threshold,
-                max_bond=max_bond,
-            )
+        state.apply_two_site_gate(
+            rotation.column - 1,
+            bond_gate(rotation.even_angle, rotation.odd_angle),
+            threshold=threshold,
+            max_bond=max_bond,
+        )
     return state
 
 
@@ -319,7 +341,7 @@ def prepare_eigenstate(
 
     ``occupation`` defaults to the ground state (all diagonal modes empty).
     Only real positive pairing (phase 0) is supported on this path: the
-    two-site gate matrix used for reconstruction is phase-free.
+    chiral fold and its real gates assume it.
 
     Returns the state together with the decomposition (single-body energies)
     and the folding plan (particle-hole flag, degeneracy).

@@ -233,9 +233,9 @@ def test_criterion_07_critical_diagonal_history():
     """The mu = 2w = 2 cell: Z must fall slowly and never saturate at 1e-3.
 
     The whole default schedule runs on the tensor route: each ground state is
-    built from the fold of its mode-reduced Schur factor, whose replay peaks
-    at a bond of 194 at N = 96, within the default cap of 256; an overflow
-    fails the test.
+    built from the chiral fold of its mode-reduced Schur factor, whose replay
+    peaks at a bond of 145 at N = 96 (the built state's own largest bond),
+    within the default cap of 256; an overflow fails the test.
     """
     params = open_chain(8, 1.0, 2.0)
     result = z_saturated(params, tol=1e-3)

@@ -139,9 +139,10 @@ class TestZscan:
         assert pooled == sequential
 
     def test_point_failure_recorded_in_row(self, capsys):
-        # mu=0, 2w=0.5 overflows the default bond cap partway up the schedule
+        # mu=0, 2w=0.5 at N=48: the target state itself needs 264 Schmidt values,
+        # more than the default bond cap (the default schedule converges at N=40)
         code, out, _ = run_cli(
-            capsys, ["zscan", "--mu-grid", "0", "--two-w-grid", "0.5"]
+            capsys, ["zscan", "--mu-grid", "0", "--two-w-grid", "0.5", "--n-schedule", "48"]
         )
         assert code == 0
         comments, _, rows = csv_body(out)

@@ -21,8 +21,6 @@ from kitaev_chain import (
     TensorChain,
     build_coupling_matrix,
     edge_operator_matrix,
-    gate_matrix_even,
-    gate_matrix_odd,
     mean_particle_number,
     parity,
     prepare_eigenstate,
@@ -32,6 +30,7 @@ from kitaev_chain import (
     z_value,
 )
 from kitaev_chain import oracle
+from parity_gates import random_pair_gate, random_site_phase
 
 Q_EVEN = np.array(
     [
@@ -53,10 +52,8 @@ def parity_definite_state(n_sites: int, bits, seed: int) -> TensorChain:
     rng = np.random.default_rng(seed)
     for _ in range(2):
         for left in range(n_sites - 1):
-            state.apply_two_site_gate(left, gate_matrix_odd(rng.uniform(-np.pi, np.pi)))
-        state.apply_single_site_gate(
-            int(rng.integers(n_sites)), gate_matrix_even(rng.uniform(-np.pi, np.pi))
-        )
+            state.apply_two_site_gate(left, random_pair_gate(rng))
+        state.apply_single_site_gate(int(rng.integers(n_sites)), random_site_phase(rng))
     return state
 
 

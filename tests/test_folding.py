@@ -3,7 +3,8 @@
 Small matrices with hand-checkable folds pin the angle/sign conventions; the
 dense oracle provides eigenvector overlaps for reconstructed states, the
 plan-free covariance route checks chains beyond its reach, and hypothesis
-drives the fold/replay round trip over random orthogonal matrices.
+drives the fold/replay round trip over random chiral orthogonal matrices and
+the built states over random chains.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covariance_route import covariance_matrix, covariance_z
@@ -21,11 +22,11 @@ from kitaev_chain import (
     MajoranaSchur,
     Rotation,
     build_coupling_matrix,
+    TensorChain,
+    bond_gate,
     compute_folding_plan,
     eigenenergy,
     energy_expectation,
-    gate_matrix_even,
-    gate_matrix_odd,
     parity,
     prepare_eigenstate,
     reconstruct_eigenstate,
@@ -45,26 +46,48 @@ def manual_schur(w_matrix: np.ndarray, epsilons) -> MajoranaSchur:
     )
 
 
-def random_orthogonal(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diagonal(r))
+
+
+def chiral(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The 2N x 2N matrix with ``even`` on (even rows, even Majoranas), ``odd`` on the odd ones."""
+    n_sites = even.shape[0]
+    w = np.zeros((2 * n_sites, 2 * n_sites))
+    w[0::2, 0::2] = even
+    w[1::2, 1::2] = odd
+    return w
+
+
+def random_chiral(n_sites: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return chiral(random_orthogonal(n_sites, rng), random_orthogonal(n_sites, rng))
 
 
 def dense_vector(state) -> np.ndarray:
     return state.fock_coefficients().reshape(-1)
 
 
-def replayed(matrix: np.ndarray, plan: FoldingPlan) -> np.ndarray:
-    """``matrix`` times the plan's rotations, each as an explicit Givens matrix."""
-    result = np.array(matrix, dtype=float)
-    for rotation in plan.rotations:
-        givens = np.eye(result.shape[0])
-        lo, hi = rotation.column - 1, rotation.column
-        c, s = np.cos(rotation.angle), np.sin(rotation.angle)
-        givens[[lo, hi, lo, hi], [lo, hi, hi, lo]] = c, c, -s, s
-        result = result @ givens
+def givens(n_sites: int, column: int, angle: float) -> np.ndarray:
+    result = np.eye(n_sites)
+    lo, hi = column - 1, column
+    c, s = np.cos(angle), np.sin(angle)
+    result[[lo, hi, lo, hi], [lo, hi, hi, lo]] = c, c, -s, s
     return result
+
+
+def replayed(matrix: np.ndarray, plan: FoldingPlan) -> np.ndarray:
+    """The chiral ``matrix`` with each block times its rotations as explicit Givens matrices."""
+    even, odd = matrix[0::2, 0::2], matrix[1::2, 1::2]
+    for rotation in plan.rotations:
+        even = even @ givens(plan.n_sites, rotation.column, rotation.even_angle)
+        odd = odd @ givens(plan.n_sites, rotation.column, rotation.odd_angle)
+    return chiral(even, odd)
+
+
+def is_identity_step(rotation: Rotation) -> bool:
+    return max(abs(np.sin(rotation.even_angle / 2)), abs(np.sin(rotation.odd_angle / 2))) < 2.0**-53
 
 
 @functools.lru_cache(maxsize=2)
@@ -90,32 +113,50 @@ def eigenspace_weight(params: KitaevParams, vec: np.ndarray, energy: float) -> f
 
 
 class TestComputeFoldingPlan:
-    def test_identity_folds_to_single_site_quarter_turns(self):
-        # reduce_modes does not keep the identity: it rephases each site's mode to
-        # the block [[0, 1], [-1, 0]], which folds to one single-site quarter turn.
+    def test_identity_builds_the_reference_state(self):
+        # The identity is chiral and already reduced; QR keeps each mode up to a sign
+        # (its entry at Majorana N + k is zero, so no sign is preferred).
         reduced = reduce_modes(np.eye(4), [0, 0])
-        np.testing.assert_array_equal(reduced, np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+        np.testing.assert_array_equal(np.abs(reduced), np.eye(4))
+        assert reduced[0, 0] == reduced[1, 1] and reduced[2, 2] == reduced[3, 3]
         plan = compute_folding_plan(manual_schur(np.eye(4), [2.0, 1.0]), [0, 0])
         assert plan.n_sites == 2
         assert plan.occupation == (0, 0)
-        assert plan.rotations == (Rotation(0, 1, np.pi / 2), Rotation(2, 3, np.pi / 2))
+        for rotation in plan.rotations:
+            assert abs(rotation.even_angle) == abs(rotation.odd_angle) == np.pi
         assert plan.particle_hole is False
         assert plan.replay_residual < 1e-15
+        amps = reconstruct_eigenstate(plan).fock_coefficients()
+        assert abs(amps[0, 0]) == pytest.approx(1.0, abs=1e-15)
 
-    def test_two_by_two_quarter_turn(self):
-        w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_array_equal(reduce_modes(w, [0]), w)
-        plan = compute_folding_plan(manual_schur(w, [0.7]), [0])
-        assert plan.rotations == (Rotation(0, 1, np.pi / 2),)
+    def test_two_site_even_rotation_is_one_step(self):
+        angle = np.pi / 3
+        even = givens(2, 1, angle).T
+        w = chiral(even, np.eye(2))
+        np.testing.assert_allclose(reduce_modes(w, [0, 0]), w, atol=1e-15)
+        plan = compute_folding_plan(manual_schur(w, [0.7, 0.2]), [0, 0])
+        assert len(plan.rotations) == 1
+        (row, column, even_angle, odd_angle), = plan.rotations
+        assert (row, column, odd_angle) == (0, 1, 0.0)
+        assert even_angle == pytest.approx(angle, abs=1e-15)
         assert plan.particle_hole is False
-        np.testing.assert_allclose(replayed(w, plan), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(replayed(w, plan), np.eye(4), atol=1e-15)
 
     def test_two_by_two_reflection_sets_particle_hole(self):
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(reduce_modes(w, [0]), w)
+        w = np.diag([1.0, -1.0])
+        # The mode's last entry (Majorana 1) is made non-negative: the row flips sign.
+        np.testing.assert_array_equal(reduce_modes(w, [0]), -w)
         plan = compute_folding_plan(manual_schur(w, [0.7]), [0])
+        assert plan.rotations == ()
         assert plan.particle_hole is True
-        np.testing.assert_allclose(replayed(w, plan), np.diag([1.0, -1.0]), atol=1e-15)
+        np.testing.assert_array_equal(replayed(-w, plan), np.diag([-1.0, 1.0]))
+
+    def test_rejects_non_chiral(self):
+        w = np.array([[0.0, 1.0], [-1.0, 0.0]])  # an even row on an odd Majorana
+        with pytest.raises(ValueError, match="chiral"):
+            compute_folding_plan(manual_schur(w, [0.7]), [0])
+        with pytest.raises(ValueError, match="chiral"):
+            reduce_modes(w, [0])
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
@@ -134,16 +175,20 @@ class TestComputeFoldingPlan:
         bits=st.integers(min_value=0, max_value=31),
     )
     def test_fold_replay_round_trip(self, n_sites, seed, reflect, bits):
-        w = random_orthogonal(2 * n_sites, seed)
+        w = random_chiral(n_sites, seed)
         if reflect:
             w[0, :] = -w[0, :]
         occupation = [(bits >> k) & 1 for k in range(n_sites)]
         plan = compute_folding_plan(manual_schur(w, np.linspace(2.0, 1.0, n_sites)), occupation)
-        assert all(-np.pi < rot.angle <= np.pi and rot.angle != 0.0 for rot in plan.rotations)
-        target = np.eye(2 * n_sites)
-        if plan.particle_hole:
-            target[-1, -1] = -1.0
-        np.testing.assert_allclose(replayed(reduce_modes(w, occupation), plan), target, atol=1e-9)
+        for rot in plan.rotations:
+            assert -np.pi < rot.even_angle <= np.pi and -np.pi < rot.odd_angle <= np.pi
+            assert not is_identity_step(rot)
+        folded = replayed(reduce_modes(w, occupation), plan)
+        even_sign, odd_sign = np.sign(folded[-2, -2]), np.sign(folded[-1, -1])
+        np.testing.assert_allclose(
+            folded, np.diag([1.0] * (2 * n_sites - 2) + [even_sign, odd_sign]), atol=1e-9
+        )
+        assert plan.particle_hole == (even_sign != odd_sign)
         assert plan.replay_residual < 1e-9
         # The terminal sign is the determinant the row rotations cannot absorb;
         # the mode recombination is unitary, so it keeps the determinant.
@@ -212,6 +257,7 @@ class TestReduceModes:
         reduced = reduce_modes(w, occupation)
         dim = 2 * n_sites
         np.testing.assert_allclose(reduced @ reduced.T, np.eye(dim), atol=1e-13)
+        assert not reduced[0::2, 1::2].any() and not reduced[1::2, 0::2].any()
         mixing = reduced @ w.T
         j = complex_structure(occupation)
         np.testing.assert_allclose(mixing @ j, j @ mixing, atol=1e-13)
@@ -223,47 +269,104 @@ class TestReduceModes:
     def test_ladder_fold_needs_about_half_the_rotations(self, n_sites, mu):
         schur = schur_decompose(build_coupling_matrix(KitaevParams(n_sites, 1.0, mu, 1.0)))
         plan = compute_folding_plan(schur, [0] * n_sites)
-        assert all(rotation.angle != 0.0 for rotation in plan.rotations)
+        assert not any(is_identity_step(rotation) for rotation in plan.rotations)
         assert len(plan.rotations) <= 0.55 * (2 * n_sites**2 - n_sites)
 
     @pytest.mark.parametrize(
         "n_sites,mu,occupation",
         [(n, mu, None) for n, mu in LADDER] + [(16, 1.0, [1] + [0] * 15)],
     )
-    def test_fold_needs_exactly_n_squared_rotations(self, n_sites, mu, occupation):
-        """Rotations that are the identity to double precision are left out, and a
-        non-final rotation keeps the sign of the entry it folds onto."""
+    def test_fold_needs_a_quarter_n_squared_steps(self, n_sites, mu, occupation):
+        """Steps beyond Majorana N + row and steps that are the identity to double
+        precision are left out, and a non-final rotation keeps the sign of the entry
+        it folds onto."""
         schur = schur_decompose(build_coupling_matrix(KitaevParams(n_sites, 1.0, mu, 1.0)))
         plan = compute_folding_plan(schur, occupation or [0] * n_sites)
-        assert len(plan.rotations) == n_sites**2
-        assert sum(rotation.column % 2 == 0 for rotation in plan.rotations) == n_sites**2 // 2
+        assert len(plan.rotations) == n_sites**2 // 4
         for rotation in plan.rotations:
             if rotation.column > rotation.row + 1:
-                assert abs(rotation.angle) <= np.pi / 2
+                assert abs(rotation.even_angle) <= np.pi / 2
+                assert abs(rotation.odd_angle) <= np.pi / 2
         assert plan.replay_residual < 1e-13
 
 
-class TestGateMatrices:
-    def test_even_theta_zero(self):
-        np.testing.assert_allclose(gate_matrix_even(0.0), np.eye(2), atol=1e-15)
+class TestChiralFold:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_sites=st.integers(min_value=2, max_value=oracle.MAX_SITES),
+        hopping=st.floats(min_value=0.3, max_value=1.5),
+        mu=st.floats(min_value=-3.0, max_value=3.0),
+        pairing=st.floats(min_value=0.3, max_value=1.5),
+        periodic=st.booleans(),
+        bits=st.integers(min_value=0, max_value=2**oracle.MAX_SITES - 1),
+    )
+    def test_built_state_is_the_dense_eigenvector(
+        self, n_sites, hopping, mu, pairing, periodic, bits
+    ):
+        boundary = "periodic" if periodic and n_sites >= 3 else "open"
+        params = KitaevParams(n_sites, hopping, mu, pairing, boundary=boundary)
+        schur = schur_decompose(build_coupling_matrix(params))
+        occupation = [(bits >> k) & 1 for k in range(n_sites)]
+        for k in range(1, n_sites):  # fill each level of equal energies as a whole
+            if abs(schur.epsilons[k] - schur.epsilons[k - 1]) < schur.zero_tol:
+                occupation[k] = occupation[k - 1]
+        plan = compute_folding_plan(schur, occupation)
+        values, vectors = dense_eigensystem(params)
+        energy = eigenenergy(schur.epsilons, occupation)
+        distance = np.abs(values - energy)
+        assume(not plan.degenerate and np.sort(distance)[1] > 1e-6)
+        state = reconstruct_eigenstate(plan)
+        overlap = abs(vectors[:, np.argmin(distance)].conj() @ dense_vector(state))
+        assert overlap == pytest.approx(1.0, abs=1e-12)
+        expected_parity = 1.0 if parity(occupation, plan.particle_hole) == "even" else -1.0
+        assert state.parity_expectation() == pytest.approx(expected_parity, abs=1e-12)
+        assert energy_expectation(state, params) == pytest.approx(energy, abs=1e-12)
 
-    def test_even_full_turn_is_minus_identity(self):
-        np.testing.assert_allclose(gate_matrix_even(2.0 * np.pi), -np.eye(2), atol=1e-12)
+    @pytest.mark.parametrize("n_sites", [16, 32, 40])
+    def test_critical_transient_stays_at_the_target_bond(self, n_sites, monkeypatch):
+        """On the critical ladder points the replay never holds a larger bond than the
+        state it builds (measured 35, 65 and 81 at N = 16, 32 and 40)."""
+        apply = TensorChain.apply_two_site_gate
+        peak = 0
 
-    def test_even_quarter_turn(self):
-        expected = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
-        np.testing.assert_allclose(gate_matrix_even(np.pi / 2), expected, atol=1e-15)
+        def recording(state, left_site, *args, **kwargs):
+            nonlocal peak
+            apply(state, left_site, *args, **kwargs)
+            peak = max(peak, state.lambdas[left_site].size)
 
-    def test_odd_theta_zero(self):
-        np.testing.assert_allclose(gate_matrix_odd(0.0), np.eye(4), atol=1e-15)
+        monkeypatch.setattr(TensorChain, "apply_two_site_gate", recording)
+        state, _, _ = prepare_eigenstate(KitaevParams(n_sites, 1.0, 2.0, 1.0))
+        assert peak == max(state.bond_dimensions)
 
-    def test_odd_half_turn_is_antidiagonal(self):
-        np.testing.assert_allclose(
-            gate_matrix_odd(np.pi), 1j * np.fliplr(np.eye(4)), atol=1e-12
-        )
 
-    def test_odd_mixes_equal_parity_only(self):
-        u = gate_matrix_odd(0.7)
+class TestBondGate:
+    def test_zero_angles_are_identity(self):
+        np.testing.assert_array_equal(bond_gate(0.0, 0.0), np.eye(4))
+
+    def test_full_turn_is_minus_identity(self):
+        np.testing.assert_allclose(bond_gate(2.0 * np.pi, 0.0), -np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(bond_gate(0.0, 2.0 * np.pi), -np.eye(4), atol=1e-15)
+
+    def test_half_turns_are_majorana_pairs(self):
+        # gamma_0 gamma_2 = J (x) X and gamma_1 gamma_3 = -X (x) J on two sites
+        j = np.array([[0.0, -1.0], [1.0, 0.0]])
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(bond_gate(np.pi, 0.0), -np.kron(j, x), atol=1e-15)
+        np.testing.assert_allclose(bond_gate(0.0, np.pi), np.kron(x, j), atol=1e-15)
+
+    @pytest.mark.parametrize("even_angle,odd_angle", [(0.3, -1.1), (np.pi, 0.5), (-2.0, 2.9)])
+    def test_matches_dense_majorana_products(self, even_angle, odd_angle):
+        """The gate is exp(-a/2 g0 g2) exp(-b/2 g1 g3) on the oracle's two-site Majoranas;
+        (g_lo g_hi)^2 = -1 makes each exponential cos(t/2) I - sin(t/2) g_lo g_hi."""
+        g = [oracle.dense_majorana(2, mode) for mode in range(4)]
+        expected = np.eye(4)
+        for (lo, hi), angle in (((0, 2), even_angle), ((1, 3), odd_angle)):
+            factor = np.cos(angle / 2) * np.eye(4) - np.sin(angle / 2) * g[lo] @ g[hi]
+            expected = expected @ factor
+        np.testing.assert_allclose(bond_gate(even_angle, odd_angle), expected, atol=1e-15)
+
+    def test_mixes_equal_parity_only(self):
+        u = bond_gate(0.7, -0.4)
         # |00>,|11> (even) and |01>,|10> (odd) blocks; the cross entries vanish.
         for even_index in (0, 3):
             for odd_index in (1, 2):
@@ -271,12 +374,19 @@ class TestGateMatrices:
                 assert u[odd_index, even_index] == 0.0
 
     @settings(max_examples=30, deadline=None)
-    @given(theta=st.floats(min_value=-10.0, max_value=10.0))
-    def test_gates_are_unitary(self, theta):
-        for u in (gate_matrix_even(theta), gate_matrix_odd(theta)):
-            np.testing.assert_allclose(
-                u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12
-            )
+    @given(
+        even_angle=st.floats(min_value=-10.0, max_value=10.0),
+        odd_angle=st.floats(min_value=-10.0, max_value=10.0),
+    )
+    def test_gate_is_real_orthogonal_and_factors_commute(self, even_angle, odd_angle):
+        u = bond_gate(even_angle, odd_angle)
+        assert u.dtype == np.float64
+        np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(
+            bond_gate(even_angle, 0.0) @ bond_gate(0.0, odd_angle),
+            bond_gate(0.0, odd_angle) @ bond_gate(even_angle, 0.0),
+            atol=1e-15,
+        )
 
 
 class TestReferenceState:

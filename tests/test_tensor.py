@@ -643,6 +643,75 @@ class TestSerialization:
         assert len(payload["lambdas"]) == 2
 
 
+def complex_copy(state: TensorChain) -> TensorChain:
+    return TensorChain(
+        [g.astype(complex) for g in state.gammas], state.lambdas, degenerate=state.degenerate
+    )
+
+
+class TestRealTensors:
+    """Eigenstates are built from real gates and keep real tensors; reads do not depend on it."""
+
+    PARAMS = KitaevParams(12, 1.0, 1.7, 0.8)
+
+    def test_eigenstates_are_real(self):
+        state, _, _ = prepare_eigenstate(self.PARAMS, [0, 1] + [0] * 10)
+        assert all(g.dtype == np.float64 for g in state.gammas)
+        assert TensorChain.product_state([0, 1]).gammas[0].dtype == np.float64
+
+    def test_reads_match_a_complex_copy(self):
+        state, _, _ = prepare_eigenstate(self.PARAMS)
+        twin = complex_copy(state)
+        assert all(g.dtype == np.complex128 for g in twin.gammas)
+        for site in range(state.n_sites):
+            np.testing.assert_allclose(
+                state.rdm_site(site).entries, twin.rdm_site(site).entries, atol=1e-14, rtol=0
+            )
+        for left in range(state.n_sites - 1):
+            np.testing.assert_allclose(
+                state.rdm_pair(left).entries, twin.rdm_pair(left).entries, atol=1e-14, rtol=0
+            )
+        np.testing.assert_allclose(
+            state.rdm_ends().entries, twin.rdm_ends().entries, atol=1e-14, rtol=0
+        )
+        assert state.norm() == pytest.approx(twin.norm(), abs=1e-14)
+        assert state.parity_expectation() == pytest.approx(twin.parity_expectation(), abs=1e-14)
+        assert energy_expectation(state, self.PARAMS) == pytest.approx(
+            energy_expectation(twin, self.PARAMS), abs=1e-14
+        )
+
+    def test_json_round_trip_keeps_the_arrays(self):
+        state, _, _ = prepare_eigenstate(self.PARAMS)
+        loaded = TensorChain.from_json(state.to_json())
+        for a, b in zip(loaded.gammas, state.gammas):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(loaded.lambdas, state.lambdas):
+            np.testing.assert_array_equal(a, b)
+
+    def test_complex_gates_promote(self):
+        state = TensorChain.product_state([1, 0, 0])
+        state.apply_single_site_gate(0, np.diag([1.0, 1j]))
+        assert state.gammas[0].dtype == np.complex128
+        assert state.gammas[0][1, 0, 0] == 1j
+        state.apply_two_site_gate(1, RNG_GATE)
+        assert state.gammas[1].dtype == state.gammas[2].dtype == np.complex128
+        expected = np.zeros(8, dtype=complex)
+        expected[0b100] = 1j * np.sqrt(0.5)
+        expected[0b111] = -np.sqrt(0.5)
+        np.testing.assert_allclose(dense_vector(state), expected, atol=1e-15)
+
+    def test_copy_is_independent_and_keeps_the_dtype(self):
+        state, _, _ = prepare_eigenstate(KitaevParams(6, 1.0, 1.7, 0.8))
+        clone = state.copy()
+        assert all(g.dtype == np.float64 for g in clone.gammas)
+        for a, b in zip(clone.gammas + clone.lambdas, state.gammas + state.lambdas):
+            assert not np.shares_memory(a, b)
+        before = dense_vector(state)
+        clone.gammas[2] *= 2.0
+        clone.lambdas[2][0] = 0.5
+        np.testing.assert_array_equal(dense_vector(state), before)
+
+
 class TestBondHamiltonian:
     def test_frozen_entries(self):
         h = bond_hamiltonian(1.0, 1.0 + 0.0j, 2.0, 2.0)
