@@ -56,7 +56,7 @@ MAX_AXIS_POINTS = 10_000
 #: point's parameters are built.
 MAX_GRID_POINTS = 100_000
 
-#: Subcommands defined for one boundary only; it is also their default.
+#: Subcommands defined for one boundary only; they take no ``--boundary`` flag.
 FIXED_BOUNDARY = {"zscan": "open", "verify": "open",
                   "energy-accuracy": "periodic", "particles": "periodic"}
 
@@ -164,9 +164,6 @@ def emit(args: argparse.Namespace, columns, rows: list, summary: dict, **config)
 
 def _check_flags(args: argparse.Namespace) -> None:
     """Reject flag values the subcommand cannot use."""
-    boundary = FIXED_BOUNDARY.get(args.command, args.boundary)
-    if args.boundary != boundary:
-        raise UsageError(f"{args.command} is defined for {boundary} chains only")
     if getattr(args, "n", 0) > MAX_SITES:
         raise UsageError(f"--n must be at most {MAX_SITES} sites")
     if getattr(args, "trunc", None) is not None and not 0.0 < args.trunc < 1.0:
@@ -455,16 +452,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _command(sub, name: str, func: Callable, help_text: str, *, n_default: int | None = None,
                 grid: bool = True) -> argparse.ArgumentParser:
-    """A subparser with the shared flags; ``grid`` adds ``--trunc`` and ``--jobs``."""
+    """A subparser with the shared flags; ``grid`` adds ``--trunc`` and ``--jobs``.
+
+    A subcommand of ``FIXED_BOUNDARY`` gets its boundary as a parser default, so
+    JSON ``config`` still records it; every other one takes ``--boundary``."""
     parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
     parser.set_defaults(func=func)
     if n_default is not None:
         parser.add_argument("--n", type=int, default=n_default, help="number of chain sites")
     parser.add_argument("--delta", type=float, default=1.0, help="pairing magnitude")
-    boundary = FIXED_BOUNDARY.get(name, "open")
-    parser.add_argument(
-        "--boundary", choices=("open", "periodic"), default=boundary, help="chain boundary"
-    )
+    if name in FIXED_BOUNDARY:
+        parser.set_defaults(boundary=FIXED_BOUNDARY[name])
+    else:
+        parser.add_argument(
+            "--boundary", choices=("open", "periodic"), default="open", help="chain boundary"
+        )
     if grid:
         parser.add_argument("--trunc", type=float, default=TRUNCATION_THRESHOLD,
                             help="relative truncation threshold")

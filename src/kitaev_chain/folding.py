@@ -178,10 +178,10 @@ def reduce_modes(w_matrix: np.ndarray, occupation: Sequence[int]) -> np.ndarray:
     so that mode k has no weight beyond Majorana N+k; each row's sign makes
     that last entry non-negative.  Returns the chiral matrix with even block
     R[:, 0::2] and odd block s R[:, 1::2], which is orthogonal again.  The
-    recombination is real and orthogonal on the modes, so it commutes with
-    the reference state's complex structure: the occupation, the
-    particle-hole flag of the fold and the parity keep their meaning, and the
-    same eigenstate is built from about N^2/4 steps.
+    recombination is real and orthogonal on the modes, so it keeps the span
+    of the annihilators a_k: the occupation, the particle-hole flag of the
+    fold and the parity keep their meaning, and the same eigenstate is built
+    from about N^2/4 steps.
 
     Raises
     ------
@@ -340,16 +340,10 @@ def prepare_eigenstate(
     """Full pipeline: parameters -> coupling matrix -> plan -> tensor state.
 
     ``occupation`` defaults to the ground state (all diagonal modes empty).
-    Only real positive pairing (phase 0) is supported on this path: the
-    chiral fold and its real gates assume it.
 
     Returns the state together with the decomposition (single-body energies)
     and the folding plan (particle-hole flag, degeneracy).
     """
-    if params.pairing_phase != 0.0:
-        raise ValueError(
-            "eigenstate reconstruction is validated for pairing_phase = 0 only"
-        )
     if occupation is None:
         occupation = [0] * params.n_sites
     schur = schur_decompose(build_coupling_matrix(params))

@@ -3,15 +3,15 @@
 The chain Hamiltonian
 
     H = sum_j [ -w (c+_j c_{j+1} + c+_{j+1} c_j) - mu (n_j - 1/2)
-                + D c_j c_{j+1} + conj(D) c+_{j+1} c+_j ],    D = |D| e^{i phi},
+                + |D| (c_j c_{j+1} + c+_{j+1} c+_j) ],
 
 is quadratic in the 2N Majorana operators attached to the sites,
 
-    gamma_{2j-1} = e^{i phi/2} c_j + e^{-i phi/2} c+_j,
-    gamma_{2j}   = -i e^{i phi/2} c_j + i e^{-i phi/2} c+_j,
+    gamma_{2j-1} = c_j + c+_j,    gamma_{2j} = -i c_j + i c+_j,
 
 and can be written as H = (i/4) sum_{kl} A_{kl} gamma_k gamma_l with a real
-antisymmetric coupling matrix A that does not depend on phi.  This module
+antisymmetric coupling matrix A.  A pairing phase, D = |D| e^{i phi}, is a
+gauge: c_j -> e^{i phi/2} c_j maps that chain onto this one.  This module
 builds A, reduces it to canonical 2x2 blocks with an orthogonal transformation
 (real Schur form), evaluates closed-form single-body energies of the periodic
 chain, and combines single-body energies into many-body eigenenergies.
@@ -68,8 +68,6 @@ class KitaevParams:
         Chemical potential mu, finite.
     pairing_magnitude : float
         Pairing magnitude |D| >= 0, finite.
-    pairing_phase : float
-        Pairing phase phi in [0, 2*pi); the complex pairing is |D| e^{i phi}.
     boundary : str
         Either ``"open"`` or ``"periodic"``.
     """
@@ -78,7 +76,6 @@ class KitaevParams:
     hopping: float
     chemical_potential: float
     pairing_magnitude: float
-    pairing_phase: float = 0.0
     boundary: str = "open"
 
     def __post_init__(self) -> None:
@@ -89,15 +86,8 @@ class KitaevParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pairing_magnitude < 0:
             raise ValueError("pairing_magnitude must be non-negative")
-        if not 0.0 <= self.pairing_phase < 2.0 * np.pi:
-            raise ValueError("pairing_phase must lie in [0, 2*pi)")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
-
-    @property
-    def pairing(self) -> complex:
-        """Complex pairing amplitude |D| e^{i phi}."""
-        return self.pairing_magnitude * np.exp(1j * self.pairing_phase)
 
 
 @dataclass(frozen=True)

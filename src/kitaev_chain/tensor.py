@@ -12,9 +12,10 @@ Reads are matrix products of reshaped Gamma-lambda tensors: a one-site block
 is x x^dagger with x = Gamma (lambda_L (x) lambda_R) as a (2, chi_L chi_R)
 matrix, a two-site block is the same with the (4, chi_L chi_R) product of two
 neighbouring tensors, the canonical checks are Gram matrices of the
-(2 chi_L, chi_R) and (chi_L, 2 chi_R) reshapes, and the norm and parity sweep
-one batched product per site.  Every block still passes the checks of
-``DensityBlock``.
+(2 chi_L, chi_R) and (chi_L, 2 chi_R) reshapes, the norm and parity sweep
+one batched product per site, and the end-pair sweep carries a stack of
+four chi x chi matrices, one per (ket, bra) occupation of site 0.  Every
+block passes the checks of ``DensityBlock``.
 
 Two-site gates are absorbed by contracting the neighborhood into a single
 matrix, applying a singular value decomposition, discarding singular values
@@ -38,13 +39,12 @@ blocks and decomposes each one (half the dimension on each side, about a
 quarter of the work of one dense decomposition); the truncation threshold
 stays relative to the bond's largest singular value across both blocks.
 
-Dtype.  Gamma stays real (float64) while every gate applied to it is real,
-as for the chain eigenstates built by the fold's real two-site gates; real
-tensors halve the memory and make the SVDs and reads real.  The constructor
-keeps a real input real and a complex one complex, and both gate methods
-compute in the common dtype of the touched site tensors and the gate, so a
-complex gate makes those tensors complex.  Reads accept either dtype (the
-density blocks are complex), and ``from_json`` returns complex tensors.
+Dtype.  Gamma is real (float64).  Every eigenstate of a Kitaev chain with
+real pairing is real, and the fold builds it from real orthogonal two-site
+gates, so the SVDs, the reads and the JSON payload are real.  The constructor
+and both gate methods reject an input with an imaginary part
+(``ValueError``); nothing is cast.  ``to_json`` writes each Gamma as nested
+lists of floats, which ``from_json`` reads back exactly.
 
 Sites and bonds are indexed 0-based: bond i sits between sites i and i+1.
 The basis order of two-site objects is |00>, |01>, |10>, |11> with the first
@@ -86,8 +86,8 @@ MAX_BOND_DIMENSION = 256
 #: Largest chain for which all 2^N Fock coefficients are materialized.
 FOCK_SITE_LIMIT = 14
 
-#: Residual above which a gate matrix is rejected as non-unitary.
-_UNITARY_TOL = 1e-10
+#: Residual above which a gate matrix is rejected as non-orthogonal.
+_ORTHOGONAL_TOL = 1e-10
 
 _IDENTITY = {2: np.eye(2), 4: np.eye(4)}
 
@@ -176,9 +176,10 @@ class TensorChain:
 
     Gate methods mutate the state in place and keep the canonical invariants;
     use :meth:`copy` for snapshots.  The ``degenerate`` attribute is metadata
-    attached by state builders when the underlying single-body problem has a
-    zero mode (the state is still well defined, but quantities that assume a
-    unique eigenstate should refuse to use it).
+    attached by state builders when the targeted eigenstate is not unique (a
+    zero mode, or a level of equal single-body energies filled only in part);
+    the state is still well defined, and it travels through :meth:`copy` and
+    the JSON payload.
 
     ``even_counts`` is the parity layout (see the module docstring): one entry
     per site, the number of even-parity Schmidt vectors listed first on the
@@ -194,7 +195,11 @@ class TensorChain:
         *,
         degenerate: bool = False,
     ) -> None:
-        gammas = [np.array(g, dtype=complex if np.iscomplexobj(g) else float) for g in gammas]
+        for kind, arrays in (("site tensor", gammas), ("bond vector", lambdas)):
+            for i, x in enumerate(arrays):
+                if not np.isrealobj(x):
+                    raise ValueError(f"{kind} {i} must be real")
+        gammas = [np.array(g, dtype=float) for g in gammas]
         lambdas = [np.array(l, dtype=float) for l in lambdas]
         n = len(gammas)
         if n < 1:
@@ -258,10 +263,11 @@ class TensorChain:
     # -- gates ------------------------------------------------------------
 
     def apply_single_site_gate(self, site: int, u: np.ndarray) -> None:
-        """Contract a diagonal 2x2 unitary into the site tensor; bonds are untouched.
+        """Contract a real diagonal 2x2 gate, diag(+-1, +-1), into the site tensor.
 
-        A gate that is not diagonal would change parities and is rejected
-        with ``ValueError``.  A complex gate makes the site tensor complex.
+        Bonds are untouched.  A gate that is not diagonal would change
+        parities, and one that is not real orthogonal is no such gate; both
+        are rejected with ``ValueError``.
         """
         self._check_site(site)
         u = np.asarray(u)
@@ -276,19 +282,18 @@ class TensorChain:
         threshold: float = TRUNCATION_THRESHOLD,
         max_bond: int = MAX_BOND_DIMENSION,
     ) -> None:
-        """Contract a 4x4 unitary into sites (left_site, left_site + 1).
+        """Contract a real orthogonal 4x4 gate into sites (left_site, left_site + 1).
 
         The neighborhood lambda_L Gamma lambda_M Gamma lambda_R is contracted
         with the gate, split by one SVD per parity block, truncated to
         singular values above ``threshold`` relative to the largest,
-        renormalized, and the outer lambdas divided out again.  The update
-        runs in the common dtype of the two site tensors and the gate: a real
-        gate keeps real tensors real, a complex one makes both complex.
+        renormalized, and the outer lambdas divided out again.
 
         Raises
         ------
         ValueError
-            If the gate is not unitary or has an entry that mixes parity.
+            If the gate is not real orthogonal or has an entry that mixes
+            parity.
         TruncationError
             If no singular value survives the threshold.
         BondOverflowError
@@ -298,7 +303,6 @@ class TensorChain:
             raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
         u = np.asarray(u)
         _check_gate(u, 4)
-        dtype = np.result_type(self.gammas[left_site], self.gammas[left_site + 1], u)
 
         lam_l = self._left_lambda(left_site)
         lam_m = self.lambdas[left_site]
@@ -339,11 +343,11 @@ class TensorChain:
         if rank > max_bond:
             raise BondOverflowError(f"bond {left_site} would grow to {rank} (cap {max_bond})")
         sigma = np.concatenate((s_even[:n_even], s_odd[:n_odd]))
-        left_vecs = np.zeros((2 * chi_l, rank), dtype=dtype)
+        left_vecs = np.zeros((2 * chi_l, rank))
         left_vecs[:e_l, :n_even] = u_even[:e_l, :n_even]
         left_vecs[chi_l + e_l :, :n_even] = u_even[e_l:, :n_even]
         left_vecs[e_l : chi_l + e_l, n_even:] = u_odd[:, :n_odd]
-        right_vecs = np.zeros((rank, 2 * chi_r), dtype=dtype)
+        right_vecs = np.zeros((rank, 2 * chi_r))
         right_vecs[:n_even, :e_r] = v_even[:n_even, :e_r]
         right_vecs[:n_even, chi_r + e_r :] = v_even[:n_even, e_r:]
         right_vecs[n_even:, e_r : chi_r + e_r] = v_odd[:n_odd]
@@ -362,9 +366,9 @@ class TensorChain:
         acc = np.ones((1, 1))
         for site in range(self.n_sites):
             a = self.gammas[site] * self._right_lambda(site)[None, None, :]
-            # acc' = sum_k w_k a[k].T @ acc @ a[k].conj(), batched over k
-            acc = np.tensordot(weights, a.transpose(0, 2, 1) @ acc @ a.conj(), axes=1)
-        return float(acc[0, 0].real)
+            # acc' = sum_k w_k a[k].T @ acc @ a[k], batched over k
+            acc = np.tensordot(weights, a.transpose(0, 2, 1) @ acc @ a, axes=1)
+        return float(acc[0, 0])
 
     def norm(self) -> float:
         """<psi|psi>^(1/2) by a full transfer contraction (no canonicity assumed)."""
@@ -396,11 +400,11 @@ class TensorChain:
             _, chi_l, chi_r = g.shape
             # left Gram: rows (k, a) against right bond; right Gram: left bond against (k, c)
             x = (g * self._left_lambda(site)[None, :, None]).reshape(2 * chi_l, chi_r)
-            gram = x.conj().T @ x
+            gram = x.T @ x
             left = max(left, np.abs(gram - np.eye(chi_r)).max(initial=0.0))
             y = (g * self._right_lambda(site)[None, None, :]).transpose(1, 0, 2)
             y = y.reshape(chi_l, 2 * chi_r)
-            gram = y @ y.conj().T
+            gram = y @ y.T
             right = max(right, np.abs(gram - np.eye(chi_l)).max(initial=0.0))
         bond = max(
             (abs(float(np.sum(lam**2)) - 1.0) for lam in self.lambdas),
@@ -415,7 +419,7 @@ class TensorChain:
         self._check_site(site)
         lam_l, lam_r = self._left_lambda(site), self._right_lambda(site)
         x = (self.gammas[site] * (lam_l[:, None] * lam_r[None, :])[None]).reshape(2, -1)
-        return DensityBlock(x @ x.conj().T)
+        return DensityBlock(x @ x.T)
 
     def rdm_pair(self, left_site: int) -> DensityBlock:
         """Reduced density matrix of sites (left_site, left_site + 1)."""
@@ -427,7 +431,7 @@ class TensorChain:
         right = self.gammas[left_site + 1] * self._right_lambda(left_site + 1)[None, None, :]
         # y[j, k] = left[j] @ right[k]: rows (j, k), columns (a, c)
         y = (left[:, None] @ right).reshape(4, -1)
-        return DensityBlock(y @ y.conj().T)
+        return DensityBlock(y @ y.T)
 
     def rdm_ends(self) -> DensityBlock:
         """Reduced density matrix of (site 0, site N-1) via bulk transfer matrices."""
@@ -435,18 +439,16 @@ class TensorChain:
         if n < 3:
             raise ValueError("end-pair density matrix requires at least 3 sites")
         first = self.gammas[0][:, 0, :] * self.lambdas[0][None, :]
-        acc = np.einsum("ka,lb->klab", first, first.conj())
+        chi = first.shape[1]
+        # acc[(k, l)] = outer(first[k], first[l]): site 0 kept open on both sides
+        acc = (first[:, None, :, None] * first[None, :, None, :]).reshape(4, chi, chi)
         for site in range(1, n - 1):
             a = self.gammas[site] * self._right_lambda(site)[None, None, :]
-            # acc'[k,l] = sum_m a^m.T @ acc[k,l] @ a^m.conj(), batched over (k,l)
-            half = np.tensordot(a, acc, axes=([1], [2]))  # (m, c, k, l, b)
-            acc = np.tensordot(half, a.conj(), axes=([0, 4], [0, 1])).transpose(
-                1, 2, 0, 3
-            )
+            # acc'[(k, l)] = sum_m a[m].T @ acc[(k, l)] @ a[m], batched over (k, l)
+            acc = a[0].T @ acc @ a[0] + a[1].T @ acc @ a[1]
         last = self.gammas[-1][:, :, 0]
-        rho = np.einsum(
-            "klab,ma,nb->kmln", acc, last, last.conj(), optimize=True
-        ).reshape(4, 4)
+        # (last @ acc @ last.T)[(k, l), m, n] is rho[(k, m), (l, n)]
+        rho = (last @ acc @ last.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
         return DensityBlock(rho)
 
     # -- coefficients -------------------------------------------------------
@@ -469,10 +471,10 @@ class TensorChain:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        """JSON dump: per-site Gamma as nested [re, im] arrays, per-bond lambda."""
+        """JSON dump: per-site Gamma as nested lists of floats, per-bond lambda."""
         payload = {
             "n_sites": self.n_sites,
-            "gammas": [np.stack([g.real, g.imag], axis=-1).tolist() for g in self.gammas],
+            "gammas": [g.tolist() for g in self.gammas],
             "lambdas": [lam.tolist() for lam in self.lambdas],
             "degenerate": self.degenerate,
         }
@@ -480,18 +482,18 @@ class TensorChain:
 
     @classmethod
     def from_json(cls, text: str) -> "TensorChain":
-        """Load a chain written by :meth:`to_json`.
+        """Load a chain written by :meth:`to_json`; Gamma comes back float64.
 
         Raises
         ------
         ValueError
             If the text is not JSON, is not an object with ``gammas`` and
-            ``lambdas`` lists of numbers, has a Gamma entry that is not an
-            [re, im] pair, or holds a state the constructor rejects.
+            ``lambdas`` lists of numbers, or holds a state the constructor
+            rejects (a Gamma of any shape but (2, chi_L, chi_R) among them).
         """
         payload = json.loads(text)
         try:
-            gammas = [_complex_site_tensor(raw) for raw in payload["gammas"]]
+            gammas = [np.asarray(raw, dtype=float) for raw in payload["gammas"]]
             lambdas = [np.asarray(raw, dtype=float) for raw in payload["lambdas"]]
             degenerate = bool(payload.get("degenerate", False))
         except (KeyError, TypeError) as exc:
@@ -505,80 +507,72 @@ class TensorChain:
             raise ValueError(f"site must lie in [0, {self.n_sites}), got {site}")
 
 
-def _complex_site_tensor(raw) -> np.ndarray:
-    """A site tensor from its JSON form, nested lists ending in [re, im] pairs."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 4 or arr.shape[-1] != 2:
-        raise ValueError("each gamma must be a (2, chi_L, chi_R) array of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def _check_gate(u: np.ndarray, dim: int) -> None:
-    """Reject a gate of the wrong shape, one that is not unitary, or one that mixes parity."""
+    """Reject a gate of the wrong shape, one that is not real orthogonal, or one mixing parity."""
     if u.shape != (dim, dim):
         raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
-    residual = np.abs(u.conj().T @ u - _IDENTITY[dim]).max(initial=0.0)
-    if residual > _UNITARY_TOL:
-        raise ValueError(f"gate is not unitary (residual {residual:.3e})")
+    if not np.isrealobj(u):
+        raise ValueError("gate must be real")
+    residual = np.abs(u.T @ u - _IDENTITY[dim]).max(initial=0.0)
+    if residual > _ORTHOGONAL_TOL:
+        raise ValueError(f"gate is not orthogonal (residual {residual:.3e})")
     if np.count_nonzero(u[_PARITY_MIXING[dim]]):
         raise ValueError("gate mixes parity: it couples even and odd states")
 
 
 def bond_hamiltonian(
-    hopping: float, pairing: complex, mu_left: float, mu_right: float
+    hopping: float, pairing: float, mu_left: float, mu_right: float
 ) -> np.ndarray:
-    """Two-site Hamiltonian block in basis |00>, |01>, |10>, |11>.
+    """Real two-site Hamiltonian block in basis |00>, |01>, |10>, |11>.
 
-    Realizes -w (c+_L c_R + c+_R c_L) + D c_L c_R + conj(D) c+_R c+_L
+    Realizes -w (c+_L c_R + c+_R c_L) + D (c_L c_R + c+_R c+_L)
     - mu_L (n_L - 1/2) - mu_R (n_R - 1/2) with the fermionic matrix elements
     of adjacent sites (hopping couples |01>,|10>; pairing couples |00>,|11>
     with a minus sign from operator ordering).
     """
-    h = np.zeros((4, 4), dtype=complex)
+    h = np.zeros((4, 4))
     h[0, 0] = (mu_left + mu_right) / 2.0
     h[1, 1] = (mu_left - mu_right) / 2.0
     h[2, 2] = (-mu_left + mu_right) / 2.0
     h[3, 3] = -(mu_left + mu_right) / 2.0
     h[1, 2] = h[2, 1] = -hopping
-    h[0, 3] = -pairing
-    h[3, 0] = -np.conj(pairing)
+    h[0, 3] = h[3, 0] = -pairing
     return h
 
 
 def energy_expectation(state: TensorChain, params: KitaevParams) -> float:
-    """<H> of the chain Hamiltonian evaluated from pair density matrices.
+    """<H> of the chain Hamiltonian as a sum of bond terms Tr(rho h_bond).
 
-    Open boundary: sum over the N-1 bonds of Tr(rho_pair h_bond), with each
+    Open boundary: the N-1 bonds read from pair density matrices, with each
     site's -mu (n - 1/2) term split half/half between its adjacent bonds and
     in full onto the single adjacent bond at the chain ends.
 
-    Periodic boundary: the state of a translation-invariant Hamiltonian has
-    identical pair density matrices on every bond, so <H> equals N times the
-    energy of one bulk bond carrying a half mu share from each side.  This
-    shortcut needs at least 3 sites and a unique eigenstate; it is refused
-    when the state carries the degeneracy flag (a zero mode, or a level of
-    equal single-body energies filled only in part).
+    Periodic boundary: all N bonds, each carrying a half mu share from each
+    side.  The N-1 adjacent bonds read from pair density matrices, the wrap
+    bond (N-1, 0) from the end-pair one, where the fermionic string through
+    the bulk turns into the state's parity: its hopping and pairing enter
+    with the opposite sign of an adjacent bond's in an even state, with the
+    same sign in an odd one.  This needs at least 3 sites.  The sum does not
+    assume translation invariance, so it holds for every eigenstate,
+    including one of a level filled only in part.
     """
     n = state.n_sites
     if n != params.n_sites:
         raise ValueError(f"state has {n} sites but params expect {params.n_sites}")
     w = params.hopping
     mu = params.chemical_potential
-    pairing = params.pairing
-    if params.boundary == "periodic":
-        if state.degenerate:
-            raise ValueError(
-                "periodic energy shortcut refused: the state is flagged degenerate"
-            )
-        if n < 3:
-            raise ValueError("periodic energy shortcut requires at least 3 sites")
-        rho = state.rdm_pair(n // 2 - 1).entries
-        h = bond_hamiltonian(w, pairing, mu / 2.0, mu / 2.0)
-        return float(n * np.trace(rho @ h).real)
+    pairing = params.pairing_magnitude
+    periodic = params.boundary == "periodic"
+    if periodic and n < 3:
+        raise ValueError("periodic energy requires at least 3 sites")
     total = 0.0
     for left in range(n - 1):
-        mu_left = mu if left == 0 else mu / 2.0
-        mu_right = mu if left == n - 2 else mu / 2.0
+        mu_left = mu if left == 0 and not periodic else mu / 2.0
+        mu_right = mu if left == n - 2 and not periodic else mu / 2.0
         h = bond_hamiltonian(w, pairing, mu_left, mu_right)
         total += float(np.trace(state.rdm_pair(left).entries @ h).real)
+    if periodic:
+        sign = 1.0 if state.even_counts[-1] else -1.0
+        h = bond_hamiltonian(-sign * w, -sign * pairing, mu / 2.0, mu / 2.0)
+        total += float(np.trace(state.rdm_ends().entries @ h).real)
     return total

@@ -172,11 +172,6 @@ class TestEnergyAccuracy:
         assert row["degenerate"] is True
         assert row["energy_tensor"] is None
 
-    def test_open_boundary_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, ["energy-accuracy", "--boundary", "open"])
-        assert code == 2
-        assert "periodic" in err
-
 
 class TestParticles:
     def test_deep_trivial_extremes(self, capsys):
@@ -254,12 +249,10 @@ class TestUsageErrors:
         "argv",
         [
             ["verify", "--delta", "-1"],
-            ["zscan", "--boundary", "periodic"],
             ["zscan", "--n-schedule", "8:0:-4"],
             ["zscan", "--n-schedule", "abc"],
             ["zscan", "--mu-grid", "4:0:1"],
             ["zscan", "--tol", "0"],
-            ["particles", "--boundary", "open"],
             ["spectrum", "--n", "1"],
             ["spectrum", "--w", "nan"],
             ["spectrum", "--mu", "inf"],
@@ -306,6 +299,9 @@ class TestUsageErrors:
             ["zscan", "--n-sched", "8,16"],
             ["particles", "--mu", "0:1:1"],
             ["zscan", "--phi", "0.3"],
+            ["zscan", "--boundary", "periodic"],
+            ["particles", "--boundary", "open"],
+            ["energy-accuracy", "--boundary", "open"],
         ],
     )
     def test_removed_and_abbreviated_flags_exit_two(self, capsys, argv):

@@ -30,7 +30,7 @@ from kitaev_chain import (
     z_value,
 )
 from kitaev_chain import oracle
-from parity_gates import random_pair_gate, random_site_phase
+from parity_gates import random_pair_gate, random_site_sign
 
 Q_EVEN = np.array(
     [
@@ -53,7 +53,7 @@ def parity_definite_state(n_sites: int, bits, seed: int) -> TensorChain:
     for _ in range(2):
         for left in range(n_sites - 1):
             state.apply_two_site_gate(left, random_pair_gate(rng))
-        state.apply_single_site_gate(int(rng.integers(n_sites)), random_site_phase(rng))
+        state.apply_single_site_gate(int(rng.integers(n_sites)), random_site_sign(rng))
     return state
 
 

@@ -34,10 +34,6 @@ class TestKitaevParams:
         with pytest.raises(ValueError):
             KitaevParams(4, 1.0, 0.0, -1.0)
 
-    def test_rejects_phase_outside_window(self):
-        with pytest.raises(ValueError):
-            KitaevParams(4, 1.0, 0.0, 1.0, pairing_phase=2.0 * np.pi)
-
     @pytest.mark.parametrize("field", ["hopping", "chemical_potential", "pairing_magnitude"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, field, value):
@@ -49,10 +45,6 @@ class TestKitaevParams:
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):
             KitaevParams(4, 1.0, 0.0, 1.0, boundary="twisted")
-
-    def test_complex_pairing(self):
-        p = KitaevParams(4, 1.0, 0.0, 2.0, pairing_phase=np.pi / 2)
-        np.testing.assert_allclose(p.pairing, 2.0j, atol=1e-15)
 
 
 class TestOccupationValidation:
@@ -101,17 +93,14 @@ class TestCouplingMatrix:
         want -= want.T
         np.testing.assert_allclose(a, want, atol=1e-15)
 
-    def test_phase_independent(self):
-        a0 = build_coupling_matrix(KitaevParams(5, 1.0, 0.3, 0.8)).entries
-        a1 = build_coupling_matrix(KitaevParams(5, 1.0, 0.3, 0.8, pairing_phase=1.1)).entries
-        np.testing.assert_array_equal(a0, a1)
-
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("phi", [0.0, 0.7])
     def test_matches_fock_space_hamiltonian(self, boundary, phi):
-        # Route 1: A assembled bond by bond, promoted to a dense operator.
-        # Route 2: the Hamiltonian written directly with c, c+.
-        p = KitaevParams(3, 1.0, 0.6, 0.9, pairing_phase=phi, boundary=boundary)
+        # Route 1: A assembled bond by bond, promoted to a dense operator with
+        # the Majoranas of the gauge c -> e^{i phi/2} c.
+        # Route 2: the Hamiltonian with pairing |D| e^{i phi} written directly with c, c+.
+        # A has no phase, so their agreement shows that the phase is a gauge.
+        p = KitaevParams(3, 1.0, 0.6, 0.9, boundary=boundary)
         a = build_coupling_matrix(p)
         via_majoranas = oracle.majorana_hamiltonian(a.entries, pairing_phase=phi)
         direct = oracle.dense_hamiltonian(3, 1.0, 0.6, 0.9, pairing_phase=phi, boundary=boundary)
@@ -213,9 +202,9 @@ class TestSpectrumAgainstDenseDiagonalization:
     )
     def test_many_body_spectrum(self, boundary, n, w, mu, dabs, phi):
         # The full 2^N-level spectrum from occupation patterns of the diagonal
-        # modes must reproduce dense diagonalization exactly, phi included
-        # (the single-body energies do not depend on phi).
-        p = KitaevParams(n, w, mu, dabs, pairing_phase=phi, boundary=boundary)
+        # modes must reproduce dense diagonalization exactly, at any pairing
+        # phase phi of the dense Hamiltonian: the phase is a gauge.
+        p = KitaevParams(n, w, mu, dabs, boundary=boundary)
         eps = schur_decompose(build_coupling_matrix(p)).epsilons
         levels = sorted(
             eigenenergy(eps, occ) for occ in itertools.product((0, 1), repeat=n)

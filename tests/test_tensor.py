@@ -3,8 +3,8 @@
 Frozen worked examples pin the gate/SVD conventions; the dense oracle
 (brute-force Fock vectors and partial traces) provides the independent route
 for reduced density matrices, and hypothesis drives random circuits through
-the canonical-form invariants.  Every gate is parity conserving: a chain
-holds parity eigenstates only and rejects any other gate or state.
+the canonical-form invariants.  Every gate is real and parity conserving: a
+chain holds real parity eigenstates only and rejects any other gate or state.
 """
 
 import json
@@ -21,6 +21,7 @@ from kitaev_chain import (
     TensorChain,
     TruncationError,
     bond_hamiltonian,
+    eigenenergy,
     energy_expectation,
     prepare_eigenstate,
     schur_decompose,
@@ -28,16 +29,19 @@ from kitaev_chain import (
 )
 from kitaev_chain import oracle, z_value
 from kitaev_chain.tensor import FOCK_SITE_LIMIT, MAX_BOND_DIMENSION
-from parity_gates import random_pair_gate, random_site_phase
+from parity_gates import random_pair_gate, random_site_sign
+
+#: A quarter turn within {|00>, |11>} and within {|01>, |10>}; conserves parity.
+TURN_PAIR = np.fliplr(np.diag([-1.0, -1.0, 1.0, 1.0]))
 
 RNG_GATE = np.sqrt(0.5) * (
-    np.eye(4, dtype=complex) + 1j * np.fliplr(np.eye(4))
-)  # (|00> + i|11>)/sqrt(2) when applied to |00>; couples equal-parity pairs
+    np.eye(4) + TURN_PAIR
+)  # (|00> + |11>)/sqrt(2) when applied to |00>; couples equal-parity pairs
 
-SWAP01 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SWAP01 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 #: X on both sites: |00> <-> |11> and |01> <-> |10>; conserves parity.
-FLIP_PAIR = np.fliplr(np.eye(4)).astype(complex)
+FLIP_PAIR = np.fliplr(np.eye(4))
 
 
 def pair_gate(seed: int) -> np.ndarray:
@@ -51,7 +55,7 @@ def random_circuit(n_sites: int, seed: int, depth: int = 3) -> TensorChain:
     for layer in range(depth):
         for left in range(n_sites - 1):
             state.apply_two_site_gate(left, random_pair_gate(rng))
-        state.apply_single_site_gate(int(rng.integers(n_sites)), random_site_phase(rng))
+        state.apply_single_site_gate(int(rng.integers(n_sites)), random_site_sign(rng))
     return state
 
 
@@ -156,11 +160,10 @@ class TestSingleSiteGate:
         np.testing.assert_allclose(dense_vector(state), before, atol=1e-12)
 
     def test_diagonal_gate_is_global_phase_on_filled_site(self):
-        theta = 0.731
         state = TensorChain.product_state([1])
-        state.apply_single_site_gate(0, np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)]))
+        state.apply_single_site_gate(0, np.diag([1.0, -1.0]))
         amps = dense_vector(state)
-        assert amps[1] == pytest.approx(np.exp(-1j * theta / 2), abs=1e-12)
+        assert amps[1] == -1.0
         np.testing.assert_allclose(
             state.rdm_site(0).entries, np.diag([0.0, 1.0]), atol=1e-12
         )
@@ -176,7 +179,7 @@ class TestSingleSiteGate:
 
     def test_rejects_non_unitary(self):
         state = TensorChain.product_state([0, 0])
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match="orthogonal"):
             state.apply_single_site_gate(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
     def test_rejects_bad_site(self):
@@ -188,7 +191,7 @@ class TestSingleSiteGate:
         state = random_circuit(4, seed=3)
         frozen = [g.copy() for g in state.gammas]
         lambdas = [l.copy() for l in state.lambdas]
-        state.apply_single_site_gate(1, random_site_phase(np.random.default_rng(11)))
+        state.apply_single_site_gate(1, random_site_sign(np.random.default_rng(11)))
         for site in (0, 2, 3):
             np.testing.assert_array_equal(state.gammas[site], frozen[site])
         for bond in range(3):
@@ -210,7 +213,7 @@ class TestTwoSiteGate:
         )
         amps = state.fock_coefficients()
         assert amps[0, 0, 0, 0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-        assert amps[1, 1, 0, 0] == pytest.approx(1j / np.sqrt(2.0), abs=1e-12)
+        assert amps[1, 1, 0, 0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert np.abs(amps).sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_gate_then_inverse_restores(self):
@@ -218,13 +221,13 @@ class TestTwoSiteGate:
         before = dense_vector(state)
         u = pair_gate(21)
         state.apply_two_site_gate(2, u)
-        state.apply_two_site_gate(2, u.conj().T)
+        state.apply_two_site_gate(2, u.T)
         np.testing.assert_allclose(dense_vector(state), before, atol=1e-10)
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_non_unitary(self):
         state = TensorChain.product_state([0, 0])
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match="orthogonal"):
             state.apply_two_site_gate(0, np.diag([1.0, 1.0, 1.0, 0.5]))
 
     def test_rejects_bad_bond(self):
@@ -331,7 +334,7 @@ class TestParityLayout:
         assert state.even_counts == [1, 1]
         with pytest.raises(ValueError, match="odd vector before an even one"):
             TensorChain([state.gammas[0][:, :, ::-1], state.gammas[1][:, ::-1, :]], state.lambdas)
-        plus = np.full((2, 1, 1), np.sqrt(0.5), dtype=complex)  # (|0> + |1>)/sqrt(2)
+        plus = np.full((2, 1, 1), np.sqrt(0.5))  # (|0> + |1>)/sqrt(2)
         with pytest.raises(ValueError, match="no definite parity"):
             TensorChain([plus, state.gammas[1][:, :1, :]], [np.ones(1)])
         with pytest.raises(ValueError, match="no definite parity"):
@@ -410,7 +413,7 @@ class TestParityLayout:
     def test_single_site_gates(self):
         state, _, _ = prepare_eigenstate(self.GAPPED)
         counts = list(state.even_counts)
-        state.apply_single_site_gate(3, np.diag([1j, -1.0]))
+        state.apply_single_site_gate(3, np.diag([-1.0, 1.0]))
         assert state.even_counts == counts
         with pytest.raises(ValueError, match="mixes parity"):
             state.apply_single_site_gate(3, SWAP01)
@@ -439,10 +442,9 @@ class TestReducedDensityMatrices:
     def test_pair_worked_example(self):
         state = TensorChain.product_state([0, 0, 0])
         state.apply_two_site_gate(0, RNG_GATE)
-        vec = np.zeros(4, dtype=complex)
-        vec[0b00] = 1.0 / np.sqrt(2.0)
-        vec[0b11] = 1j / np.sqrt(2.0)
-        np.testing.assert_allclose(state.rdm_pair(0).entries, np.outer(vec, vec.conj()), atol=1e-12)
+        vec = np.zeros(4)
+        vec[0b00] = vec[0b11] = 1.0 / np.sqrt(2.0)
+        np.testing.assert_allclose(state.rdm_pair(0).entries, np.outer(vec, vec), atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -460,7 +462,7 @@ class TestReducedDensityMatrices:
     @pytest.mark.parametrize("n_sites,layers,seed", BRICKWORK)
     def test_site_and_pair_match_dense_partial_traces(self, n_sites, layers, seed):
         state = brickwork(n_sites, layers, seed, max_bond=MAX_BOND_DIMENSION)
-        state.apply_single_site_gate(1, random_site_phase(np.random.default_rng(seed)))
+        state.apply_single_site_gate(1, random_site_sign(np.random.default_rng(seed)))
         assert max(state.bond_dimensions) > 2
         for site in range(n_sites):
             np.testing.assert_allclose(
@@ -506,6 +508,20 @@ class TestReducedDensityMatrices:
         expected = oracle.partial_trace_ends(dense_vector(state), n_sites)
         np.testing.assert_allclose(rho, expected, atol=1e-10)
 
+    def test_ends_match_a_tensordot_sweep(self):
+        # the tensordot sweep the batched products replaced, as the reference
+        # beyond the dense oracle's reach (critical N = 32, chi up to 65)
+        state, _, _ = prepare_eigenstate(KitaevParams(32, 1.0, 2.0, 1.0))
+        first = state.gammas[0][:, 0, :] * state.lambdas[0][None, :]
+        acc = np.einsum("ka,lb->klab", first, first)
+        for site in range(1, state.n_sites - 1):
+            a = state.gammas[site] * state.lambdas[site][None, None, :]
+            half = np.tensordot(a, acc, axes=([1], [2]))  # (m, c, k, l, b)
+            acc = np.tensordot(half, a, axes=([0, 4], [0, 1])).transpose(1, 2, 0, 3)
+        last = state.gammas[-1][:, :, 0]
+        expected = np.einsum("klab,ma,nb->kmln", acc, last, last).reshape(4, 4)
+        np.testing.assert_allclose(state.rdm_ends().entries, expected, atol=1e-14, rtol=0)
+
     def test_ends_three_sites_equals_traced_middle(self):
         state = random_circuit(3, seed=31)
         vec = dense_vector(state).reshape(2, 2, 2)
@@ -541,16 +557,14 @@ class TestParityExpectation:
     @settings(max_examples=15, deadline=None)
     @given(
         theta=st.floats(min_value=-3.0, max_value=3.0),
-        phi=st.floats(min_value=-3.0, max_value=3.0),
+        signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
     )
-    def test_parity_preserving_gates_keep_parity(self, theta, phi):
+    def test_parity_preserving_gates_keep_parity(self, theta, signs):
         state = TensorChain.product_state([1, 0, 0])
         before = state.parity_expectation()
-        pair = np.cos(theta / 2) * np.eye(4, dtype=complex) + 1j * np.sin(
-            theta / 2
-        ) * np.fliplr(np.eye(4))
+        pair = np.cos(theta / 2) * np.eye(4) + np.sin(theta / 2) * TURN_PAIR
         state.apply_two_site_gate(1, pair)
-        state.apply_single_site_gate(0, np.diag([np.exp(1j * phi / 2), np.exp(-1j * phi / 2)]))
+        state.apply_single_site_gate(0, np.diag(signs))
         assert state.parity_expectation() == pytest.approx(before, abs=1e-10)
 
 
@@ -602,10 +616,10 @@ class TestSerialization:
             payload_with(gammas=[[[[[1.0]]], [[[0.0]]]]], lambdas=[]),
             payload_with(gammas=[[[[[1.0, 0.0, 0.0]]], [[[0.0, 0.0, 0.0]]]]], lambdas=[]),
             payload_with(gammas=[[[1.0], [0.0]]], lambdas=[]),
-            payload_with(site0_entry=1.0),
-            payload_with(site0_entry=["a", 0.0]),
-            payload_with(site0_entry=[{}, 0.0]),
-            payload_with(site0_entry=[float("nan"), 0.0]),
+            payload_with(site0_entry=[1.0, 0.0]),
+            payload_with(site0_entry="a"),
+            payload_with(site0_entry={}),
+            payload_with(site0_entry=float("nan")),
             payload_with(lambdas=[[float("nan")]]),
             payload_with(gammas=[], lambdas=[]),
         ],
@@ -618,9 +632,9 @@ class TestSerialization:
             "no-gammas",
             "no-lambdas",
             "gammas-not-a-list",
-            "entry-not-a-pair",
-            "entry-a-triple",
-            "no-pair-axis",
+            "extra-axis",
+            "extra-axis-of-three",
+            "missing-axis",
             "ragged-gamma",
             "entry-a-string",
             "entry-an-object",
@@ -641,16 +655,19 @@ class TestSerialization:
         assert payload["n_sites"] == 3
         assert len(payload["gammas"]) == 3
         assert len(payload["lambdas"]) == 2
+        for g, raw in zip(state.gammas, payload["gammas"]):
+            assert np.shape(raw) == g.shape
 
-
-def complex_copy(state: TensorChain) -> TensorChain:
-    return TensorChain(
-        [g.astype(complex) for g in state.gammas], state.lambdas, degenerate=state.degenerate
-    )
+    def test_rejects_the_re_im_pair_format(self):
+        state = random_circuit(3, seed=43)
+        payload = json.loads(state.to_json())
+        payload["gammas"] = [np.stack([g, 0.0 * g], axis=-1).tolist() for g in state.gammas]
+        with pytest.raises(ValueError, match="shape"):
+            TensorChain.from_json(json.dumps(payload))
 
 
 class TestRealTensors:
-    """Eigenstates are built from real gates and keep real tensors; reads do not depend on it."""
+    """Eigenstates are built from real gates and keep real tensors; nothing else is accepted."""
 
     PARAMS = KitaevParams(12, 1.0, 1.7, 0.8)
 
@@ -659,46 +676,35 @@ class TestRealTensors:
         assert all(g.dtype == np.float64 for g in state.gammas)
         assert TensorChain.product_state([0, 1]).gammas[0].dtype == np.float64
 
-    def test_reads_match_a_complex_copy(self):
-        state, _, _ = prepare_eigenstate(self.PARAMS)
-        twin = complex_copy(state)
-        assert all(g.dtype == np.complex128 for g in twin.gammas)
-        for site in range(state.n_sites):
-            np.testing.assert_allclose(
-                state.rdm_site(site).entries, twin.rdm_site(site).entries, atol=1e-14, rtol=0
-            )
-        for left in range(state.n_sites - 1):
-            np.testing.assert_allclose(
-                state.rdm_pair(left).entries, twin.rdm_pair(left).entries, atol=1e-14, rtol=0
-            )
-        np.testing.assert_allclose(
-            state.rdm_ends().entries, twin.rdm_ends().entries, atol=1e-14, rtol=0
-        )
-        assert state.norm() == pytest.approx(twin.norm(), abs=1e-14)
-        assert state.parity_expectation() == pytest.approx(twin.parity_expectation(), abs=1e-14)
-        assert energy_expectation(state, self.PARAMS) == pytest.approx(
-            energy_expectation(twin, self.PARAMS), abs=1e-14
-        )
-
     def test_json_round_trip_keeps_the_arrays(self):
         state, _, _ = prepare_eigenstate(self.PARAMS)
         loaded = TensorChain.from_json(state.to_json())
+        assert all(g.dtype == np.float64 for g in loaded.gammas)
         for a, b in zip(loaded.gammas, state.gammas):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(loaded.lambdas, state.lambdas):
             np.testing.assert_array_equal(a, b)
 
-    def test_complex_gates_promote(self):
+    def test_rejects_imaginary_gamma_or_lambda(self):
         state = TensorChain.product_state([1, 0, 0])
-        state.apply_single_site_gate(0, np.diag([1.0, 1j]))
-        assert state.gammas[0].dtype == np.complex128
-        assert state.gammas[0][1, 0, 0] == 1j
-        state.apply_two_site_gate(1, RNG_GATE)
-        assert state.gammas[1].dtype == state.gammas[2].dtype == np.complex128
-        expected = np.zeros(8, dtype=complex)
-        expected[0b100] = 1j * np.sqrt(0.5)
-        expected[0b111] = -np.sqrt(0.5)
-        np.testing.assert_allclose(dense_vector(state), expected, atol=1e-15)
+        gammas = list(state.gammas)
+        gammas[1] = gammas[1].astype(np.complex128)
+        with pytest.raises(ValueError, match="site tensor 1 must be real"):
+            TensorChain(gammas, state.lambdas)
+        lambdas = [lam.astype(np.complex128) for lam in state.lambdas]
+        with pytest.raises(ValueError, match="bond vector 0 must be real"):
+            TensorChain(state.gammas, lambdas)
+
+    def test_rejects_imaginary_gates(self):
+        state = TensorChain.product_state([1, 0, 0])
+        before = [g.copy() for g in state.gammas]
+        with pytest.raises(ValueError, match="real"):
+            state.apply_single_site_gate(0, np.diag([1.0, 1j]))
+        with pytest.raises(ValueError, match="real"):
+            state.apply_two_site_gate(1, RNG_GATE.astype(np.complex128))
+        for a, b in zip(state.gammas, before):
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a, b)
 
     def test_copy_is_independent_and_keeps_the_dtype(self):
         state, _, _ = prepare_eigenstate(KitaevParams(6, 1.0, 1.7, 0.8))
@@ -714,7 +720,7 @@ class TestRealTensors:
 
 class TestBondHamiltonian:
     def test_frozen_entries(self):
-        h = bond_hamiltonian(1.0, 1.0 + 0.0j, 2.0, 2.0)
+        h = bond_hamiltonian(1.0, 1.0, 2.0, 2.0)
         expected = np.array(
             [
                 [2.0, 0.0, 0.0, -1.0],
@@ -722,13 +728,9 @@ class TestBondHamiltonian:
                 [0.0, -1.0, 0.0, 0.0],
                 [-1.0, 0.0, 0.0, -2.0],
             ],
-            dtype=complex,
         )
-        np.testing.assert_allclose(h, expected, atol=1e-15)
-
-    def test_hermitian_for_complex_pairing(self):
-        h = bond_hamiltonian(0.7, 0.3 + 0.4j, 0.1, -0.2)
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
+        assert h.dtype == np.float64
+        np.testing.assert_array_equal(h, expected)
 
 
 class TestEnergyExpectation:
@@ -743,19 +745,39 @@ class TestEnergyExpectation:
         expected = -0.5 * float(np.sum(schur.epsilons))
         assert energy_expectation(state, params) == pytest.approx(expected, abs=1e-8)
 
-    def test_periodic_shortcut_matches_spectrum_sum(self):
+    def test_periodic_bond_sum_matches_spectrum_sum(self):
         for mu in (0.5, 1.5, 3.0):
             params = KitaevParams(10, 1.0, mu, 1.0, boundary="periodic")
             state, schur, _ = prepare_eigenstate(params)
             expected = -0.5 * float(np.sum(schur.epsilons))
             assert energy_expectation(state, params) == pytest.approx(expected, abs=1e-8)
 
-    def test_periodic_refuses_degenerate_state(self):
+    @pytest.mark.parametrize("n_sites", [5, 6])
+    def test_periodic_energy_in_both_parity_sectors(self, n_sites):
+        # the wrap bond's hopping and pairing change sign with the state's parity:
+        # the ground state (k = -1) and every single excitation, which flips the
+        # parity and, for a mode of a +-k pair, fills a level only in part
+        params = KitaevParams(n_sites, 0.8, 0.7, 1.1, boundary="periodic")
+        sectors = set()
+        for k in range(-1, n_sites):
+            occupation = [int(j == k) for j in range(n_sites)]
+            state, schur, _ = prepare_eigenstate(params, occupation)
+            sectors.add(state.even_counts[-1])
+            expected = eigenenergy(schur.epsilons, occupation)
+            assert energy_expectation(state, params) == pytest.approx(expected, abs=1e-12)
+        assert sectors == {0, 1}
+
+    def test_periodic_energy_ignores_the_degeneracy_flag(self):
+        # the vacuum: only the on-site terms count, -mu (0 - 1/2) on each of 4 sites
         params = KitaevParams(4, 1.0, 0.5, 1.0, boundary="periodic")
         state = TensorChain.product_state([0, 0, 0, 0])
         state.degenerate = True
-        with pytest.raises(ValueError, match="degenerate"):
-            energy_expectation(state, params)
+        assert energy_expectation(state, params) == pytest.approx(1.0, abs=1e-12)
+
+    def test_periodic_needs_three_sites(self):
+        params = KitaevParams(2, 1.0, 0.5, 1.0, boundary="periodic")
+        with pytest.raises(ValueError, match="3 sites"):
+            energy_expectation(TensorChain.product_state([0, 0]), params)
 
     def test_site_count_mismatch(self):
         state = TensorChain.product_state([0, 0, 0])
