@@ -314,6 +314,8 @@ def _energy_summary(rows: list[dict]) -> dict:
 
 
 def cmd_energy_accuracy(args: argparse.Namespace) -> int:
+    if args.n < 3:
+        raise UsageError("energy-accuracy needs --n >= 3 (the periodic energy sums N bonds)")
     worker = partial(_energy_point, trunc=args.trunc)
     run_grid(args, worker, _surface_points(args), ENERGY_COLUMNS, _energy_summary)
     return 0

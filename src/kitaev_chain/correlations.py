@@ -114,7 +114,7 @@ def z_value(state: TensorChain, parity: str) -> float:
     """
     rho = state.rdm_ends().entries
     q = edge_operator_matrix("Q", parity)
-    return abs(float(np.trace(rho @ q).real))
+    return abs(float(np.trace(rho @ q)))
 
 
 @dataclass(frozen=True)
@@ -208,5 +208,5 @@ def z_analytic(params: KitaevParams) -> float:
 def mean_particle_number(state: TensorChain) -> float:
     """Sum of site occupations <n_j> from single-site density matrices."""
     return float(
-        sum(state.rdm_site(site).entries[1, 1].real for site in range(state.n_sites))
+        sum(state.rdm_site(site).entries[1, 1] for site in range(state.n_sites))
     )

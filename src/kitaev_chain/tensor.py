@@ -1,30 +1,32 @@
 """Canonical tensor-chain states: gates, truncation, and reduced density matrices.
 
-A state on N sites is stored as per-site tensors Gamma^k_{mu nu} (k the local
-occupation, mu/nu the left/right bond indices) and per-internal-bond vectors
-of positive Schmidt coefficients lambda with sum(lambda^2) = 1; boundary bonds
-have dimension 1.  In this canonical form the Schmidt vectors accumulated from
-either end are orthonormal, so single-site and two-site reduced density
-matrices are local contractions, and the end-pair density matrix follows from
-a transfer-matrix sweep through the bulk.
+A state on N sites is stored in right-canonical form: per-site tensors
+B^k_{mu nu} = Gamma^k_{mu nu} lambda_nu (k the local occupation, mu/nu the
+left/right bond indices, Gamma Vidal's tensor, lambda its right bond's
+Schmidt values) and per-internal-bond vectors of positive Schmidt
+coefficients lambda with sum(lambda^2) = 1; boundary bonds have dimension 1.
+Each B is an isometry from its left bond (sum_k B^k B^k^T = 1), so no entry
+exceeds 1, single-site and two-site reduced density matrices are local
+contractions, and the end-pair one follows from a sweep through the bulk.
 
-Reads are matrix products of reshaped Gamma-lambda tensors: a one-site block
-is x x^dagger with x = Gamma (lambda_L (x) lambda_R) as a (2, chi_L chi_R)
-matrix, a two-site block is the same with the (4, chi_L chi_R) product of two
-neighbouring tensors, the canonical checks are Gram matrices of the
-(2 chi_L, chi_R) and (chi_L, 2 chi_R) reshapes, the norm and parity sweep
-one batched product per site, and the end-pair sweep carries a stack of
-four chi x chi matrices, one per (ket, bra) occupation of site 0.  Every
-block passes the checks of ``DensityBlock``.
+Reads are matrix products of the reshaped tensors as stored, with no
+division by a Schmidt value: a one-site block is x x^T with x = lambda_L B as
+a (2, chi_L chi_R) matrix, a two-site block the same with the
+(4, chi_L chi_R) product lambda_L B B, the norm and parity sweep one batched
+product per site, and the end-pair sweep carries a stack of four chi x chi
+matrices, one per (ket, bra) occupation of site 0.  Every block passes the
+checks of ``DensityBlock``.
 
-Two-site gates are absorbed by contracting the neighborhood into a single
-matrix, applying a singular value decomposition, discarding singular values
-below a relative threshold, renormalizing the kept ones, and dividing out the
-outer Schmidt vectors.  Truncation is dynamic: nothing above the threshold is
-ever dropped, and exceeding the bond-dimension safety cap raises instead of
-silently degrading the state.  The singular vectors keep LAPACK's phases and
-its order within tied singular values: the canonical form fixes neither, and
-no observable depends on them (only the raw Gamma of ``to_json`` does).
+Two-site gates take Hastings' form (M. B. Hastings, J. Math. Phys. 50,
+095207 (2009)): the gate acts on Theta = B_L B_R, an SVD of lambda_L Theta
+gives the new Schmidt values sigma (those below a relative threshold
+discarded, the kept ones renormalized) and right singular vectors V, and V
+becomes B_R and Theta V^T / ||sigma|| becomes B_L.  Truncation is dynamic:
+nothing above the threshold is ever dropped, and exceeding the
+bond-dimension safety cap raises instead of silently degrading the state.
+The singular vectors keep LAPACK's phases and its order within tied singular
+values: the canonical form fixes neither, and no observable depends on them
+(only the raw tensors of ``to_json`` do).
 
 Parity (Z2) layout.  Every state here is a parity eigenstate, every gate
 conserves parity, and each Schmidt vector has a definite parity of its left
@@ -32,19 +34,19 @@ half.  A bond lists the even-parity vectors first, each block with
 non-increasing lambda, and ``even_counts`` records how many are even (the last
 entry, for the right boundary, is 1 for an even and 0 for an odd state).  The
 layout is an invariant, checked where a state or gate enters: the constructor
-(and so ``from_json``) infers the counts from the exact zeros of Gamma and
+(and so ``from_json``) infers the counts from the exact zeros of B and
 rejects a state that has none, and the gate methods reject a gate that mixes
 parity.  A two-site gate then splits the neighborhood into its two parity
 blocks and decomposes each one (half the dimension on each side, about a
 quarter of the work of one dense decomposition); the truncation threshold
 stays relative to the bond's largest singular value across both blocks.
 
-Dtype.  Gamma is real (float64).  Every eigenstate of a Kitaev chain with
+Dtype.  B is real (float64).  Every eigenstate of a Kitaev chain with
 real pairing is real, and the fold builds it from real orthogonal two-site
 gates, so the SVDs, the reads and the JSON payload are real.  The constructor
 and both gate methods reject an input with an imaginary part
-(``ValueError``); nothing is cast.  ``to_json`` writes each Gamma as nested
-lists of floats, which ``from_json`` reads back exactly.
+(``ValueError``); nothing is cast.  ``to_json`` writes each B under
+``tensors`` as nested lists of floats, which ``from_json`` reads back exactly.
 
 Sites and bonds are indexed 0-based: bond i sits between sites i and i+1.
 The basis order of two-site objects is |00>, |01>, |10>, |11> with the first
@@ -109,21 +111,26 @@ class BondOverflowError(RuntimeError):
 class DensityBlock:
     """A validated reduced density matrix of one site (2x2) or two (4x4).
 
-    Construction checks Hermiticity, unit trace, and positive semidefiniteness
-    to 1e-10; a violation means the producing contraction is broken and is
-    reported instead of propagated.  Basis order is |0>, |1> for one site and
-    |00>, |01>, |10>, |11> (first slot = left/first site) for two.
+    Construction keeps ``entries`` real (float64), rejects an imaginary
+    part or a non-finite entry, and checks symmetry, unit trace, and positive
+    semidefiniteness to 1e-10; a violation means the producing contraction is
+    broken and is reported instead of propagated.  Basis order is |0>, |1>
+    for one site and |00>, |01>, |10>, |11> (first slot = left/first site).
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        rho = np.array(self.entries, dtype=complex)
+        if not np.isrealobj(self.entries):
+            raise ValueError("density block must be real")
+        rho = np.array(self.entries, dtype=float)
         if rho.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"density block must be 2x2 or 4x4, got {rho.shape}")
-        herm = np.abs(rho - rho.conj().T).max(initial=0.0)
+        if not np.isfinite(rho).all():
+            raise ValueError("density block has a non-finite entry")
+        herm = np.abs(rho - rho.T).max()
         trace = abs(rho.trace() - 1.0)
-        lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
+        lowest = float(np.linalg.eigvalsh((rho + rho.T) / 2.0).min())
         if herm > 1e-10 or trace > 1e-10 or lowest < -1e-10:
             raise ValueError(
                 "invalid density block: Hermiticity residual "
@@ -145,7 +152,7 @@ def _even_counts(gammas: Sequence[np.ndarray]) -> list[int]:
     """For the bond right of each site, the number of even-parity Schmidt vectors listed first.
 
     Reads the parity of each right Schmidt vector of a site off the exact
-    zeros of its Gamma, given the left bond's layout: a vector is even when
+    zeros of its tensor, given the left bond's layout: a vector is even when
     its nonzero entries all sit where the left vector's parity plus the local
     occupation is even, and odd when they all sit where it is odd.  The last
     entry is the right boundary bond.
@@ -172,8 +179,9 @@ def _even_counts(gammas: Sequence[np.ndarray]) -> list[int]:
 
 
 class TensorChain:
-    """Mutable canonical tensor-chain state.
+    """Mutable right-canonical tensor-chain state.
 
+    ``gammas`` holds the site tensors B = Gamma lambda_R, under their old name.
     Gate methods mutate the state in place and keep the canonical invariants;
     use :meth:`copy` for snapshots.  The ``degenerate`` attribute is metadata
     attached by state builders when the targeted eigenstate is not unique (a
@@ -257,13 +265,10 @@ class TensorChain:
     def _left_lambda(self, site: int) -> np.ndarray:
         return self.lambdas[site - 1] if site > 0 else _ones_bond()
 
-    def _right_lambda(self, site: int) -> np.ndarray:
-        return self.lambdas[site] if site < self.n_sites - 1 else _ones_bond()
-
     # -- gates ------------------------------------------------------------
 
     def apply_single_site_gate(self, site: int, u: np.ndarray) -> None:
-        """Contract a real diagonal 2x2 gate, diag(+-1, +-1), into the site tensor.
+        """Contract a real diagonal 2x2 gate, diag(+-1, +-1), into the site tensor B.
 
         Bonds are untouched.  A gate that is not diagonal would change
         parities, and one that is not real orthogonal is no such gate; both
@@ -284,10 +289,10 @@ class TensorChain:
     ) -> None:
         """Contract a real orthogonal 4x4 gate into sites (left_site, left_site + 1).
 
-        The neighborhood lambda_L Gamma lambda_M Gamma lambda_R is contracted
-        with the gate, split by one SVD per parity block, truncated to
-        singular values above ``threshold`` relative to the largest,
-        renormalized, and the outer lambdas divided out again.
+        The gate acts on Theta = B_L B_R; lambda_L Theta is split by one SVD
+        per parity block and truncated to singular values above
+        ``threshold`` relative to the largest.  The kept right singular
+        vectors V become B_R, and Theta V^T / ||sigma|| becomes B_L.
 
         Raises
         ------
@@ -304,21 +309,20 @@ class TensorChain:
         u = np.asarray(u)
         _check_gate(u, 4)
 
-        lam_l = self._left_lambda(left_site)
-        lam_m = self.lambdas[left_site]
-        lam_r = self._right_lambda(left_site + 1)
-        chi_l, chi_m, chi_r = lam_l.size, lam_m.size, lam_r.size
-        left = self.gammas[left_site] * (lam_l[:, None] * lam_m[None, :])[None, :, :]
-        right = self.gammas[left_site + 1] * lam_r[None, None, :]
+        left, right = self.gammas[left_site], self.gammas[left_site + 1]
+        (_, chi_l, chi_m), chi_r = left.shape, right.shape[2]
         # rows (j, a), columns (k, c): the product np.tensordot forms, without
         # its per-call Python overhead
         theta = left.reshape(-1, chi_m) @ right.transpose(1, 0, 2).reshape(chi_m, -1)
         theta = u @ theta.reshape(2, chi_l, 2, chi_r).transpose(0, 2, 1, 3).reshape(4, -1)
-        m = (
+        theta = (
             theta.reshape(2, 2, chi_l, chi_r)
             .transpose(0, 2, 1, 3)
             .reshape(2 * chi_l, 2 * chi_r)
         )
+        # the singular values of lambda_L Theta are the new bond's Schmidt values
+        lam_l = self._left_lambda(left_site)
+        m = (theta.reshape(2, chi_l, -1) * lam_l[:, None]).reshape(2 * chi_l, -1)
 
         counts = self.even_counts
         # Row (j, a) of m has left-half parity p(a) + j: the even rows are
@@ -330,8 +334,8 @@ class TensorChain:
         rows = np.concatenate((m[:e_l], m[chi_l + e_l :]))
         even = np.concatenate((rows[:, :e_r], rows[:, chi_r + e_r :]), axis=1)
         odd = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
-        u_even, s_even, v_even = np.linalg.svd(even, full_matrices=False)
-        u_odd, s_odd, v_odd = np.linalg.svd(odd, full_matrices=False)
+        _, s_even, v_even = np.linalg.svd(even, full_matrices=False)
+        _, s_odd, v_odd = np.linalg.svd(odd, full_matrices=False)
         cut = threshold * max(s_even[0], s_odd[0])
         n_even = int(np.count_nonzero(s_even > cut))
         n_odd = int(np.count_nonzero(s_odd > cut))
@@ -343,31 +347,25 @@ class TensorChain:
         if rank > max_bond:
             raise BondOverflowError(f"bond {left_site} would grow to {rank} (cap {max_bond})")
         sigma = np.concatenate((s_even[:n_even], s_odd[:n_odd]))
-        left_vecs = np.zeros((2 * chi_l, rank))
-        left_vecs[:e_l, :n_even] = u_even[:e_l, :n_even]
-        left_vecs[chi_l + e_l :, :n_even] = u_even[e_l:, :n_even]
-        left_vecs[e_l : chi_l + e_l, n_even:] = u_odd[:, :n_odd]
         right_vecs = np.zeros((rank, 2 * chi_r))
         right_vecs[:n_even, :e_r] = v_even[:n_even, :e_r]
         right_vecs[:n_even, chi_r + e_r :] = v_even[:n_even, e_r:]
         right_vecs[n_even:, e_r : chi_r + e_r] = v_odd[:n_odd]
         counts[left_site] = n_even
 
-        self.lambdas[left_site] = sigma / np.sqrt(np.sum(sigma**2))
-        self.gammas[left_site] = left_vecs.reshape(2, chi_l, rank) / lam_l[None, :, None]
-        self.gammas[left_site + 1] = (
-            right_vecs.reshape(rank, 2, chi_r).transpose(1, 0, 2) / lam_r[None, None, :]
-        )
+        norm = np.sqrt(np.sum(sigma**2))
+        self.lambdas[left_site] = sigma / norm
+        self.gammas[left_site] = (theta @ right_vecs.T / norm).reshape(2, chi_l, rank)
+        self.gammas[left_site + 1] = right_vecs.reshape(rank, 2, chi_r).transpose(1, 0, 2)
 
     # -- diagnostics --------------------------------------------------------
 
     def _transfer(self, weights: np.ndarray) -> float:
         """Contract <psi| (x)_sites diag(weights) |psi> through the chain."""
         acc = np.ones((1, 1))
-        for site in range(self.n_sites):
-            a = self.gammas[site] * self._right_lambda(site)[None, None, :]
-            # acc' = sum_k w_k a[k].T @ acc @ a[k], batched over k
-            acc = np.tensordot(weights, a.transpose(0, 2, 1) @ acc @ a, axes=1)
+        for b in self.gammas:
+            # acc' = sum_k w_k b[k].T @ acc @ b[k], batched over k
+            acc = np.tensordot(weights, b.transpose(0, 2, 1) @ acc @ b, axes=1)
         return float(acc[0, 0])
 
     def norm(self) -> float:
@@ -381,31 +379,33 @@ class TensorChain:
     def canonical_residuals(self) -> dict[str, float]:
         """Max deviations of the canonical-form invariants.
 
-        ``left``/``right``: orthonormality of the Schmidt vectors accumulated
-        from either end, per site; ``bond``: |sum(lambda^2) - 1| per bond.
+        ``right``: |sum_k B^k B^k^T - 1| per site; ``left``: the same for
+        the Gram matrix of lambda_L B over its rows divided by
+        lambda_R (x) lambda_R, the orthonormality of the left Schmidt
+        vectors; ``bond``: |sum(lambda^2) - 1| per bond.
 
         On a truncated state ``left`` and ``right`` do not measure damage.
-        The update stores Gamma divided by the Schmidt values of an outer
-        bond, so the weight a truncation discards is magnified on vectors
-        with lambda near the threshold.  The open-chain ground states at
-        mu = 1, 3, 2 (w = |D| = 1, N = 16, 32, 40) read up to 0.070
-        (``left``) and 0.174 (``right``), each time on a vector with lambda
-        below 5e-12; restricted to lambda > 1e-6 both deviations stay
-        below 1e-10.  A damaged state does show: one Gamma scaled by 1.1
-        reads 1.1^2 - 1 = 0.21 on both sides.
+        A truncation keeps Schmidt vectors with lambda down to the
+        threshold and leaves those barely determined.  The open-chain
+        ground states at mu = 1, 3, 2 (w = |D| = 1, N = 16, 32, 40) read up
+        to 0.070 (``left``) and 0.174 (``right``), each time on a vector
+        with lambda below 5e-12, as they did when Gamma was stored and the
+        update divided by outer Schmidt values.  Restricted to
+        lambda > 1e-6, ``right`` stays below 1e-12 and ``left`` below 5e-10,
+        rounding that the division by lambda_R grows.  A damaged state does
+        show: one B scaled by 1.1 reads 1.1^2 - 1 = 0.21 on both sides.
         """
         left = right = 0.0
-        for site in range(self.n_sites):
-            g = self.gammas[site]
-            _, chi_l, chi_r = g.shape
+        bonds = [_ones_bond(), *self.lambdas, _ones_bond()]
+        for site, b in enumerate(self.gammas):
+            _, chi_l, chi_r = b.shape
+            lam_r = bonds[site + 1]
             # left Gram: rows (k, a) against right bond; right Gram: left bond against (k, c)
-            x = (g * self._left_lambda(site)[None, :, None]).reshape(2 * chi_l, chi_r)
-            gram = x.T @ x
+            x = (b * bonds[site][None, :, None]).reshape(2 * chi_l, chi_r)
+            gram = x.T @ x / np.outer(lam_r, lam_r)
             left = max(left, np.abs(gram - np.eye(chi_r)).max(initial=0.0))
-            y = (g * self._right_lambda(site)[None, None, :]).transpose(1, 0, 2)
-            y = y.reshape(chi_l, 2 * chi_r)
-            gram = y @ y.T
-            right = max(right, np.abs(gram - np.eye(chi_l)).max(initial=0.0))
+            y = b.transpose(1, 0, 2).reshape(chi_l, 2 * chi_r)
+            right = max(right, np.abs(y @ y.T - np.eye(chi_l)).max(initial=0.0))
         bond = max(
             (abs(float(np.sum(lam**2)) - 1.0) for lam in self.lambdas),
             default=0.0,
@@ -417,20 +417,16 @@ class TensorChain:
     def rdm_site(self, site: int) -> DensityBlock:
         """Reduced density matrix of one site."""
         self._check_site(site)
-        lam_l, lam_r = self._left_lambda(site), self._right_lambda(site)
-        x = (self.gammas[site] * (lam_l[:, None] * lam_r[None, :])[None]).reshape(2, -1)
+        x = (self.gammas[site] * self._left_lambda(site)[:, None]).reshape(2, -1)
         return DensityBlock(x @ x.T)
 
     def rdm_pair(self, left_site: int) -> DensityBlock:
         """Reduced density matrix of sites (left_site, left_site + 1)."""
         if not 0 <= left_site < self.n_sites - 1:
             raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
-        lam_l = self._left_lambda(left_site)
-        lam_m = self.lambdas[left_site]
-        left = self.gammas[left_site] * (lam_l[:, None] * lam_m[None, :])[None]
-        right = self.gammas[left_site + 1] * self._right_lambda(left_site + 1)[None, None, :]
+        left = self.gammas[left_site] * self._left_lambda(left_site)[:, None]
         # y[j, k] = left[j] @ right[k]: rows (j, k), columns (a, c)
-        y = (left[:, None] @ right).reshape(4, -1)
+        y = (left[:, None] @ self.gammas[left_site + 1]).reshape(4, -1)
         return DensityBlock(y @ y.T)
 
     def rdm_ends(self) -> DensityBlock:
@@ -438,14 +434,13 @@ class TensorChain:
         n = self.n_sites
         if n < 3:
             raise ValueError("end-pair density matrix requires at least 3 sites")
-        first = self.gammas[0][:, 0, :] * self.lambdas[0][None, :]
+        first = self.gammas[0][:, 0, :]
         chi = first.shape[1]
         # acc[(k, l)] = outer(first[k], first[l]): site 0 kept open on both sides
         acc = (first[:, None, :, None] * first[None, :, None, :]).reshape(4, chi, chi)
-        for site in range(1, n - 1):
-            a = self.gammas[site] * self._right_lambda(site)[None, None, :]
-            # acc'[(k, l)] = sum_m a[m].T @ acc[(k, l)] @ a[m], batched over (k, l)
-            acc = a[0].T @ acc @ a[0] + a[1].T @ acc @ a[1]
+        for b in self.gammas[1:-1]:
+            # acc'[(k, l)] = sum_m b[m].T @ acc[(k, l)] @ b[m], batched over (k, l)
+            acc = b[0].T @ acc @ b[0] + b[1].T @ acc @ b[1]
         last = self.gammas[-1][:, :, 0]
         # (last @ acc @ last.T)[(k, l), m, n] is rho[(k, m), (l, n)]
         rho = (last @ acc @ last.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -464,17 +459,17 @@ class TensorChain:
                 f"fock_coefficients materializes 2^N amplitudes; N limited to {FOCK_SITE_LIMIT}"
             )
         coeff = self.gammas[0][:, 0, :]
-        for site in range(1, self.n_sites):
-            coeff = np.einsum("...a,a,kab->...kb", coeff, self.lambdas[site - 1], self.gammas[site])
+        for b in self.gammas[1:]:
+            coeff = np.einsum("...a,kab->...kb", coeff, b)
         return coeff[..., 0]
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        """JSON dump: per-site Gamma as nested lists of floats, per-bond lambda."""
+        """JSON dump: per-site B as nested lists of floats under ``tensors``, per-bond lambda."""
         payload = {
             "n_sites": self.n_sites,
-            "gammas": [g.tolist() for g in self.gammas],
+            "tensors": [b.tolist() for b in self.gammas],
             "lambdas": [lam.tolist() for lam in self.lambdas],
             "degenerate": self.degenerate,
         }
@@ -482,18 +477,20 @@ class TensorChain:
 
     @classmethod
     def from_json(cls, text: str) -> "TensorChain":
-        """Load a chain written by :meth:`to_json`; Gamma comes back float64.
+        """Load a chain written by :meth:`to_json`; B comes back float64.
 
         Raises
         ------
         ValueError
-            If the text is not JSON, is not an object with ``gammas`` and
+            If the text is not JSON, is not an object with ``tensors`` and
             ``lambdas`` lists of numbers, or holds a state the constructor
-            rejects (a Gamma of any shape but (2, chi_L, chi_R) among them).
+            rejects (a B of any shape but (2, chi_L, chi_R) among them).  A
+            payload of the earlier Gamma format, under ``gammas``, has no
+            ``tensors`` and is rejected.
         """
         payload = json.loads(text)
         try:
-            gammas = [np.asarray(raw, dtype=float) for raw in payload["gammas"]]
+            gammas = [np.asarray(raw, dtype=float) for raw in payload["tensors"]]
             lambdas = [np.asarray(raw, dtype=float) for raw in payload["lambdas"]]
             degenerate = bool(payload.get("degenerate", False))
         except (KeyError, TypeError) as exc:
@@ -570,9 +567,9 @@ def energy_expectation(state: TensorChain, params: KitaevParams) -> float:
         mu_left = mu if left == 0 and not periodic else mu / 2.0
         mu_right = mu if left == n - 2 and not periodic else mu / 2.0
         h = bond_hamiltonian(w, pairing, mu_left, mu_right)
-        total += float(np.trace(state.rdm_pair(left).entries @ h).real)
+        total += float(np.trace(state.rdm_pair(left).entries @ h))
     if periodic:
         sign = 1.0 if state.even_counts[-1] else -1.0
         h = bond_hamiltonian(-sign * w, -sign * pairing, mu / 2.0, mu / 2.0)
-        total += float(np.trace(state.rdm_ends().entries @ h).real)
+        total += float(np.trace(state.rdm_ends().entries @ h))
     return total

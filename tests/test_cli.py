@@ -281,6 +281,7 @@ class TestUsageErrors:
             ["spectrum", "--n", "1000000000"],
             ["particles", "--n", "100000"],
             ["energy-accuracy", "--n", "4096"],
+            ["energy-accuracy", "--n", "2"],
             ["zscan", "--n-schedule", "8,2049"],
             ["zscan", "--n-schedule", "8:100000:50000"],
         ],

@@ -58,10 +58,19 @@ def parity_definite_state(n_sites: int, bits, seed: int) -> TensorChain:
 
 
 def mirrored(state: TensorChain) -> TensorChain:
-    """The spatial reflection of a state (site j -> site N-1-j)."""
-    gammas = [g.transpose(0, 2, 1) for g in reversed(state.gammas)]
+    """The spatial reflection of a state (site j -> site N-1-j).
+
+    Reversing the chain of B's and transposing each gives the reflected
+    amplitudes in left-canonical form; each tensor is brought back to
+    right-canonical form with its bonds' Schmidt values, lambda_L B / lambda_R.
+    """
+    bonds = [np.ones(1), *state.lambdas, np.ones(1)]
+    tensors = [
+        (b * bonds[site][:, None] / bonds[site + 1]).transpose(0, 2, 1)
+        for site, b in enumerate(state.gammas)
+    ]
     lambdas = [lam.copy() for lam in reversed(state.lambdas)]
-    return TensorChain(gammas, lambdas, degenerate=state.degenerate)
+    return TensorChain(tensors[::-1], lambdas, degenerate=state.degenerate)
 
 
 class TestEdgeOperatorMatrix:

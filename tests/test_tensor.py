@@ -114,6 +114,20 @@ class TestDensityBlock:
         with pytest.raises(ValueError):
             DensityBlock(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_entries(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityBlock(np.full((2, 2), value))
+        rho = np.diag([0.25, 0.25, 0.25, 0.25])
+        rho[0, 3] = rho[3, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityBlock(rho)
+
+    def test_entries_are_real_and_complex_input_is_rejected(self):
+        assert DensityBlock(np.diag([0.25, 0.75])).entries.dtype == np.float64
+        with pytest.raises(ValueError, match="must be real"):
+            DensityBlock(np.diag([0.25, 0.75]).astype(np.complex128))
+
 
 class TestConstruction:
     def test_product_state_layout(self):
@@ -277,6 +291,13 @@ class TestTwoSiteGate:
         for lam in state.lambdas:
             assert (lam > 0.0).all()
 
+    @pytest.mark.parametrize("n_sites", [16, 32, 40])
+    @pytest.mark.parametrize("mu", [1.0, 3.0, 2.0], ids=["topo", "trivial", "critical"])
+    def test_ladder_entries_are_bounded_by_one(self, mu, n_sites):
+        # each stored B is an isometry from its left bond, so no entry exceeds 1
+        state, _, _ = prepare_eigenstate(KitaevParams(n_sites, 1.0, mu, 1.0))
+        assert max(np.abs(b).max() for b in state.gammas) <= 1.0 + 1e-12
+
     def test_canonical_residuals_report_a_scaled_site_tensor(self):
         state = brickwork(8, layers=6, seed=12, max_bond=MAX_BOND_DIMENSION)
         assert max(state.canonical_residuals().values()) < 1e-10
@@ -291,10 +312,9 @@ def left_vector_parities(state: TensorChain, bond: int) -> np.ndarray:
 
     Fails if a vector has weight in both parity sectors.
     """
-    vecs = state.gammas[0][:, 0, :]
-    for site in range(1, bond + 1):
-        g = state.gammas[site]
-        vecs = np.einsum("xa,a,kab->xkb", vecs, state.lambdas[site - 1], g).reshape(-1, g.shape[2])
+    vecs = state.gammas[0][:, 0, :]  # each left vector times its Schmidt value
+    for b in state.gammas[1 : bond + 1]:
+        vecs = np.einsum("xa,kab->xkb", vecs, b).reshape(-1, b.shape[2])
     signs = np.array([(-1) ** bin(x).count("1") for x in range(vecs.shape[0])])
     even = np.linalg.norm(vecs[signs > 0], axis=0)
     odd = np.linalg.norm(vecs[signs < 0], axis=0)
@@ -313,7 +333,7 @@ def recorded_svd_shapes(monkeypatch) -> tuple[list, list]:
         return svd(a, *args, **kwargs)
 
     def recording_gate(self, left_site, u, **kwargs):
-        blocks.append((self._left_lambda(left_site).size, self._right_lambda(left_site + 1).size))
+        blocks.append((self.gammas[left_site].shape[1], self.gammas[left_site + 1].shape[2]))
         return gate(self, left_site, u, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
@@ -345,8 +365,8 @@ class TestParityLayout:
         state.apply_two_site_gate(0, RNG_GATE)
         payload = json.loads(state.to_json())
         # list bond 0's odd Schmidt vector first, as a dense update could
-        payload["gammas"][0] = [[row[::-1] for row in g] for g in payload["gammas"][0]]
-        payload["gammas"][1] = [g[::-1] for g in payload["gammas"][1]]
+        payload["tensors"][0] = [[row[::-1] for row in b] for b in payload["tensors"][0]]
+        payload["tensors"][1] = [b[::-1] for b in payload["tensors"][1]]
         payload["lambdas"][0] = payload["lambdas"][0][::-1]
         with pytest.raises(ValueError, match="odd vector before an even one"):
             TensorChain.from_json(json.dumps(payload))
@@ -512,12 +532,11 @@ class TestReducedDensityMatrices:
         # the tensordot sweep the batched products replaced, as the reference
         # beyond the dense oracle's reach (critical N = 32, chi up to 65)
         state, _, _ = prepare_eigenstate(KitaevParams(32, 1.0, 2.0, 1.0))
-        first = state.gammas[0][:, 0, :] * state.lambdas[0][None, :]
+        first = state.gammas[0][:, 0, :]
         acc = np.einsum("ka,lb->klab", first, first)
-        for site in range(1, state.n_sites - 1):
-            a = state.gammas[site] * state.lambdas[site][None, None, :]
-            half = np.tensordot(a, acc, axes=([1], [2]))  # (m, c, k, l, b)
-            acc = np.tensordot(half, a, axes=([0, 4], [0, 1])).transpose(1, 2, 0, 3)
+        for b in state.gammas[1:-1]:
+            half = np.tensordot(b, acc, axes=([1], [2]))  # (m, c, k, l, b)
+            acc = np.tensordot(half, b, axes=([0, 4], [0, 1])).transpose(1, 2, 0, 3)
         last = state.gammas[-1][:, :, 0]
         expected = np.einsum("klab,ma,nb->kmln", acc, last, last).reshape(4, 4)
         np.testing.assert_allclose(state.rdm_ends().entries, expected, atol=1e-14, rtol=0)
@@ -583,10 +602,10 @@ class TestUnnormalisedChain:
 
 
 def payload_with(site0_entry=None, **fields) -> str:
-    """JSON of the product state |01> with one Gamma entry or whole fields replaced."""
+    """JSON of the product state |01> with one tensor entry or whole fields replaced."""
     payload = json.loads(TensorChain.product_state([0, 1]).to_json())
     if site0_entry is not None:
-        payload["gammas"][0][0][0][0] = site0_entry
+        payload["tensors"][0][0][0][0] = site0_entry
     payload.update(fields)
     return json.dumps(payload)
 
@@ -611,17 +630,18 @@ class TestSerialization:
             "null",
             "not json",
             '{"lambdas": []}',
-            '{"gammas": []}',
-            payload_with(gammas=5),
-            payload_with(gammas=[[[[[1.0]]], [[[0.0]]]]], lambdas=[]),
-            payload_with(gammas=[[[[[1.0, 0.0, 0.0]]], [[[0.0, 0.0, 0.0]]]]], lambdas=[]),
-            payload_with(gammas=[[[1.0], [0.0]]], lambdas=[]),
+            '{"tensors": []}',
+            TensorChain.product_state([0, 1]).to_json().replace('"tensors"', '"gammas"'),
+            payload_with(tensors=5),
+            payload_with(tensors=[[[[[1.0]]], [[[0.0]]]]], lambdas=[]),
+            payload_with(tensors=[[[[[1.0, 0.0, 0.0]]], [[[0.0, 0.0, 0.0]]]]], lambdas=[]),
+            payload_with(tensors=[[[1.0], [0.0]]], lambdas=[]),
             payload_with(site0_entry=[1.0, 0.0]),
             payload_with(site0_entry="a"),
             payload_with(site0_entry={}),
             payload_with(site0_entry=float("nan")),
             payload_with(lambdas=[[float("nan")]]),
-            payload_with(gammas=[], lambdas=[]),
+            payload_with(tensors=[], lambdas=[]),
         ],
         ids=[
             "empty-object",
@@ -629,13 +649,14 @@ class TestSerialization:
             "string",
             "null",
             "not-json",
-            "no-gammas",
+            "no-tensors",
             "no-lambdas",
-            "gammas-not-a-list",
+            "gamma-format",
+            "tensors-not-a-list",
             "extra-axis",
             "extra-axis-of-three",
             "missing-axis",
-            "ragged-gamma",
+            "ragged-tensor",
             "entry-a-string",
             "entry-an-object",
             "nan-entry",
@@ -653,15 +674,15 @@ class TestSerialization:
         assert text == state.to_json()
         payload = json.loads(text)
         assert payload["n_sites"] == 3
-        assert len(payload["gammas"]) == 3
+        assert len(payload["tensors"]) == 3
         assert len(payload["lambdas"]) == 2
-        for g, raw in zip(state.gammas, payload["gammas"]):
-            assert np.shape(raw) == g.shape
+        for b, raw in zip(state.gammas, payload["tensors"]):
+            assert np.shape(raw) == b.shape
 
     def test_rejects_the_re_im_pair_format(self):
         state = random_circuit(3, seed=43)
         payload = json.loads(state.to_json())
-        payload["gammas"] = [np.stack([g, 0.0 * g], axis=-1).tolist() for g in state.gammas]
+        payload["tensors"] = [np.stack([b, 0.0 * b], axis=-1).tolist() for b in state.gammas]
         with pytest.raises(ValueError, match="shape"):
             TensorChain.from_json(json.dumps(payload))
 
