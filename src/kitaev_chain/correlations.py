@@ -98,10 +98,10 @@ def parity(occupation: Sequence[int], particle_hole: bool) -> str:
     state is |0...01> instead of the vacuum); the gates that build the full
     eigenstate conserve parity.
     """
-    occ = np.asarray(occupation, dtype=int)
+    occ = np.asarray(occupation)
     if occ.ndim != 1 or not np.isin(occ, (0, 1)).all():
         raise ValueError("occupation entries must be 0 or 1")
-    total = int(occ.sum()) + int(bool(particle_hole))
+    total = np.count_nonzero(occ) + int(bool(particle_hole))
     return "odd" if total % 2 else "even"
 
 
@@ -207,6 +207,4 @@ def z_analytic(params: KitaevParams) -> float:
 
 def mean_particle_number(state: TensorChain) -> float:
     """Sum of site occupations <n_j> from single-site density matrices."""
-    return float(
-        sum(state.rdm_site(site).entries[1, 1] for site in range(state.n_sites))
-    )
+    return float(sum(state.rdm_sites()[:, 1, 1]))

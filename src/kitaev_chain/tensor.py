@@ -14,8 +14,10 @@ division by a Schmidt value: a one-site block is x x^T with x = lambda_L B as
 a (2, chi_L chi_R) matrix, a two-site block the same with the
 (4, chi_L chi_R) product lambda_L B B, the norm and parity sweep one batched
 product per site, and the end-pair sweep carries a stack of four chi x chi
-matrices, one per (ket, bra) occupation of site 0.  Every block passes the
-checks of ``DensityBlock``.
+matrices, one per (ket, bra) occupation of site 0.  ``rdm_pairs`` and
+``rdm_sites`` return every adjacent-pair or one-site block as one read-only
+stack, from the contractions of ``rdm_pair`` and ``rdm_site``.  Every block
+passes the checks of ``DensityBlock``, run as one vectorised call per stack.
 
 Two-site gates take Hastings' form (M. B. Hastings, J. Math. Phys. 50,
 095207 (2009)): the gate acts on Theta = B_L B_R, an SVD of lambda_L Theta
@@ -46,7 +48,9 @@ real pairing is real, and the fold builds it from real orthogonal two-site
 gates, so the SVDs, the reads and the JSON payload are real.  The constructor
 and both gate methods reject an input with an imaginary part
 (``ValueError``); nothing is cast.  ``to_json`` writes each B under
-``tensors`` as nested lists of floats, which ``from_json`` reads back exactly.
+``tensors`` and each lambda under ``lambdas`` as base64 text of its
+little-endian float64 bytes in C order; the shapes follow from the lambda
+lengths, so ``from_json`` reads every array back bit for bit.
 
 Sites and bonds are indexed 0-based: bond i sits between sites i and i+1.
 The basis order of two-site objects is |00>, |01>, |10>, |11> with the first
@@ -59,6 +63,7 @@ here is a parity eigenstate).
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -121,27 +126,46 @@ class DensityBlock:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.isrealobj(self.entries):
-            raise ValueError("density block must be real")
-        rho = np.array(self.entries, dtype=float)
-        if rho.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"density block must be 2x2 or 4x4, got {rho.shape}")
-        if not np.isfinite(rho).all():
-            raise ValueError("density block has a non-finite entry")
-        herm = np.abs(rho - rho.T).max()
-        trace = abs(rho.trace() - 1.0)
-        lowest = float(np.linalg.eigvalsh((rho + rho.T) / 2.0).min())
-        if herm > 1e-10 or trace > 1e-10 or lowest < -1e-10:
-            raise ValueError(
-                "invalid density block: Hermiticity residual "
-                f"{herm:.3e}, trace deviation {trace:.3e}, lowest eigenvalue {lowest:.3e}"
-            )
-        rho.setflags(write=False)
-        object.__setattr__(self, "entries", rho)
+        object.__setattr__(self, "entries", _checked_blocks(np.asarray(self.entries)[None])[0])
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _checked_blocks(blocks: np.ndarray, where: str = "") -> np.ndarray:
+    """Validate a stack of density blocks at once; returns it as read-only float64.
+
+    The checks of ``DensityBlock``, each run as one vectorised call over the
+    stack: real, finite, symmetric, unit trace, and no eigenvalue below
+    -1e-10.  A failing block is named as ``where`` and its index in the stack
+    ("bond 3", "site 0"); with ``where`` empty it is not named.
+    """
+    if not np.isrealobj(blocks):
+        raise ValueError("density block must be real")
+    rho = np.array(blocks, dtype=float)
+    if rho.ndim != 3 or rho.shape[1:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"density block must be 2x2 or 4x4, got {rho.shape[1:]}")
+
+    def at(k: int) -> str:
+        return f" of {where} {k}" if where else ""
+
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"density block{at(int(np.argmin(finite)))} has a non-finite entry")
+    rho_t = rho.transpose(0, 2, 1)
+    herm = np.abs(rho - rho_t).max(axis=(1, 2))
+    trace = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    lowest = np.linalg.eigvalsh((rho + rho_t) / 2.0)[:, 0]
+    bad = (herm > 1e-10) | (trace > 1e-10) | (lowest < -1e-10)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"invalid density block{at(k)}: Hermiticity residual "
+            f"{herm[k]:.3e}, trace deviation {trace[k]:.3e}, lowest eigenvalue {lowest[k]:.3e}"
+        )
+    rho.setflags(write=False)
+    return rho
 
 
 def _ones_bond() -> np.ndarray:
@@ -246,7 +270,7 @@ class TensorChain:
         gammas = []
         for b in bits:
             g = np.zeros((2, 1, 1))
-            g[b, 0, 0] = 1.0
+            g[int(b), 0, 0] = 1.0  # a bool index would act as a mask
             gammas.append(g)
         return cls(gammas, [_ones_bond() for _ in bits[:-1]])
 
@@ -417,17 +441,42 @@ class TensorChain:
     def rdm_site(self, site: int) -> DensityBlock:
         """Reduced density matrix of one site."""
         self._check_site(site)
-        x = (self.gammas[site] * self._left_lambda(site)[:, None]).reshape(2, -1)
-        return DensityBlock(x @ x.T)
+        return DensityBlock(self._site_block(site))
 
     def rdm_pair(self, left_site: int) -> DensityBlock:
         """Reduced density matrix of sites (left_site, left_site + 1)."""
         if not 0 <= left_site < self.n_sites - 1:
             raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
+        return DensityBlock(self._pair_block(left_site))
+
+    def rdm_sites(self) -> np.ndarray:
+        """All N one-site density matrices as a read-only (N, 2, 2) stack, checked at once.
+
+        Entry i equals ``rdm_site(i).entries`` bit for bit; a failing block
+        raises ``ValueError`` naming its site.
+        """
+        blocks = [self._site_block(i) for i in range(self.n_sites)]
+        return _checked_blocks(np.reshape(blocks, (-1, 2, 2)), "site")
+
+    def rdm_pairs(self) -> np.ndarray:
+        """All N-1 pair density matrices as a read-only (N-1, 4, 4) stack, checked at once.
+
+        Entry i, the pair (i, i+1), equals ``rdm_pair(i).entries`` bit for
+        bit; a failing block raises ``ValueError`` naming its bond.  Empty
+        for a one-site chain.
+        """
+        blocks = [self._pair_block(i) for i in range(self.n_sites - 1)]
+        return _checked_blocks(np.reshape(blocks, (-1, 4, 4)), "bond")
+
+    def _site_block(self, site: int) -> np.ndarray:
+        x = (self.gammas[site] * self._left_lambda(site)[:, None]).reshape(2, -1)
+        return x @ x.T
+
+    def _pair_block(self, left_site: int) -> np.ndarray:
         left = self.gammas[left_site] * self._left_lambda(left_site)[:, None]
         # y[j, k] = left[j] @ right[k]: rows (j, k), columns (a, c)
         y = (left[:, None] @ self.gammas[left_site + 1]).reshape(4, -1)
-        return DensityBlock(y @ y.T)
+        return y @ y.T
 
     def rdm_ends(self) -> DensityBlock:
         """Reduced density matrix of (site 0, site N-1) via bulk transfer matrices."""
@@ -466,35 +515,57 @@ class TensorChain:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        """JSON dump: per-site B as nested lists of floats under ``tensors``, per-bond lambda."""
+        """JSON dump: per-site B under ``tensors`` and per-bond lambda under ``lambdas``.
+
+        Each array is the base64 text of its little-endian float64 bytes in C
+        order; its shape follows from the lambda lengths and the boundary
+        bonds of dimension 1.
+        """
         payload = {
             "n_sites": self.n_sites,
-            "tensors": [b.tolist() for b in self.gammas],
-            "lambdas": [lam.tolist() for lam in self.lambdas],
+            "tensors": [_encode(b) for b in self.gammas],
+            "lambdas": [_encode(lam) for lam in self.lambdas],
             "degenerate": self.degenerate,
         }
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "TensorChain":
-        """Load a chain written by :meth:`to_json`; B comes back float64.
+        """Load a chain written by :meth:`to_json`, bit for bit; B comes back float64.
 
         Raises
         ------
         ValueError
-            If the text is not JSON, is not an object with ``tensors`` and
-            ``lambdas`` lists of numbers, or holds a state the constructor
-            rejects (a B of any shape but (2, chi_L, chi_R) among them).  A
-            payload of the earlier Gamma format, under ``gammas``, has no
-            ``tensors`` and is rejected.
+            If the text is not JSON; is not an object with ``n_sites``,
+            ``tensors``, ``lambdas`` and a boolean ``degenerate``; has a
+            ``tensors`` count that differs from ``n_sites`` or from the bonds
+            plus one; holds an entry that is not base64 text or whose bytes do
+            not fill its shape; or holds a state the constructor rejects.
+            The earlier payloads, nested lists of numbers or a Gamma format
+            under ``gammas``, are rejected.
         """
         payload = json.loads(text)
         try:
-            gammas = [np.asarray(raw, dtype=float) for raw in payload["tensors"]]
-            lambdas = [np.asarray(raw, dtype=float) for raw in payload["lambdas"]]
-            degenerate = bool(payload.get("degenerate", False))
+            n_sites, raw_tensors, raw_lambdas = (
+                payload["n_sites"], payload["tensors"], payload["lambdas"]
+            )
+            degenerate = payload["degenerate"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tensor-chain payload: {exc!r}") from exc
+        if not isinstance(degenerate, bool):
+            raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
+        if not (isinstance(raw_tensors, list) and isinstance(raw_lambdas, list)):
+            raise ValueError("tensors and lambdas must be lists")
+        if not (type(n_sites) is int and len(raw_tensors) == n_sites):
+            raise ValueError(f"n_sites is {n_sites!r} but there are {len(raw_tensors)} tensors")
+        if n_sites != len(raw_lambdas) + 1:
+            raise ValueError(f"{n_sites} tensors do not fit {len(raw_lambdas)} bonds")
+        lambdas = [_decode(raw, f"bond vector {i}") for i, raw in enumerate(raw_lambdas)]
+        dims = [1, *(lam.size for lam in lambdas), 1]
+        gammas = [
+            _decode(raw, f"site tensor {i}", (2, dims[i], dims[i + 1]))
+            for i, raw in enumerate(raw_tensors)
+        ]
         return cls(gammas, lambdas, degenerate=degenerate)
 
     # -- helpers ------------------------------------------------------------
@@ -502,6 +573,21 @@ class TensorChain:
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site must lie in [0, {self.n_sites}), got {site}")
+
+
+def _encode(array: np.ndarray) -> str:
+    """Base64 text of the little-endian float64 bytes of ``array`` in C order."""
+    return base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(raw: object, what: str, shape: tuple[int, ...] = (-1,)) -> np.ndarray:
+    """The array that :func:`_encode` wrote as ``raw``, in ``shape``."""
+    if not isinstance(raw, str):
+        raise ValueError(f"{what} must be base64 text, got {type(raw).__name__}")
+    try:
+        return np.frombuffer(base64.b64decode(raw, validate=True), dtype="<f8").reshape(shape)
+    except ValueError as exc:  # bad base64, a partial float64, or the wrong count for shape
+        raise ValueError(f"{what} is not base64 of float64 values in shape {shape}: {exc}") from exc
 
 
 def _check_gate(u: np.ndarray, dim: int) -> None:
@@ -563,11 +649,11 @@ def energy_expectation(state: TensorChain, params: KitaevParams) -> float:
     if periodic and n < 3:
         raise ValueError("periodic energy requires at least 3 sites")
     total = 0.0
-    for left in range(n - 1):
+    for left, rho in enumerate(state.rdm_pairs()):
         mu_left = mu if left == 0 and not periodic else mu / 2.0
         mu_right = mu if left == n - 2 and not periodic else mu / 2.0
         h = bond_hamiltonian(w, pairing, mu_left, mu_right)
-        total += float(np.trace(state.rdm_pair(left).entries @ h))
+        total += float(np.trace(rho @ h))
     if periodic:
         sign = 1.0 if state.even_counts[-1] else -1.0
         h = bond_hamiltonian(-sign * w, -sign * pairing, mu / 2.0, mu / 2.0)

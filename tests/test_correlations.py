@@ -130,6 +130,14 @@ class TestParity:
         with pytest.raises(ValueError):
             parity((0, 2, 0), False)
 
+    def test_rejects_fractions_instead_of_truncating_them(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            parity([0.5, 1], False)
+
+    def test_accepts_bools_and_integral_floats(self):
+        assert parity([True, True], False) == "even"
+        assert parity([1.0, 0.0], False) == "odd"
+
     @settings(max_examples=20, deadline=None)
     @given(
         bits=st.integers(min_value=0, max_value=31),

@@ -445,6 +445,10 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="length 3"):
             compute_folding_plan(manual_schur(np.eye(6), [1.0, 0.8, 0.5]), (0, 0))
 
+    def test_fractional_occupation_is_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            prepare_eigenstate(KitaevParams(4, 1.0, 1.0, 1.0), [0.9, 0, 0, 1.5])
+
     def test_split_level_state_is_flagged_and_has_its_level_energy(self):
         # Periodic N = 8: modes 1 and 2 share epsilon = 2.80 (momenta +-k); filling one
         # of them picks an eigenstate that is not translation invariant.  The energy

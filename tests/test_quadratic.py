@@ -59,6 +59,16 @@ class TestOccupationValidation:
         with pytest.raises(ValueError):
             as_occupation([0, 2, 0], 3)
 
+    def test_rejects_fractions_instead_of_truncating_them(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            as_occupation([0.5, 1.9], 2)
+
+    def test_accepts_bools_and_integral_floats(self):
+        for bits in ([True, False], [1.0, 0.0]):
+            occ = as_occupation(bits, 2)
+            assert occ.dtype.kind == "i"
+            np.testing.assert_array_equal(occ, [1, 0])
+
 
 class TestCouplingMatrix:
     def test_rejects_symmetric_part(self):

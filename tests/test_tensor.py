@@ -7,6 +7,7 @@ the canonical-form invariants.  Every gate is real and parity conserving: a
 chain holds real parity eigenstates only and rejects any other gate or state.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -142,6 +143,16 @@ class TestConstruction:
             TensorChain.product_state([0, 2])
         with pytest.raises(ValueError):
             TensorChain.product_state([])
+
+    @pytest.mark.parametrize(
+        "bits,expected",
+        [([True, True], (1, 1)), ([True, False], (1, 0)), ([1.0, 0.0], (1, 0))],
+        ids=["bools-11", "bools-10", "floats-10"],
+    )
+    def test_product_state_reads_bools_and_floats_as_bits(self, bits, expected):
+        state = TensorChain.product_state(bits)
+        np.testing.assert_array_equal(state.rdm_sites()[:, 1, 1], expected)
+        assert state.parity_expectation() == (-1) ** sum(expected)
 
     def test_rejects_mismatched_bonds(self):
         good = TensorChain.product_state([0, 0])
@@ -365,9 +376,9 @@ class TestParityLayout:
         state.apply_two_site_gate(0, RNG_GATE)
         payload = json.loads(state.to_json())
         # list bond 0's odd Schmidt vector first, as a dense update could
-        payload["tensors"][0] = [[row[::-1] for row in b] for b in payload["tensors"][0]]
-        payload["tensors"][1] = [b[::-1] for b in payload["tensors"][1]]
-        payload["lambdas"][0] = payload["lambdas"][0][::-1]
+        payload["tensors"][0] = encoded(state.gammas[0][:, :, ::-1])
+        payload["tensors"][1] = encoded(state.gammas[1][:, ::-1, :])
+        payload["lambdas"][0] = encoded(state.lambdas[0][::-1])
         with pytest.raises(ValueError, match="odd vector before an even one"):
             TensorChain.from_json(json.dumps(payload))
 
@@ -493,6 +504,33 @@ class TestReducedDensityMatrices:
                 state.rdm_pair(left).entries, dense_block(state, (left, left + 1)), atol=1e-12
             )
 
+    @pytest.mark.parametrize("n_sites,layers,seed", BRICKWORK)
+    def test_batched_reads_equal_single_reads_bit_for_bit(self, n_sites, layers, seed):
+        state = brickwork(n_sites, layers, seed, max_bond=MAX_BOND_DIMENSION)
+        sites, pairs = state.rdm_sites(), state.rdm_pairs()
+        assert sites.shape == (n_sites, 2, 2) and pairs.shape == (n_sites - 1, 4, 4)
+        for stack in (sites, pairs):
+            assert stack.dtype == np.float64 and stack.flags.writeable is False
+        for site in range(n_sites):
+            np.testing.assert_array_equal(sites[site], state.rdm_site(site).entries)
+        for left in range(n_sites - 1):
+            np.testing.assert_array_equal(pairs[left], state.rdm_pair(left).entries)
+        assert TensorChain.product_state([1]).rdm_pairs().shape == (0, 4, 4)
+
+    def test_batched_reads_name_a_corrupted_block(self):
+        # B of site 3 scaled by 1.1: every block that reads it has trace 1.21
+        state = scaled_chain(random_circuit(5, seed=47), 3, 1.1)
+        with pytest.raises(ValueError, match="block of site 3: .*trace deviation 2.100e-01"):
+            state.rdm_sites()
+        with pytest.raises(ValueError, match="block of bond 2: .*trace deviation 2.100e-01"):
+            state.rdm_pairs()
+        broken = random_circuit(5, seed=47)
+        broken.gammas[4] = np.full_like(broken.gammas[4], np.nan)
+        with pytest.raises(ValueError, match="density block of bond 3 has a non-finite entry"):
+            broken.rdm_pairs()
+        with pytest.raises(ValueError, match="density block of site 4 has a non-finite entry"):
+            broken.rdm_sites()
+
     def test_ends_vacuum(self):
         state = TensorChain.product_state([0, 0, 0, 0])
         expected = np.zeros((4, 4))
@@ -601,13 +639,32 @@ class TestUnnormalisedChain:
         assert abs(scaled.parity_expectation()) == pytest.approx(1.1**2, abs=1e-12)
 
 
-def payload_with(site0_entry=None, **fields) -> str:
-    """JSON of the product state |01> with one tensor entry or whole fields replaced."""
+def encoded(values) -> str:
+    """Base64 of the little-endian float64 bytes of ``values``, as ``to_json`` writes an array."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def payload_with(site0=None, **fields) -> str:
+    """JSON of the product state |01> with site tensor 0 (encoded) or whole fields replaced."""
     payload = json.loads(TensorChain.product_state([0, 1]).to_json())
-    if site0_entry is not None:
-        payload["tensors"][0][0][0][0] = site0_entry
+    if site0 is not None:
+        payload["tensors"][0] = encoded(site0)
     payload.update(fields)
     return json.dumps(payload)
+
+
+#: The nested-list payload of |01> written before the binary format.
+NESTED_LIST_PAYLOAD = json.dumps(
+    {
+        "n_sites": 2,
+        "tensors": [[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]],
+        "lambdas": [[1.0]],
+        "degenerate": False,
+    }
+)
+
+#: Observables points (mu, w) at |D| = 1, N = 32: topological, trivial, critical.
+OBSERVABLES_POINTS = [(1.0, 1.0), (3.0, 1.0), (2.0, 1.0)]
 
 
 class TestSerialization:
@@ -621,6 +678,16 @@ class TestSerialization:
         for a, b in zip(loaded.lambdas, state.lambdas):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
+    @pytest.mark.parametrize("mu,w", OBSERVABLES_POINTS, ids=["topo", "trivial", "critical"])
+    def test_round_trip_is_bit_exact(self, mu, w):
+        state, _, _ = prepare_eigenstate(KitaevParams(32, w, mu, 1.0))
+        loaded = TensorChain.from_json(state.to_json())
+        assert loaded.degenerate == state.degenerate
+        assert loaded.even_counts == state.even_counts
+        assert len(loaded.gammas) == len(state.gammas)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.gammas, state.gammas))
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.lambdas, state.lambdas))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -632,16 +699,32 @@ class TestSerialization:
             '{"lambdas": []}',
             '{"tensors": []}',
             TensorChain.product_state([0, 1]).to_json().replace('"tensors"', '"gammas"'),
+            NESTED_LIST_PAYLOAD,
             payload_with(tensors=5),
-            payload_with(tensors=[[[[[1.0]]], [[[0.0]]]]], lambdas=[]),
-            payload_with(tensors=[[[[[1.0, 0.0, 0.0]]], [[[0.0, 0.0, 0.0]]]]], lambdas=[]),
-            payload_with(tensors=[[[1.0], [0.0]]], lambdas=[]),
-            payload_with(site0_entry=[1.0, 0.0]),
-            payload_with(site0_entry="a"),
-            payload_with(site0_entry={}),
-            payload_with(site0_entry=float("nan")),
-            payload_with(lambdas=[[float("nan")]]),
+            payload_with(lambdas=encoded([1.0])),
+            payload_with(site0=[1.0, 0.0, 0.0]),
+            payload_with(site0=[1.0]),
+            payload_with(tensors=[base64.b64encode(bytes(15)).decode(), encoded([0.0, 1.0])]),
+            payload_with(lambdas=[base64.b64encode(bytes(12)).decode()]),
+            payload_with(tensors=["not base64!", encoded([0.0, 1.0])]),
+            payload_with(lambdas=["AAAAAAAA8D"]),
+            payload_with(tensors=[{}, encoded([0.0, 1.0])]),
+            payload_with(lambdas=[1.0]),
+            payload_with(site0=[float("nan"), 0.0]),
+            payload_with(lambdas=[encoded([float("nan")])]),
+            payload_with(lambdas=[encoded([])]),
+            payload_with(n_sites=0, tensors=[], lambdas=[]),
             payload_with(tensors=[], lambdas=[]),
+            payload_with(lambdas=[]),
+            payload_with(lambdas=[encoded([1.0]), encoded([1.0])]),
+            payload_with(n_sites=7),
+            payload_with(n_sites=2.0),
+            payload_with(n_sites=None),
+            payload_with(degenerate="no"),
+            payload_with(degenerate=1),
+            json.dumps(
+                {k: v for k, v in json.loads(payload_with()).items() if k != "degenerate"}
+            ),
         ],
         ids=[
             "empty-object",
@@ -652,38 +735,76 @@ class TestSerialization:
             "no-tensors",
             "no-lambdas",
             "gamma-format",
+            "nested-list-format",
             "tensors-not-a-list",
-            "extra-axis",
-            "extra-axis-of-three",
-            "missing-axis",
-            "ragged-tensor",
-            "entry-a-string",
-            "entry-an-object",
+            "lambdas-not-a-list",
+            "byte-count-above-shape",
+            "byte-count-below-shape",
+            "partial-float-tensor",
+            "partial-float-lambda",
+            "bad-base64-tensor",
+            "bad-base64-lambda",
+            "tensor-an-object",
+            "lambda-a-number",
             "nan-entry",
             "nan-lambda",
+            "empty-lambda",
             "no-sites",
+            "no-tensors-for-the-sites",
+            "tensors-exceed-bonds",
+            "bonds-exceed-tensors",
+            "n-sites-mismatch",
+            "n-sites-a-float",
+            "n-sites-null",
+            "degenerate-a-string",
+            "degenerate-a-number",
+            "no-degenerate",
         ],
     )
     def test_from_json_rejects_malformed_payloads(self, text):
         with pytest.raises(ValueError):
             TensorChain.from_json(text)
 
+    def test_errors_name_the_fault(self):
+        with pytest.raises(ValueError, match="site tensor 0 is not base64 .*Only base64 data"):
+            TensorChain.from_json(payload_with(tensors=["not base64!", encoded([0.0, 1.0])]))
+        with pytest.raises(ValueError, match=r"site tensor 0 .* shape \(2, 1, 1\): .*size 3"):
+            TensorChain.from_json(payload_with(site0=[1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="bond vector 0 .*multiple of element size"):
+            TensorChain.from_json(payload_with(lambdas=[base64.b64encode(bytes(12)).decode()]))
+        with pytest.raises(ValueError, match="2 tensors do not fit 0 bonds"):
+            TensorChain.from_json(payload_with(lambdas=[]))
+        with pytest.raises(ValueError, match="n_sites is 7 but there are 2 tensors"):
+            TensorChain.from_json(payload_with(n_sites=7))
+        with pytest.raises(ValueError, match="degenerate must be true or false, got 'no'"):
+            TensorChain.from_json(payload_with(degenerate="no"))
+        with pytest.raises(ValueError, match="bond vector 0 must be base64 text, got list"):
+            TensorChain.from_json(NESTED_LIST_PAYLOAD)
+
     def test_payload_shape_and_determinism(self):
         state = random_circuit(3, seed=43)
         text = state.to_json()
         assert text == state.to_json()
         payload = json.loads(text)
+        assert sorted(payload) == ["degenerate", "lambdas", "n_sites", "tensors"]
         assert payload["n_sites"] == 3
+        assert payload["degenerate"] is False
         assert len(payload["tensors"]) == 3
         assert len(payload["lambdas"]) == 2
-        for b, raw in zip(state.gammas, payload["tensors"]):
-            assert np.shape(raw) == b.shape
+        pairs = [*zip(state.gammas, payload["tensors"]), *zip(state.lambdas, payload["lambdas"])]
+        for array, raw in pairs:
+            data = base64.b64decode(raw, validate=True)
+            assert len(data) == 8 * array.size
+            np.testing.assert_array_equal(
+                np.frombuffer(data, dtype="<f8").reshape(array.shape), array
+            )
 
-    def test_rejects_the_re_im_pair_format(self):
+    def test_rejects_the_nested_list_format(self):
         state = random_circuit(3, seed=43)
         payload = json.loads(state.to_json())
-        payload["tensors"] = [np.stack([b, 0.0 * b], axis=-1).tolist() for b in state.gammas]
-        with pytest.raises(ValueError, match="shape"):
+        payload["tensors"] = [b.tolist() for b in state.gammas]
+        payload["lambdas"] = [lam.tolist() for lam in state.lambdas]
+        with pytest.raises(ValueError, match="base64"):
             TensorChain.from_json(json.dumps(payload))
 
 
