@@ -24,7 +24,7 @@ import numpy as np
 
 from .folding import prepare_eigenstate
 from .quadratic import KitaevParams
-from .tensor import MAX_BOND_DIMENSION, TRUNCATION_THRESHOLD, TensorChain
+from .tensor import TRUNCATION_THRESHOLD, TensorChain
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -142,7 +142,6 @@ def z_saturated(
     tol: float = DEFAULT_SATURATION_TOL,
     *,
     threshold: float = TRUNCATION_THRESHOLD,
-    max_bond: int = MAX_BOND_DIMENSION,
 ) -> ZResult:
     """Saturate the ground-state Z in the chain length.
 
@@ -160,7 +159,11 @@ def z_saturated(
         raise ValueError("Z saturation is defined for open chains")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    schedule = tuple(int(n) for n in (DEFAULT_SCHEDULE if schedule is None else schedule))
+    schedule = tuple(DEFAULT_SCHEDULE if schedule is None else schedule)
+    # checked before the cast, which would truncate 16.9 to 16
+    if not all(float(n).is_integer() for n in schedule):
+        raise ValueError(f"schedule entries must be whole chain lengths, got {schedule}")
+    schedule = tuple(int(n) for n in schedule)
     if not schedule or schedule[0] < 3:
         raise ValueError("schedule must contain chain lengths of at least 3 sites")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -172,7 +175,7 @@ def z_saturated(
     previous: float | None = None
     for n in schedule:
         point = dataclasses.replace(params, n_sites=n)
-        state, _, plan = prepare_eigenstate(point, threshold=threshold, max_bond=max_bond)
+        state, _, plan = prepare_eigenstate(point, threshold=threshold)
         sector = parity([0] * n, plan.particle_hole)
         value = z_value(state, sector)
         history.append((n, value))

@@ -2,18 +2,18 @@
 
 The canonical decomposition yields an orthogonal matrix W whose rows express
 the diagonal Majorana modes in the bare ones.  Every Kitaev-chain coupling
-joins an even Majorana to an odd one, so W is chiral: row 2k (the even half
-of mode k) acts on the even Majoranas only and row 2k+1 on the odd ones, and
-W is two orthogonal N x N blocks, E[k, j] = W[2k, 2j] and
-F[k, j] = W[2k+1, 2j+1].  Its eigenstate is a real Gaussian state.
+joins an even Majorana to an odd one, so W is chiral: the even half of mode k
+acts on the even Majoranas only and the odd half on the odd ones.
+``MajoranaSchur`` holds W as these two orthogonal N x N blocks, E (``even``)
+and F (``odd``).  Its eigenstate is a real Gaussian state.
 
 An eigenstate fixes W only up to a unitary mixing of its modes: it is the
-Gaussian state annihilated by a_k = W[2k] + i s_k W[2k+1] (s_k = -1 on
-occupied modes, +1 otherwise), and any a -> O a with O in U(N) leaves their
-span, hence the state, unchanged.  ``reduce_modes`` picks the real O that
-makes mode k vanish beyond Majorana N+k (a QR factorization of the real
-N x 2N matrix of the a_k with the Majorana order reversed); the result is
-chiral again.
+Gaussian state annihilated by a_k = E[k] gamma_even + i s_k F[k] gamma_odd
+(s_k = -1 on occupied modes, +1 otherwise), and any a -> O a with O in U(N)
+leaves their span, hence the state, unchanged.  ``reduce_modes`` picks the
+real O that makes mode k vanish beyond Majorana N+k (a QR factorization of
+the real N x 2N matrix of the a_k with the Majorana order reversed) and
+returns the two reduced blocks.
 
 Folding eliminates the entries of E and F in lockstep with plane rotations
 of adjacent columns: for row k (top to bottom) and column j (last down to
@@ -72,9 +72,6 @@ __all__ = [
     "reconstruct_eigenstate",
     "prepare_eigenstate",
 ]
-
-#: Residual above which the input matrix is rejected as non-orthogonal.
-_ORTHOGONALITY_TOL = 1e-10
 
 #: Residual above which the folded matrix is reported as a numerical failure.
 _REPLAY_TOL = 1e-9
@@ -169,40 +166,35 @@ def _rotate_columns(block: np.ndarray, column: int, angle: float) -> None:
     block[:, column] = -s * low_col + c * high_col
 
 
-def reduce_modes(w_matrix: np.ndarray, occupation: Sequence[int]) -> np.ndarray:
-    """Recombine the modes of a chiral orthogonal W, keeping its eigenstate.
+def reduce_modes(
+    even: np.ndarray, odd: np.ndarray, occupation: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recombine the modes of the chiral blocks of W, keeping its eigenstate.
 
-    Builds the real N x 2N matrix M of the modes a_k, M[k, 2j] = W[2k, 2j] and
-    M[k, 2j+1] = s_k W[2k+1, 2j+1] (s_k = -1 on occupied modes, +1
+    Builds the real N x 2N matrix M of the modes a_k, M[k, 2j] = even[k, j]
+    and M[k, 2j+1] = s_k odd[k, j] (s_k = -1 on occupied modes, +1
     otherwise), takes the QR factorization of ``M[:, ::-1]`` and flips R back,
     so that mode k has no weight beyond Majorana N+k; each row's sign makes
-    that last entry non-negative.  Returns the chiral matrix with even block
-    R[:, 0::2] and odd block s R[:, 1::2], which is orthogonal again.  The
-    recombination is real and orthogonal on the modes, so it keeps the span
-    of the annihilators a_k: the occupation, the particle-hole flag of the
-    fold and the parity keep their meaning, and the same eigenstate is built
-    from about N^2/4 steps.
+    that last entry non-negative.  Returns the even block R[:, 0::2] and the
+    odd block s R[:, 1::2], both orthogonal again.  The recombination is real
+    and orthogonal on the modes, so it keeps the span of the annihilators
+    a_k: the occupation, the particle-hole flag of the fold and the parity
+    keep their meaning, and the same eigenstate is built from about N^2/4
+    steps.
 
     Raises
     ------
     ValueError
-        If W couples an even row to an odd Majorana or an odd row to an even
-        one, or the occupation is invalid.
+        If the occupation is invalid.
     """
-    w = np.asarray(w_matrix, dtype=float)
-    n_sites = w.shape[0] // 2
-    if w[0::2, 1::2].any() or w[1::2, 0::2].any():
-        raise ValueError("folding requires a chiral matrix: even rows on even Majoranas only")
+    n_sites = len(even)
     signs = 1 - 2 * as_occupation(occupation, n_sites)
     modes = np.empty((n_sites, 2 * n_sites))
-    modes[:, 0::2] = w[0::2, 0::2]
-    modes[:, 1::2] = signs[:, None] * w[1::2, 1::2]
+    modes[:, 0::2] = even
+    modes[:, 1::2] = signs[:, None] * odd
     r = np.linalg.qr(modes[:, ::-1], mode="r")[::-1, ::-1]
     r[r[np.arange(n_sites), n_sites + np.arange(n_sites)] < 0.0] *= -1.0
-    reduced = np.zeros_like(w)
-    reduced[0::2, 0::2] = r[:, 0::2]
-    reduced[1::2, 1::2] = signs[:, None] * r[:, 1::2]
-    return reduced
+    return r[:, 0::2], signs[:, None] * r[:, 1::2]
 
 
 def _splits_a_level(schur: MajoranaSchur, occupation: np.ndarray) -> bool:
@@ -214,28 +206,21 @@ def _splits_a_level(schur: MajoranaSchur, occupation: np.ndarray) -> bool:
 def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> FoldingPlan:
     """Fold the Schur factor reduced for ``occupation`` into a gate plan.
 
-    Folds the even and odd blocks of ``reduce_modes(schur.w_matrix,
-    occupation)`` in lockstep and records the occupation and the steps whose
-    angles are not both the identity to double precision: the plan builds
-    that eigenstate.
+    Folds the blocks ``reduce_modes(schur.even, schur.odd, occupation)`` in
+    lockstep and records the occupation and the steps whose angles are not
+    both the identity to double precision: the plan builds that eigenstate.
 
     Raises
     ------
     ValueError
-        If the input matrix is not orthogonal or not chiral, or the occupation
-        is invalid.
+        If the occupation is invalid.
     RuntimeError
         If the folded matrix misses its target beyond tolerance (numerical
         failure is surfaced, never ignored).
     """
-    w = np.array(schur.w_matrix, dtype=float)
-    dim = w.shape[0]
-    if np.abs(w @ w.T - np.eye(dim)).max(initial=0.0) > _ORTHOGONALITY_TOL:
-        raise ValueError("folding requires an orthogonal matrix")
-    occupation = as_occupation(occupation, dim // 2)
-    w = reduce_modes(w, occupation)
-    even, odd = w[0::2, 0::2], w[1::2, 1::2]
-    n_sites = dim // 2
+    n_sites = schur.n_sites
+    occupation = as_occupation(occupation, n_sites)
+    even, odd = reduce_modes(schur.even, schur.odd, occupation)
 
     rotations: list[Rotation] = []
     for row in range(n_sites - 1):

@@ -19,7 +19,8 @@ chain, and combines single-body energies into many-body eigenenergies.
 Every term of the chain couples an even Majorana to an odd one, so in
 (even, odd) order A = [[0, B], [-B^T, 0]] is chiral, and the singular value
 decomposition B = U diag(eps) V^T of its N x N even-odd block is its Schur
-form (``schur_decompose``).  No general Schur routine is needed.
+form (``schur_decompose``); its transform is held as the two N x N blocks
+U^T and V^T.  No general Schur routine is needed.
 
 Indices in this module are 0-based: Majorana mode k (0 <= k < 2N) belongs to
 site k // 2.
@@ -45,13 +46,15 @@ __all__ = [
     "as_occupation",
     "build_coupling_matrix",
     "schur_decompose",
-    "block_diagonal_form",
     "analytic_periodic_energies",
     "eigenenergy",
 ]
 
 #: Relative scale of the zero-mode threshold used for degeneracy *flags*.
 ZERO_MODE_RTOL = 1e-12
+
+#: Residual |O O^T - 1| above which a block is rejected as non-orthogonal.
+_ORTHOGONALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,7 @@ class KitaevParams:
             raise ValueError("pairing_magnitude must be non-negative")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
+        object.__setattr__(self, "n_sites", int(self.n_sites))
 
 
 @dataclass(frozen=True)
@@ -119,37 +123,51 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class MajoranaSchur:
-    """Canonical block decomposition W A W^T = blockdiag([[0, eps], [-eps, 0]]).
+    """Canonical decomposition W A W^T = blockdiag([[0, eps], [-eps, 0]]).
+
+    W is chiral and is held as its two blocks: W[2k, 2j] = even[k, j],
+    W[2k+1, 2j+1] = odd[k, j], every other entry zero.  The constructor
+    raises ``ValueError`` unless both blocks are N x N and orthogonal
+    (max |O O^T - 1| <= 1e-10) and the N energies are finite.
 
     Attributes
     ----------
-    w_matrix : np.ndarray
-        Real orthogonal 2N x 2N matrix; row 2k (resp. 2k+1) holds the
-        coefficients of the diagonal Majorana mode paired with energy
-        ``epsilons[k]``.
+    even, odd : np.ndarray
+        Real orthogonal N x N blocks; row k of ``even`` (``odd``) holds the
+        coefficients of mode k's even (odd) half on the even (odd) Majoranas.
     epsilons : np.ndarray
-        N non-negative single-body energies in non-increasing order (zero
-        modes last).
+        N single-body energies; ``schur_decompose`` gives them non-negative
+        in non-increasing order (zero modes last).
     zero_tol : float
         Absolute threshold below which an epsilon is *flagged* (never
         altered) as a zero mode.
     """
 
-    w_matrix: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     epsilons: np.ndarray
     zero_tol: float
 
     def __post_init__(self) -> None:
-        w = np.array(self.w_matrix, dtype=float)
         eps = np.array(self.epsilons, dtype=float)
-        w.setflags(write=False)
+        n_sites = eps.size
+        if eps.ndim != 1 or not np.isfinite(eps).all():
+            raise ValueError("epsilons must be a vector of finite energies")
+        for name in ("even", "odd"):
+            block = np.array(getattr(self, name), dtype=float)
+            if block.shape != (n_sites, n_sites):
+                raise ValueError(f"{name} block must be {n_sites} x {n_sites}, got {block.shape}")
+            residual = np.abs(block @ block.T - np.eye(n_sites)).max(initial=0.0)
+            if not residual <= _ORTHOGONALITY_TOL:
+                raise ValueError(f"{name} block must be orthogonal (residual {residual:.3e})")
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
         eps.setflags(write=False)
-        object.__setattr__(self, "w_matrix", w)
         object.__setattr__(self, "epsilons", eps)
 
     @property
     def n_sites(self) -> int:
-        return self.w_matrix.shape[0] // 2
+        return self.epsilons.size
 
     @property
     def n_zero_modes(self) -> int:
@@ -158,10 +176,6 @@ class MajoranaSchur:
     @property
     def is_degenerate(self) -> bool:
         return self.n_zero_modes > 0
-
-    def block_diagonal(self) -> np.ndarray:
-        """The canonical block-diagonal form this decomposition attains."""
-        return block_diagonal_form(self.epsilons)
 
 
 def as_occupation(bits: Sequence[int], n_sites: int) -> np.ndarray:
@@ -219,32 +233,20 @@ def build_coupling_matrix(params: KitaevParams) -> CouplingMatrix:
     return CouplingMatrix(a)
 
 
-def block_diagonal_form(epsilons: Sequence[float]) -> np.ndarray:
-    """Assemble blockdiag([[0, eps_k], [-eps_k, 0]]) from single-body energies."""
-    eps = np.asarray(epsilons, dtype=float)
-    dim = 2 * eps.size
-    out = np.zeros((dim, dim))
-    for k, e in enumerate(eps):
-        out[2 * k, 2 * k + 1] = e
-        out[2 * k + 1, 2 * k] = -e
-    return out
-
-
 def schur_decompose(a: CouplingMatrix | np.ndarray) -> MajoranaSchur:
     """Reduce a chiral antisymmetric matrix to canonical 2x2 blocks.
 
-    Returns W orthogonal and non-negative single-body energies eps such that
-    ``W @ A @ W.T`` is block diagonal with blocks [[0, eps_k], [-eps_k, 0]],
-    eps sorted non-increasingly (zero modes last).
+    Returns the two blocks of an orthogonal W and non-negative single-body
+    energies eps such that ``W @ A @ W.T`` is block diagonal with blocks
+    [[0, eps_k], [-eps_k, 0]], eps sorted non-increasingly (zero modes last).
 
     A must couple even Majoranas to odd ones only, as every Kitaev chain
     does.  In (even, odd) order it is then [[0, B], [-B^T, 0]] with
     ``B = A[0::2, 1::2]``, and one SVD ``B = U diag(eps) V^T`` is its Schur
-    form: row 2k of W is ``U[:, k]`` on the even Majoranas and row 2k+1 is
-    ``V[:, k]`` on the odd ones, so every block carries +eps_k on its
-    superdiagonal.  eps and the order of tied values are those LAPACK's SVD
-    returns; zero modes pair ``U[:, k]`` with ``V[:, k]`` as returned.  The
-    output is deterministic for a fixed input.
+    form: ``even = U^T`` and ``odd = V^T``, so every block carries +eps_k on
+    its superdiagonal.  eps and the order of tied values are those LAPACK's
+    SVD returns; zero modes pair ``U[:, k]`` with ``V[:, k]`` as returned.
+    The output is deterministic for a fixed input.
 
     Raises
     ------
@@ -252,8 +254,9 @@ def schur_decompose(a: CouplingMatrix | np.ndarray) -> MajoranaSchur:
         If the input is not antisymmetric, or couples two even or two odd
         Majoranas.
     RuntimeError
-        If the reduction does not reach the canonical form within tolerance
-        (numerical failure is never silently ignored).
+        If max |U^T B V - diag(eps)| exceeds 1e-9 times max(1, max |A|), or
+        a block is not orthogonal (numerical failure is never silently
+        ignored).
     """
     m = a.entries if isinstance(a, CouplingMatrix) else np.asarray(a, dtype=float)
     dim = m.shape[0]
@@ -265,23 +268,17 @@ def schur_decompose(a: CouplingMatrix | np.ndarray) -> MajoranaSchur:
     if m[0::2, 0::2].any() or m[1::2, 1::2].any():
         raise ValueError("matrix must couple even Majoranas to odd ones only")
 
-    u, eps, vt = _svd(m[0::2, 1::2])
-    w = np.zeros((dim, dim))
-    w[0::2, 0::2] = u.T
-    w[1::2, 1::2] = vt
-
+    b = m[0::2, 1::2]
+    u, eps, vt = _svd(b)
+    residual = np.abs(u.T @ b @ vt.T - np.diag(eps)).max(initial=0.0)
+    if residual > 1e-9 * scale:
+        raise RuntimeError(f"Schur reduction failed: block residual {residual:.3e}")
     # the largest singular value of B is the spectral norm of A
     zero_tol = ZERO_MODE_RTOL * max(1.0, eps[0] if eps.size else 0.0)
-    result = MajoranaSchur(w_matrix=w, epsilons=eps, zero_tol=zero_tol)
-
-    ortho = np.abs(w @ w.T - np.eye(dim)).max(initial=0.0)
-    block_res = np.abs(w @ m @ w.T - result.block_diagonal()).max(initial=0.0)
-    if ortho > 1e-10 or block_res > 1e-9 * scale:
-        raise RuntimeError(
-            f"Schur reduction failed: orthogonality residual {ortho:.3e}, "
-            f"block residual {block_res:.3e}"
-        )
-    return result
+    try:
+        return MajoranaSchur(even=u.T, odd=vt, epsilons=eps, zero_tol=zero_tol)
+    except ValueError as err:
+        raise RuntimeError(f"Schur reduction failed: {err}") from err
 
 
 def analytic_periodic_energies(params: KitaevParams) -> np.ndarray:

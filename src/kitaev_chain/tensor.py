@@ -413,10 +413,9 @@ class TensorChain:
         threshold and leaves those barely determined.  The open-chain
         ground states at mu = 1, 3, 2 (w = |D| = 1, N = 16, 32, 40) read up
         to 0.070 (``left``) and 0.174 (``right``), each time on a vector
-        with lambda below 5e-12, as they did when Gamma was stored and the
-        update divided by outer Schmidt values.  Restricted to
-        lambda > 1e-6, ``right`` stays below 1e-12 and ``left`` below 5e-10,
-        rounding that the division by lambda_R grows.  A damaged state does
+        with lambda below 5e-12.  Restricted to lambda > 1e-6, ``right``
+        stays below 1e-12 and ``left`` below 5e-10, rounding that the
+        division by lambda_R grows.  A damaged state does
         show: one B scaled by 1.1 reads 1.1^2 - 1 = 0.21 on both sides.
         """
         left = right = 0.0

@@ -309,6 +309,14 @@ class TestZSaturated:
         with pytest.raises(ValueError):
             z_saturated(dataclasses.replace(params, boundary="periodic"))
 
+    def test_rejects_fractional_schedule_instead_of_truncating_it(self):
+        params = KitaevParams(8, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="whole chain lengths"):
+            z_saturated(params, schedule=[8.5, 16.9, 24.2])
+        result = z_saturated(params, schedule=[8, 16.0], tol=10.0)
+        assert [n for n, _ in result.history] == [8, 16]
+        assert type(result.n_used) is int
+
     def test_sign_symmetries(self):
         base = z_saturated(KitaevParams(8, 1.0, 1.5, 1.0))
         flipped_mu = z_saturated(KitaevParams(8, 1.0, -1.5, 1.0))

@@ -3,8 +3,8 @@
 Small matrices with hand-checkable folds pin the angle/sign conventions; the
 dense oracle provides eigenvector overlaps for reconstructed states, the
 plan-free covariance route checks chains beyond its reach, and hypothesis
-drives the fold/replay round trip over random chiral orthogonal matrices and
-the built states over random chains.
+drives the fold/replay round trip over random orthogonal blocks and the built
+states over random chains.
 """
 
 import dataclasses
@@ -38,12 +38,8 @@ from kitaev_chain import (
 from kitaev_chain import oracle
 
 
-def manual_schur(w_matrix: np.ndarray, epsilons) -> MajoranaSchur:
-    return MajoranaSchur(
-        w_matrix=np.asarray(w_matrix, dtype=float),
-        epsilons=np.asarray(epsilons, dtype=float),
-        zero_tol=1e-12,
-    )
+def manual_schur(even: np.ndarray, odd: np.ndarray, epsilons) -> MajoranaSchur:
+    return MajoranaSchur(even=even, odd=odd, epsilons=epsilons, zero_tol=1e-12)
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,11 +56,6 @@ def chiral(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return w
 
 
-def random_chiral(n_sites: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return chiral(random_orthogonal(n_sites, rng), random_orthogonal(n_sites, rng))
-
-
 def dense_vector(state) -> np.ndarray:
     return state.fock_coefficients().reshape(-1)
 
@@ -77,13 +68,12 @@ def givens(n_sites: int, column: int, angle: float) -> np.ndarray:
     return result
 
 
-def replayed(matrix: np.ndarray, plan: FoldingPlan) -> np.ndarray:
-    """The chiral ``matrix`` with each block times its rotations as explicit Givens matrices."""
-    even, odd = matrix[0::2, 0::2], matrix[1::2, 1::2]
+def replayed(even: np.ndarray, odd: np.ndarray, plan: FoldingPlan) -> tuple[np.ndarray, ...]:
+    """Each block times its rotations as explicit Givens matrices."""
     for rotation in plan.rotations:
         even = even @ givens(plan.n_sites, rotation.column, rotation.even_angle)
         odd = odd @ givens(plan.n_sites, rotation.column, rotation.odd_angle)
-    return chiral(even, odd)
+    return even, odd
 
 
 def is_identity_step(rotation: Rotation) -> bool:
@@ -115,10 +105,10 @@ class TestComputeFoldingPlan:
     def test_identity_builds_the_reference_state(self):
         # The identity is chiral and already reduced; QR keeps each mode up to a sign
         # (its entry at Majorana N + k is zero, so no sign is preferred).
-        reduced = reduce_modes(np.eye(4), [0, 0])
-        np.testing.assert_array_equal(np.abs(reduced), np.eye(4))
-        assert reduced[0, 0] == reduced[1, 1] and reduced[2, 2] == reduced[3, 3]
-        plan = compute_folding_plan(manual_schur(np.eye(4), [2.0, 1.0]), [0, 0])
+        even, odd = reduce_modes(np.eye(2), np.eye(2), [0, 0])
+        np.testing.assert_array_equal(np.abs(even), np.eye(2))
+        np.testing.assert_array_equal(even, odd)
+        plan = compute_folding_plan(manual_schur(np.eye(2), np.eye(2), [2.0, 1.0]), [0, 0])
         assert plan.n_sites == 2
         assert plan.occupation == (0, 0)
         for rotation in plan.rotations:
@@ -131,38 +121,27 @@ class TestComputeFoldingPlan:
     def test_two_site_even_rotation_is_one_step(self):
         angle = np.pi / 3
         even = givens(2, 1, angle).T
-        w = chiral(even, np.eye(2))
-        np.testing.assert_allclose(reduce_modes(w, [0, 0]), w, atol=1e-15)
-        plan = compute_folding_plan(manual_schur(w, [0.7, 0.2]), [0, 0])
+        np.testing.assert_allclose(reduce_modes(even, np.eye(2), [0, 0]), (even, np.eye(2)),
+                                   atol=1e-15)
+        plan = compute_folding_plan(manual_schur(even, np.eye(2), [0.7, 0.2]), [0, 0])
         assert len(plan.rotations) == 1
         (row, column, even_angle, odd_angle), = plan.rotations
         assert (row, column, odd_angle) == (0, 1, 0.0)
         assert even_angle == pytest.approx(angle, abs=1e-15)
         assert plan.particle_hole is False
-        np.testing.assert_allclose(replayed(w, plan), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(replayed(even, np.eye(2), plan), (np.eye(2),) * 2, atol=1e-15)
 
     def test_two_by_two_reflection_sets_particle_hole(self):
-        w = np.diag([1.0, -1.0])
+        even, odd = np.eye(1), -np.eye(1)
         # The mode's last entry (Majorana 1) is made non-negative: the row flips sign.
-        np.testing.assert_array_equal(reduce_modes(w, [0]), -w)
-        plan = compute_folding_plan(manual_schur(w, [0.7]), [0])
+        np.testing.assert_array_equal(reduce_modes(even, odd, [0]), (-even, -odd))
+        plan = compute_folding_plan(manual_schur(even, odd, [0.7]), [0])
         assert plan.rotations == ()
         assert plan.particle_hole is True
-        np.testing.assert_array_equal(replayed(-w, plan), np.diag([-1.0, 1.0]))
-
-    def test_rejects_non_chiral(self):
-        w = np.array([[0.0, 1.0], [-1.0, 0.0]])  # an even row on an odd Majorana
-        with pytest.raises(ValueError, match="chiral"):
-            compute_folding_plan(manual_schur(w, [0.7]), [0])
-        with pytest.raises(ValueError, match="chiral"):
-            reduce_modes(w, [0])
-
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            compute_folding_plan(manual_schur(1.1 * np.eye(4), [1.0, 0.5]), [0, 0])
+        np.testing.assert_array_equal(replayed(-even, -odd, plan), (-even, -odd))
 
     def test_plan_is_immutable(self):
-        plan = compute_folding_plan(manual_schur(np.eye(2), [1.0]), [0])
+        plan = compute_folding_plan(manual_schur(np.eye(1), np.eye(1), [1.0]), [0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.particle_hole = True
 
@@ -174,24 +153,25 @@ class TestComputeFoldingPlan:
         bits=st.integers(min_value=0, max_value=31),
     )
     def test_fold_replay_round_trip(self, n_sites, seed, reflect, bits):
-        w = random_chiral(n_sites, seed)
+        rng = np.random.default_rng(seed)
+        even, odd = random_orthogonal(n_sites, rng), random_orthogonal(n_sites, rng)
         if reflect:
-            w[0, :] = -w[0, :]
+            even[0, :] = -even[0, :]
         occupation = [(bits >> k) & 1 for k in range(n_sites)]
-        plan = compute_folding_plan(manual_schur(w, np.linspace(2.0, 1.0, n_sites)), occupation)
+        schur = manual_schur(even, odd, np.linspace(2.0, 1.0, n_sites))
+        plan = compute_folding_plan(schur, occupation)
         for rot in plan.rotations:
             assert -np.pi < rot.even_angle <= np.pi and -np.pi < rot.odd_angle <= np.pi
             assert not is_identity_step(rot)
-        folded = replayed(reduce_modes(w, occupation), plan)
-        even_sign, odd_sign = np.sign(folded[-2, -2]), np.sign(folded[-1, -1])
-        np.testing.assert_allclose(
-            folded, np.diag([1.0] * (2 * n_sites - 2) + [even_sign, odd_sign]), atol=1e-9
-        )
-        assert plan.particle_hole == (even_sign != odd_sign)
+        folded = replayed(*reduce_modes(even, odd, occupation), plan)
+        signs = [np.sign(block[-1, -1]) for block in folded]
+        for block, sign in zip(folded, signs):
+            np.testing.assert_allclose(block, np.diag([1.0] * (n_sites - 1) + [sign]), atol=1e-9)
+        assert plan.particle_hole == (signs[0] != signs[1])
         assert plan.replay_residual < 1e-9
         # The terminal sign is the determinant the row rotations cannot absorb;
         # the mode recombination is unitary, so it keeps the determinant.
-        assert plan.particle_hole == (np.linalg.det(w) < 0.0)
+        assert plan.particle_hole == (np.linalg.det(even) * np.linalg.det(odd) < 0.0)
 
 
 def complex_structure(occupation) -> np.ndarray:
@@ -251,13 +231,12 @@ class TestReduceModes:
         self, n_sites, hopping, mu, pairing, boundary
     ):
         params = KitaevParams(n_sites, hopping, mu, pairing, boundary=boundary)
-        w = schur_decompose(build_coupling_matrix(params)).w_matrix
+        schur = schur_decompose(build_coupling_matrix(params))
         occupation = list(np.random.default_rng(n_sites).integers(0, 2, n_sites))
-        reduced = reduce_modes(w, occupation)
+        reduced = chiral(*reduce_modes(schur.even, schur.odd, occupation))
         dim = 2 * n_sites
         np.testing.assert_allclose(reduced @ reduced.T, np.eye(dim), atol=1e-13)
-        assert not reduced[0::2, 1::2].any() and not reduced[1::2, 0::2].any()
-        mixing = reduced @ w.T
+        mixing = reduced @ chiral(schur.even, schur.odd).T
         j = complex_structure(occupation)
         np.testing.assert_allclose(mixing @ j, j @ mixing, atol=1e-13)
         # Mode k has no weight beyond Majorana N + k.
@@ -443,7 +422,7 @@ class TestReconstruction:
 
     def test_occupation_length_must_match_plan(self):
         with pytest.raises(ValueError, match="length 3"):
-            compute_folding_plan(manual_schur(np.eye(6), [1.0, 0.8, 0.5]), (0, 0))
+            compute_folding_plan(manual_schur(np.eye(3), np.eye(3), [1.0, 0.8, 0.5]), (0, 0))
 
     def test_fractional_occupation_is_rejected_not_truncated(self):
         with pytest.raises(ValueError, match="0 or 1"):

@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 
 from kitaev_chain import (
     KitaevParams,
+    MajoranaSchur,
     analytic_periodic_energies,
     as_occupation,
     build_coupling_matrix,
     eigenenergy,
     schur_decompose,
 )
-from kitaev_chain import oracle
-from kitaev_chain.quadratic import CouplingMatrix, block_diagonal_form
+from kitaev_chain import oracle, prepare_eigenstate, quadratic
+from kitaev_chain.quadratic import CouplingMatrix
 
 
 class TestKitaevParams:
@@ -45,6 +46,16 @@ class TestKitaevParams:
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):
             KitaevParams(4, 1.0, 0.0, 1.0, boundary="twisted")
+
+    def test_integral_float_chain_length_is_stored_as_int(self):
+        params = KitaevParams(8.0, 1.0, 1.0, 1.0)
+        assert params.n_sites == 8 and type(params.n_sites) is int
+        state, _, _ = prepare_eigenstate(params)
+        assert state.n_sites == 8
+
+    def test_rejects_fractional_chain_length(self):
+        with pytest.raises(ValueError, match="n_sites"):
+            KitaevParams(8.5, 1.0, 1.0, 1.0)
 
 
 class TestOccupationValidation:
@@ -131,15 +142,38 @@ def _random_chiral(n_pairs, seed):
     return m - m.T
 
 
+class TestMajoranaSchur:
+    def test_rejects_blocks_that_do_not_match_the_energies(self):
+        with pytest.raises(ValueError, match="3 x 3"):
+            MajoranaSchur(np.eye(4), np.eye(4), np.array([1.0, 0.5, 0.2]), 1e-12)
+        with pytest.raises(ValueError, match="odd block"):
+            MajoranaSchur(np.eye(2), np.eye(3), [1.0, 0.5], 1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_energies(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MajoranaSchur(np.eye(2), np.eye(2), [1.0, bad], 1e-12)
+
+    @pytest.mark.parametrize("bad", [1.1, float("nan")])
+    def test_rejects_non_orthogonal_block(self, bad):
+        with pytest.raises(ValueError, match="even block must be orthogonal"):
+            MajoranaSchur(bad * np.eye(2), np.eye(2), [1.0, 0.5], 1e-12)
+
+    def test_fields_are_read_only(self):
+        res = MajoranaSchur(np.eye(2), np.eye(2), [1.0, 0.5], 1e-12)
+        for array in (res.even, res.odd, res.epsilons):
+            with pytest.raises(ValueError):
+                array[0, ...] = 7.0
+        assert res.n_sites == 2
+
+
 class TestSchurDecompose:
     def test_single_block(self):
-        res = schur_decompose(np.array([[0.0, -2.0], [2.0, 0.0]]))
+        a = np.array([[0.0, -2.0], [2.0, 0.0]])
+        res = schur_decompose(a)
         np.testing.assert_allclose(res.epsilons, [2.0], atol=1e-14)
-        np.testing.assert_allclose(
-            res.w_matrix @ np.array([[0.0, -2.0], [2.0, 0.0]]) @ res.w_matrix.T,
-            [[0.0, 2.0], [-2.0, 0.0]],
-            atol=1e-14,
-        )
+        # W = [[even, 0], [0, odd]] maps A to [[0, eps], [-eps, 0]]
+        np.testing.assert_allclose(res.even @ a[0::2, 1::2] @ res.odd.T, [[2.0]], atol=1e-14)
 
     def test_sweet_spot_zero_mode(self):
         # w = |D|, mu = 0 decouples one Majorana at each end of the open chain.
@@ -170,8 +204,27 @@ class TestSchurDecompose:
         a = build_coupling_matrix(KitaevParams(6, 1.0, 0.4, 0.8))
         r1 = schur_decompose(a)
         r2 = schur_decompose(a)
-        np.testing.assert_array_equal(r1.w_matrix, r2.w_matrix)
+        np.testing.assert_array_equal(r1.even, r2.even)
+        np.testing.assert_array_equal(r1.odd, r2.odd)
         np.testing.assert_array_equal(r1.epsilons, r2.epsilons)
+
+    def test_factor_that_misses_the_canonical_form_is_a_numerical_failure(self, monkeypatch):
+        a = build_coupling_matrix(KitaevParams(3, 1.0, 0.5, 0.8))
+        svd = quadratic._svd
+
+        def inflated(b):
+            u, eps, vt = svd(b)
+            return u, 1.1 * eps, vt
+
+        monkeypatch.setattr(quadratic, "_svd", inflated)
+        with pytest.raises(RuntimeError, match="block residual"):
+            schur_decompose(a)
+
+    def test_non_orthogonal_factor_is_a_numerical_failure(self, monkeypatch):
+        # B = 0 is factored exactly by any U and V; a non-orthogonal U must not pass.
+        monkeypatch.setattr(quadratic, "_svd", lambda b: (2.0 * np.eye(2), np.zeros(2), np.eye(2)))
+        with pytest.raises(RuntimeError, match="even block must be orthogonal"):
+            schur_decompose(np.zeros((4, 4)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
@@ -179,13 +232,12 @@ class TestSchurDecompose:
         a = _random_chiral(n_pairs, seed)
         scale = max(1.0, np.abs(a).max())
         res = schur_decompose(a)
-        dim = 2 * n_pairs
-        # Orthogonality and the canonical block form.
-        np.testing.assert_allclose(res.w_matrix @ res.w_matrix.T, np.eye(dim), atol=1e-10)
+        # Orthogonality and the canonical block form: in (even, odd) order
+        # W A W^T = [[0, E B F^T], [-(E B F^T)^T, 0]] with E B F^T = diag(eps).
+        for block in (res.even, res.odd):
+            np.testing.assert_allclose(block @ block.T, np.eye(n_pairs), atol=1e-10)
         np.testing.assert_allclose(
-            res.w_matrix @ a @ res.w_matrix.T,
-            block_diagonal_form(res.epsilons),
-            atol=1e-9 * scale,
+            res.even @ a[0::2, 1::2] @ res.odd.T, np.diag(res.epsilons), atol=1e-9 * scale
         )
         # Ordering and sign conventions.
         assert (res.epsilons >= 0).all()
