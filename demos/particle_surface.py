@@ -7,7 +7,7 @@ nearly full, and the parity flips from even to odd exactly inside the
 |mu| < 2|w| region.
 """
 
-from kitaev_chain import KitaevParams, mean_particle_number, parity, prepare_eigenstate
+from kitaev_chain import KitaevParams, mean_particle_number, prepare_eigenstate
 
 
 def main() -> None:
@@ -16,11 +16,10 @@ def main() -> None:
         print(f"w = {w}  (topological for |mu| < {2 * abs(w)})")
         for mu in mus:
             params = KitaevParams(10, w, mu, 1.0, boundary="periodic")
-            state, _, plan = prepare_eigenstate(params)
+            state, _, _ = prepare_eigenstate(params)
             filling = mean_particle_number(state)
-            sector = parity([0] * 10, plan.particle_hole)
             inside = "topological" if abs(mu) < 2 * abs(w) else "trivial"
-            print(f"   mu={mu:+5.1f}  <N>={filling:7.4f}  parity={sector:5s}  [{inside}]")
+            print(f"   mu={mu:+5.1f}  <N>={filling:7.4f}  parity={state.parity:5s}  [{inside}]")
         print()
 
 

@@ -14,7 +14,6 @@ from .correlations import (
     DEFAULT_SATURATION_TOL,
     DEFAULT_SCHEDULE,
     ZResult,
-    edge_operator_matrix,
     mean_particle_number,
     parity,
     z_analytic,
@@ -29,7 +28,6 @@ from .folding import (
     prepare_eigenstate,
     reconstruct_eigenstate,
     reduce_modes,
-    reference_state,
 )
 from .quadratic import (
     CouplingMatrix,
@@ -73,7 +71,6 @@ __all__ = [
     "bond_hamiltonian",
     "build_coupling_matrix",
     "compute_folding_plan",
-    "edge_operator_matrix",
     "eigenenergy",
     "energy_expectation",
     "mean_particle_number",
@@ -81,7 +78,6 @@ __all__ = [
     "prepare_eigenstate",
     "reconstruct_eigenstate",
     "reduce_modes",
-    "reference_state",
     "schur_decompose",
     "z_analytic",
     "z_saturated",

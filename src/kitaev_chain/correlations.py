@@ -1,16 +1,14 @@
-"""End-to-end correlations: edge operators, parity, and the Z measure.
+"""End-to-end correlations: the Z measure, its saturation and closed form.
 
 The Z measure is the magnitude of the end-to-end hopping expectation
 < 2 (c_1 c+_N + c_N c+_1) >, evaluated from the end-pair reduced density
 matrix and saturated in the chain length N.  In the reduced (site 1, site N)
-basis |00>, |01>, |10>, |11| the operator acts as a 4x4 matrix whose entries
-carry the parity factor (-1)^P of the state, which absorbs the fermionic
-string through the bulk; Q splits into left- and right-edge parts QL and QR
-built from single Majorana modes of each end.
-
-The 4x4 matrices are frozen constants, derived once by brute-force expansion
-of the edge Majorana products in the two-site reduced basis (the dense oracle
-reproduces them, which is covered by tests).
+basis |00>, |01>, |10>, |11> the operator acts as a 4x4 matrix times the
+parity sign (-1)^P of the state, which absorbs the fermionic string through
+the bulk.  The sign drops out of the magnitude, so ``z_value`` contracts
+with the even-sector matrix alone, a frozen constant (the dense oracle's
+``dense_edge_operator`` is its referee, which is covered by tests).  The
+parity sector of a built state is ``TensorChain.parity``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "DEFAULT_SCHEDULE",
     "DEFAULT_SATURATION_TOL",
     "ZResult",
-    "edge_operator_matrix",
     "parity",
     "z_value",
     "z_saturated",
@@ -44,59 +41,24 @@ DEFAULT_SCHEDULE = tuple(range(8, 97, 8))
 #: Default |Z(N) - Z(N_prev)| below which the sweep stops.
 DEFAULT_SATURATION_TOL = 1e-3
 
-_EDGE_BASES = {
-    # 2 (|01><10| + |10><01|): the end-to-end hopping.
-    "Q": np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 2.0, 0.0],
-            [0.0, 2.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    ),
-    # i gamma_2 gamma_{2N-1} (second mode of site 1, first mode of site N).
-    "QL": np.array(
-        [
-            [0.0, 0.0, 0.0, -1.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0, 0.0],
-        ]
-    ),
-    # i gamma_{2N} gamma_1 (second mode of site N, first mode of site 1).
-    "QR": np.array(
-        [
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-        ]
-    ),
-}
-
-_PARITIES = ("even", "odd")
-
-
-def edge_operator_matrix(kind: str, parity: str) -> np.ndarray:
-    """4x4 matrix of Q, QL, or QR in the (site 1, site N) reduced basis.
-
-    ``parity`` is the parity sector of the state the matrix acts on; the
-    matrices are the even-sector ones times (-1) in the odd sector.
-    """
-    if kind not in _EDGE_BASES:
-        raise ValueError(f"kind must be one of {sorted(_EDGE_BASES)}, got {kind!r}")
-    if parity not in _PARITIES:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    sign = 1.0 if parity == "even" else -1.0
-    return sign * _EDGE_BASES[kind].copy()
+#: 2 (|01><10| + |10><01|): the end-to-end hopping of an even state.
+_Q = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0],
+        [0.0, 2.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 
 def parity(occupation: Sequence[int], particle_hole: bool) -> str:
     """Parity sector of the eigenstate with the given mode occupations.
 
-    The particle-hole flag contributes one extra fermion (the base reference
-    state is |0...01> instead of the vacuum); the gates that build the full
-    eigenstate conserve parity.
+    The particle-hole flag of the plan (an odd number of its reference bits
+    differ from the occupation) contributes one extra fermion; the gates
+    that build the eigenstate conserve parity.  A built state reports the
+    same sector as ``TensorChain.parity``.
     """
     occ = np.asarray(occupation)
     if occ.ndim != 1 or not np.isin(occ, (0, 1)).all():
@@ -108,13 +70,13 @@ def parity(occupation: Sequence[int], particle_hole: bool) -> str:
 def z_value(state: TensorChain, parity: str) -> float:
     """|<Q>| from the end-pair reduced density matrix.
 
-    The parity sector only sets the sign of <Q>, which the magnitude drops.
-    Bounded by 2 (operator norm of Q); at most 1 + rounding for the
-    eigenstates of the chain.
+    ``parity`` is the state's sector, ``"even"`` or ``"odd"``; it only sets
+    the sign of <Q>, which the magnitude drops.  Bounded by 2 (operator norm
+    of Q); at most 1 + rounding for the eigenstates of the chain.
     """
-    rho = state.rdm_ends().entries
-    q = edge_operator_matrix("Q", parity)
-    return abs(float(np.trace(rho @ q)))
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return abs(float(np.trace(state.rdm_ends().entries @ _Q)))
 
 
 @dataclass(frozen=True)
@@ -176,8 +138,7 @@ def z_saturated(
     for n in schedule:
         point = dataclasses.replace(params, n_sites=n)
         state, _, plan = prepare_eigenstate(point, threshold=threshold)
-        sector = parity([0] * n, plan.particle_hole)
-        value = z_value(state, sector)
+        value = z_value(state, state.parity)
         history.append((n, value))
         degenerate = plan.degenerate
         if previous is not None and abs(value - previous) < tol and n != schedule[-1]:

@@ -19,26 +19,25 @@ Folding eliminates the entries of E and F in lockstep with plane rotations
 of adjacent columns: for row k (top to bottom) and column j (last down to
 k+1), each block takes the angle
 
-    theta = atan2(B[k, j], B[k, j-1])
+    theta = atan2(B[k, j], B[k, j-1])  mod pi,  in (-pi/2, pi/2]
 
-that rotates its columns (j-1, j) so that B[k, j] vanishes.  The row's final
-rotation (j = k+1) keeps the diagonal entry non-negative; every other one
-takes theta mod pi, in (-pi/2, pi/2], so the surviving coefficient keeps its
-sign instead of costing a rotation by pi.  A step whose two angles are both
-the identity to double precision (|sin(theta/2)| < 2^-53, as beyond Majorana
-N+k or in the exponentially small tails of a gapped mode) is skipped; the
-fold residual still checks the whole fold.  The reduced modes leave about
-N^2/4 steps (exactly floor(N^2/4) on the ground states of the benchmark
-ladder).  After all rows E and F are the identity except possibly for the
-sign of their last diagonal entry; opposite signs are recorded as the
-particle-hole flag (the last diagonal mode comes out with its odd half
-reversed, exchanging the roles of filled and empty for the last site's
-reference occupation).
+that rotates its columns (j-1, j) so that B[k, j] vanishes; the surviving
+coefficient keeps its sign instead of costing a rotation by pi.  A step
+whose two angles are both the identity to double precision
+(|sin(theta/2)| < 2^-53, as beyond Majorana N+k or in the exponentially
+small tails of a gapped mode) is skipped; the fold residual still checks
+the whole fold.  The reduced modes leave about N^2/4 steps (exactly
+floor(N^2/4) on the ground states of the benchmark ladder).  After all rows
+E and F are diagonal with entries +-1, and their signs are the reference
+bits: folded mode k is sigma_E (gamma_{2k} + i s_k sigma_E sigma_F
+gamma_{2k+1}), which annihilates site k empty when s_k sigma_E sigma_F = +1
+and filled otherwise, so site k of the reference product state holds n_k,
+flipped where the two signs differ.
 
 Each step rotates the even pair (gamma_{2j-2}, gamma_{2j}) and the odd pair
 (gamma_{2j-1}, gamma_{2j+1}), all four on sites (j-1, j): one real,
 parity-conserving two-site gate (``bond_gate``).  Replaying the gates in
-reverse order on the reference occupation state builds the eigenstate with
+reverse order on the reference product state builds the eigenstate with
 real tensors; on the benchmark ladder the replay's bond dimensions stay
 within a few of the target's, and on its critical points never exceed
 them.  A plan is the fold of one eigenstate: it
@@ -68,7 +67,6 @@ __all__ = [
     "compute_folding_plan",
     "reduce_modes",
     "bond_gate",
-    "reference_state",
     "reconstruct_eigenstate",
     "prepare_eigenstate",
 ]
@@ -105,7 +103,7 @@ class Rotation(NamedTuple):
 
 @dataclass(frozen=True)
 class FoldingPlan:
-    """Ordered fold steps that reduce one eigenstate's reduced W to the identity.
+    """Ordered fold steps that reduce one eigenstate's reduced W to diag(+-1).
 
     Attributes
     ----------
@@ -115,14 +113,13 @@ class FoldingPlan:
         The steps among the (row, column) pairs for row = 0..N-2, column =
         N-1 down to row+1, whose two angles are not both the identity to
         double precision, in execution order; each is one gate of the
-        reconstruction.  A row's final step (column = row+1) has its angles
-        in (-pi, pi], every other one in (-pi/2, pi/2].
-    particle_hole : bool
-        True when the even and the odd block fold to opposite last diagonal
-        signs, i.e. the last reference-site occupation must be read through
-        a particle-hole exchange.
+        reconstruction.  Every angle lies in (-pi/2, pi/2].
+    reference : tuple of int
+        The bits of the product state the gates start from: the occupation,
+        flipped on each site whose diagonal entry folds to opposite signs in
+        the even and the odd block.
     replay_residual : float
-        Max deviation of the two folded blocks from their targets.
+        Max deviation of the two folded blocks from their diagonal signs.
     degenerate : bool
         The targeted eigenstate is not unique: the decomposition has a
         numerically zero single-body energy, or the occupation fills a level
@@ -134,24 +131,23 @@ class FoldingPlan:
 
     n_sites: int
     rotations: tuple[Rotation, ...]
-    particle_hole: bool
+    reference: tuple[int, ...]
     replay_residual: float
     degenerate: bool
     occupation: tuple[int, ...]
 
+    @property
+    def particle_hole(self) -> bool:
+        """True when an odd number of reference bits differ from the occupation."""
+        return sum(r != n for r, n in zip(self.reference, self.occupation)) % 2 == 1
 
-def _rotation_angle(entry_high: float, entry_low: float, *, final: bool) -> float:
+
+def _rotation_angle(entry_high: float, entry_low: float) -> float:
     """Angle of the rotation that moves the high-column entry onto the low one.
 
-    The row's final rotation (onto the diagonal) takes the angle in (-pi, pi]
-    that leaves a non-negative diagonal entry; every other rotation takes it
-    mod pi, in (-pi/2, pi/2], and keeps the sign of the low entry.
+    Taken mod pi, in (-pi/2, pi/2], so the low entry keeps its sign.
     """
-    if entry_high == 0.0 and entry_low == 0.0:
-        return 0.0
     theta = float(np.arctan2(entry_high, entry_low))
-    if final:
-        return np.pi if theta == -np.pi else theta
     if theta > np.pi / 2:
         return theta - np.pi
     return theta + np.pi if theta <= -np.pi / 2 else theta
@@ -178,8 +174,8 @@ def reduce_modes(
     that last entry non-negative.  Returns the even block R[:, 0::2] and the
     odd block s R[:, 1::2], both orthogonal again.  The recombination is real
     and orthogonal on the modes, so it keeps the span of the annihilators
-    a_k: the occupation, the particle-hole flag of the fold and the parity
-    keep their meaning, and the same eigenstate is built from about N^2/4
+    a_k: the occupation, the reference bits of the fold and the parity keep
+    their meaning, and the same eigenstate is built from about N^2/4
     steps.
 
     Raises
@@ -207,8 +203,9 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     """Fold the Schur factor reduced for ``occupation`` into a gate plan.
 
     Folds the blocks ``reduce_modes(schur.even, schur.odd, occupation)`` in
-    lockstep and records the occupation and the steps whose angles are not
-    both the identity to double precision: the plan builds that eigenstate.
+    lockstep and records the occupation, the steps whose angles are not both
+    the identity to double precision and the reference bits the folded
+    diagonal signs give: the plan builds that eigenstate.
 
     Raises
     ------
@@ -225,25 +222,24 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     rotations: list[Rotation] = []
     for row in range(n_sites - 1):
         for column in range(n_sites - 1, row, -1):
-            final = column == row + 1
-            even_angle = _rotation_angle(even[row, column], even[row, column - 1], final=final)
-            odd_angle = _rotation_angle(odd[row, column], odd[row, column - 1], final=final)
+            even_angle = _rotation_angle(even[row, column], even[row, column - 1])
+            odd_angle = _rotation_angle(odd[row, column], odd[row, column - 1])
             if max(abs(np.sin(even_angle / 2.0)), abs(np.sin(odd_angle / 2.0))) >= _IDENTITY_SIN:
                 rotations.append(Rotation(row, column, even_angle, odd_angle))
                 _rotate_columns(even, column, even_angle)
                 _rotate_columns(odd, column, odd_angle)
 
-    residual = 0.0
-    for block in (even, odd):
-        target = np.eye(n_sites)
-        target[-1, -1] = -1.0 if block[-1, -1] < 0.0 else 1.0
-        residual = max(residual, float(np.abs(block - target).max(initial=0.0)))
+    even_signs, odd_signs = (np.where(np.diagonal(b) < 0.0, -1.0, 1.0) for b in (even, odd))
+    residual = max(
+        float(np.abs(block - np.diag(signs)).max(initial=0.0))
+        for block, signs in ((even, even_signs), (odd, odd_signs))
+    )
     if residual > _REPLAY_TOL:
-        raise RuntimeError(f"folding failed to reach the identity (residual {residual:.3e})")
+        raise RuntimeError(f"folding failed to reach diag(+-1) (residual {residual:.3e})")
     return FoldingPlan(
         n_sites=n_sites,
         rotations=tuple(rotations),
-        particle_hole=bool((even[-1, -1] < 0.0) != (odd[-1, -1] < 0.0)),
+        reference=tuple((occupation ^ (even_signs != odd_signs)).tolist()),
         replay_residual=residual,
         degenerate=schur.is_degenerate or _splits_a_level(schur, occupation),
         occupation=tuple(occupation.tolist()),
@@ -264,21 +260,6 @@ def bond_gate(even_angle: float, odd_angle: float) -> np.ndarray:
     return even @ odd
 
 
-def reference_state(
-    n_sites: int, occupation: Sequence[int], particle_hole: bool
-) -> TensorChain:
-    """Product state encoding the occupation of the diagonal modes.
-
-    Without the particle-hole flag, site k holds n_k directly.  With it, the
-    last site's occupancy is flipped: the base state is |0...01> and filling
-    the last diagonal mode empties the last site.
-    """
-    bits = list(as_occupation(occupation, n_sites))
-    if particle_hole:
-        bits[-1] = 1 - bits[-1]
-    return TensorChain.product_state(bits)
-
-
 def reconstruct_eigenstate(
     plan: FoldingPlan,
     *,
@@ -287,10 +268,10 @@ def reconstruct_eigenstate(
 ) -> TensorChain:
     """Build the chain eigenstate of the plan's occupation.
 
-    Undoes the folding on the reference state: the steps replay in reverse
-    order, each as ``bond_gate(even_angle, odd_angle)`` on sites
-    (column - 1, column).  Every gate is real, so the state's tensors stay
-    real.
+    Undoes the folding on the product state of the plan's reference bits:
+    the steps replay in reverse order, each as ``bond_gate(even_angle,
+    odd_angle)`` on sites (column - 1, column).  Every gate is real, so the
+    state's tensors stay real.
 
     The returned state carries the plan's degeneracy flag; its energy equals
     the sum of the occupied single-body energies measured from the ground
@@ -303,7 +284,7 @@ def reconstruct_eigenstate(
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
-    state = reference_state(plan.n_sites, plan.occupation, plan.particle_hole)
+    state = TensorChain.product_state(plan.reference)
     state.degenerate = plan.degenerate
     for rotation in reversed(plan.rotations):
         state.apply_two_site_gate(
@@ -327,7 +308,7 @@ def prepare_eigenstate(
     ``occupation`` defaults to the ground state (all diagonal modes empty).
 
     Returns the state together with the decomposition (single-body energies)
-    and the folding plan (particle-hole flag, degeneracy).
+    and the folding plan (reference bits, degeneracy).
     """
     if occupation is None:
         occupation = [0] * params.n_sites

@@ -82,7 +82,11 @@ class KitaevParams:
     boundary: str = "open"
 
     def __post_init__(self) -> None:
-        if int(self.n_sites) != self.n_sites or self.n_sites < 2:
+        try:  # int() raises OverflowError on an infinity and ValueError on a NaN
+            whole = int(self.n_sites) == self.n_sites
+        except (OverflowError, ValueError):
+            whole = False
+        if not whole or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
         for name in ("hopping", "chemical_potential", "pairing_magnitude"):
             if not math.isfinite(getattr(self, name)):

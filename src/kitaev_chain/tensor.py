@@ -34,14 +34,15 @@ Parity (Z2) layout.  Every state here is a parity eigenstate, every gate
 conserves parity, and each Schmidt vector has a definite parity of its left
 half.  A bond lists the even-parity vectors first, each block with
 non-increasing lambda, and ``even_counts`` records how many are even (the last
-entry, for the right boundary, is 1 for an even and 0 for an odd state).  The
-layout is an invariant, checked where a state or gate enters: the constructor
-(and so ``from_json``) infers the counts from the exact zeros of B and
-rejects a state that has none, and the gate methods reject a gate that mixes
-parity.  A two-site gate then splits the neighborhood into its two parity
-blocks and decomposes each one (half the dimension on each side, about a
-quarter of the work of one dense decomposition); the truncation threshold
-stays relative to the bond's largest singular value across both blocks.
+entry, for the right boundary, is 1 for an even and 0 for an odd state, which
+``parity`` reports).  The layout is an invariant, checked where a state or
+gate enters: the constructor (and so ``from_json``) infers the counts from
+the exact zeros of B and rejects a state that has none, and the gate methods
+reject a gate that mixes parity.  A two-site gate then splits the
+neighborhood into its two parity blocks and decomposes each one (half the
+dimension on each side, about a quarter of the work of one dense
+decomposition); the truncation threshold stays relative to the bond's
+largest singular value across both blocks.
 
 Dtype.  B is real (float64).  Every eigenstate of a Kitaev chain with
 real pairing is real, and the fold builds it from real orthogonal two-site
@@ -56,9 +57,9 @@ Sites and bonds are indexed 0-based: bond i sits between sites i and i+1.
 The basis order of two-site objects is |00>, |01>, |10>, |11> with the first
 slot belonging to the left site; Fock coefficients index site 0 as the most
 significant bit.  Contractions treat sites as distinguishable tensor factors;
-fermionic string bookkeeping for end-to-end operators lives entirely in the
-parity factor of the edge-operator matrices (valid because every state handled
-here is a parity eigenstate).
+the fermionic string through the bulk of an end-to-end operator turns into
+the state's parity sign (valid because every state handled here is a parity
+eigenstate).
 """
 
 from __future__ import annotations
@@ -285,6 +286,11 @@ class TensorChain:
     def bond_dimensions(self) -> tuple[int, ...]:
         """Dimensions of the N-1 internal bonds."""
         return tuple(lam.size for lam in self.lambdas)
+
+    @property
+    def parity(self) -> str:
+        """``"even"`` or ``"odd"``: the state's parity sector, read off its layout."""
+        return "even" if self.even_counts[-1] else "odd"
 
     def _left_lambda(self, site: int) -> np.ndarray:
         return self.lambdas[site - 1] if site > 0 else _ones_bond()
@@ -654,7 +660,7 @@ def energy_expectation(state: TensorChain, params: KitaevParams) -> float:
         h = bond_hamiltonian(w, pairing, mu_left, mu_right)
         total += float(np.trace(rho @ h))
     if periodic:
-        sign = 1.0 if state.even_counts[-1] else -1.0
+        sign = 1.0 if state.parity == "even" else -1.0
         h = bond_hamiltonian(-sign * w, -sign * pairing, mu / 2.0, mu / 2.0)
         total += float(np.trace(state.rdm_ends().entries @ h))
     return total

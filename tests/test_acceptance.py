@@ -22,7 +22,6 @@ from kitaev_chain import (
     energy_expectation,
     mean_particle_number,
     oracle,
-    parity,
     prepare_eigenstate,
     schur_decompose,
     z_analytic,
@@ -165,10 +164,9 @@ def test_criterion_04_dense_reference_equivalence():
         residuals["overlap"] = max(residuals["overlap"], 1.0 - overlap)
         assert overlap >= 1.0 - 1e-9
 
-        sector = parity([0] * n, plan.particle_hole)
         dense_q = oracle.dense_edge_operator(n, "Q")
         z_residual = abs(
-            z_value(state, sector) - abs(oracle.ed_expectation(dense_q, ground).real)
+            z_value(state, state.parity) - abs(oracle.ed_expectation(dense_q, ground).real)
         )
         residuals["z"] = max(residuals["z"], z_residual)
         assert z_residual < 1e-9
@@ -257,8 +255,8 @@ def _saturate_excited_z(params: KitaevParams, tol: float = 1e-3) -> tuple[float,
     for n in DEFAULT_SCHEDULE:
         fixed = dataclasses.replace(params, n_sites=n)
         occupation = [0] * (n - 1) + [1]
-        state, _, plan = prepare_eigenstate(fixed, occupation)
-        value = z_value(state, parity(occupation, plan.particle_hole))
+        state, _, _ = prepare_eigenstate(fixed, occupation)
+        value = z_value(state, state.parity)
         if previous is not None and abs(value - previous) < tol and n != DEFAULT_SCHEDULE[-1]:
             return value, True
         previous = value
@@ -331,7 +329,7 @@ def test_criterion_10_particle_number_surface():
             state, _, plan = prepare_eigenstate(params)
             cells[(mu, w)] = (
                 mean_particle_number(state),
-                parity([0] * 10, plan.particle_hole),
+                state.parity,
                 plan.degenerate,
             )
 

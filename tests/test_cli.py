@@ -160,17 +160,28 @@ class TestEnergyAccuracy:
         assert code == 0
         data = json.loads(out)
         assert data["summary"]["max_abs_difference"] < 1e-8
-        assert data["summary"]["degenerate_skipped"] == 0
+        assert set(data["summary"]) == {"points", "max_abs_difference"}
 
-    def test_degenerate_point_is_flagged_and_skipped(self, capsys):
-        # periodic N=10, w=2, mu=4 has an exact zero single-body energy
+    def test_degenerate_point_is_flagged_and_built(self, capsys):
+        # periodic N=10, w=2, mu=4 has an exact zero single-body energy; the built
+        # state is still an eigenstate of the ground level
         code, out, _ = run_cli(
             capsys, ["energy-accuracy", "--mu-grid", "4", "--w-grid", "2", "--format", "json"]
         )
         assert code == 0
         (row,) = json.loads(out)["rows"]
         assert row["degenerate"] is True
-        assert row["energy_tensor"] is None
+        assert row["error"] == ""
+        assert row["abs_difference"] < 1e-9
+
+    def test_every_degenerate_row_is_filled(self, capsys):
+        # the phase boundaries |mu| = |2w| of this grid and mu = w = 0 carry zero modes
+        argv = ["energy-accuracy", "--mu-grid=-4:4:2", "--w-grid=-2:2:1", "--format", "json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert sum(row["degenerate"] for row in rows) == 9
+        assert all(row["error"] == "" and row["abs_difference"] < 1e-9 for row in rows)
 
 
 class TestParticles:
@@ -429,12 +440,12 @@ FORMAT_CASES = {
     "energy-accuracy": (
         ["energy-accuracy", "--mu-grid", "0,1,4", "--w-grid", "2"],
         ("energy_expectation", 1.0),
-        {"degenerate_skipped": "1", "max_abs_difference": F12, "points": "3"},
+        {"max_abs_difference": F12, "points": "3"},
         "mu,w,energy_tensor,energy_reference,abs_difference,degenerate,error",
         [
             rf"0\.000000,2\.000000,{F6},{F6},{F12},false,",
             rf"1\.000000,2\.000000,,{F6},,false,injected failure",
-            rf"4\.000000,2\.000000,,{F6},,true,",
+            rf"4\.000000,2\.000000,{F6},{F6},{F12},true,",
         ],
     ),
     "particles": (
@@ -508,24 +519,38 @@ def test_one_schur_per_point(capsys, monkeypatch, argv, points):
     assert len(calls) == points
 
 
+def serial_pool(record):
+    """A stand-in for ``ProcessPoolExecutor`` that maps in this process.
+
+    ``record(event, *args)`` sees the constructor's arguments ("init") and each map
+    ("map"); an exception it raises surfaces as a worker failure would."""
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            record("init", max_workers, mp_context)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            record("map")
+            return map(fn, items)
+
+    return SerialPool
+
+
 class TestJobs:
     def test_jobs_clamped_to_cpus_and_points(self, capsys, monkeypatch):
         created = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
+        def record(event, *args):
+            if event == "init":
+                created.append(args[0])
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(record))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         grid = ["verify", "--n", "3"]  # six built-in points
         for jobs, workers in (("1000000", 4), ("3", 3)):
@@ -537,6 +562,40 @@ class TestJobs:
         single = grid + ["--w", "1", "--mu", "0.5", "--jobs", "1000000"]
         assert run_cli(capsys, single)[0] == 0
         assert len(created) == 3  # one point runs in this process
+
+    def test_workers_spawn_with_one_blas_thread(self, capsys, monkeypatch):
+        """Forked workers would inherit the parent's BLAS threads; spawned ones load BLAS
+        under the worker environment, and the parent's environment comes back after."""
+        seen = []
+
+        def record(event, *args):
+            if event == "init":
+                seen.append(args[1].get_start_method())
+            else:
+                seen.append({key: os.environ.get(key) for key in cli.WORKER_ENVIRONMENT})
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(record))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert run_cli(capsys, ["verify", "--n", "3", "--jobs", "2"])[0] == 0
+        assert seen == ["spawn", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_environment_is_restored_when_a_worker_fails(self, capsys, monkeypatch):
+        def record(event, *args):
+            if event == "map":
+                raise RuntimeError("worker lost")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(record))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("OMP_NUM_THREADS", "8")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        code, _, err = run_cli(capsys, ["verify", "--n", "3", "--jobs", "2"])
+        assert code == 1 and "worker lost" in err
+        assert os.environ["OMP_NUM_THREADS"] == "8"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def run_python(*args):
@@ -556,6 +615,31 @@ def test_module_runs_as_script():
     result = run_python("-m", "kitaev_chain.cli", "spectrum", "--n", "2")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[2] == "mode,epsilon"
+
+
+# The body of the entry-point script an installer writes for ``kitaev-chain``.
+ENTRY_SCRIPT = """import sys
+from kitaev_chain.cli import run
+if __name__ == "__main__":
+    sys.exit(run())
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_spawned_workers_match_serial_output(entry, tmp_path):
+    """A spawned worker re-imports the main module; both ways of starting the
+    command must survive that and print what one process prints."""
+    if entry == "module":
+        command = ["-m", "kitaev_chain.cli"]
+    else:
+        script = tmp_path / "kitaev-chain"
+        script.write_text(ENTRY_SCRIPT, encoding="utf-8")
+        command = [str(script)]
+    argv = ["particles", "--n", "6", "--mu-grid", "0,1,3", "--w-grid", "0.5,1"]
+    serial = run_python(*command, *argv)
+    pooled = run_python(*command, *argv, "--jobs", "2")
+    assert serial.returncode == pooled.returncode == 0, serial.stderr + pooled.stderr
+    assert pooled.stdout == serial.stdout
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,7 +1,8 @@
-"""Tests for edge operators, parity, the Z measure, and particle numbers.
+"""Tests for parity, the Z measure, and particle numbers.
 
-The frozen 4x4 edge matrices are re-derived against the dense oracle on
-parity-definite states; Z goes through three independent routes (tensor
+Z of random parity-definite states is checked against the dense oracle's
+edge operator, which re-derives the frozen 4x4 matrix; Z goes through three
+independent routes (tensor
 contraction, dense exact diagonalization, one-body covariance) that must
 agree; saturation sweeps pin the published table values and the stop-rule
 semantics.
@@ -20,7 +21,6 @@ from kitaev_chain import (
     KitaevParams,
     TensorChain,
     build_coupling_matrix,
-    edge_operator_matrix,
     mean_particle_number,
     parity,
     prepare_eigenstate,
@@ -31,16 +31,6 @@ from kitaev_chain import (
 )
 from kitaev_chain import oracle
 from parity_gates import random_pair_gate, random_site_sign
-
-Q_EVEN = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 2.0, 0.0],
-        [0.0, 2.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ]
-)
-
 
 def dense_vector(state: TensorChain) -> np.ndarray:
     return state.fock_coefficients().reshape(-1)
@@ -71,46 +61,6 @@ def mirrored(state: TensorChain) -> TensorChain:
     ]
     lambdas = [lam.copy() for lam in reversed(state.lambdas)]
     return TensorChain(tensors[::-1], lambdas, degenerate=state.degenerate)
-
-
-class TestEdgeOperatorMatrix:
-    def test_hopping_even_sector(self):
-        np.testing.assert_allclose(edge_operator_matrix("Q", "even"), Q_EVEN, atol=1e-15)
-
-    def test_hopping_odd_sector(self):
-        np.testing.assert_allclose(edge_operator_matrix("Q", "odd"), -Q_EVEN, atol=1e-15)
-
-    @pytest.mark.parametrize("sector", ["even", "odd"])
-    def test_left_plus_right_is_hopping(self, sector):
-        total = edge_operator_matrix("QL", sector) + edge_operator_matrix("QR", sector)
-        np.testing.assert_allclose(total, edge_operator_matrix("Q", sector), atol=1e-15)
-
-    @pytest.mark.parametrize("kind", ["Q", "QL", "QR"])
-    @pytest.mark.parametrize("sector", ["even", "odd"])
-    def test_hermitian(self, kind, sector):
-        m = edge_operator_matrix(kind, sector)
-        np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
-
-    def test_rejects_unknown_kind_or_parity(self):
-        with pytest.raises(ValueError):
-            edge_operator_matrix("QQ", "even")
-        with pytest.raises(ValueError):
-            edge_operator_matrix("Q", "mixed")
-
-    @pytest.mark.parametrize("start", [(0, 0, 0, 0), (1, 0, 0, 0)])
-    @pytest.mark.parametrize("kind", ["Q", "QL", "QR"])
-    def test_matrices_reproduce_dense_expectations(self, start, kind):
-        # On parity-definite states the reduced end-pair operator is unique;
-        # agreement over random such states re-derives the frozen constants.
-        for seed in range(4):
-            state = parity_definite_state(4, start, seed=seed)
-            sector = "even" if state.parity_expectation() > 0 else "odd"
-            vec = dense_vector(state)
-            dense = oracle.ed_expectation(oracle.dense_edge_operator(4, kind), vec)
-            reduced = np.trace(
-                state.rdm_ends().entries @ edge_operator_matrix(kind, sector)
-            )
-            assert complex(reduced) == pytest.approx(complex(dense), abs=1e-10)
 
 
 class TestParity:
@@ -147,7 +97,8 @@ class TestParity:
         occupation = [(bits >> k) & 1 for k in range(5)]
         params = KitaevParams(5, 1.0, mu, 1.0)
         state, _, plan = prepare_eigenstate(params, occupation)
-        expected = 1.0 if parity(occupation, plan.particle_hole) == "even" else -1.0
+        assert parity(occupation, plan.particle_hole) == state.parity
+        expected = 1.0 if state.parity == "even" else -1.0
         assert state.parity_expectation() == pytest.approx(expected, abs=1e-8)
 
 
@@ -156,24 +107,42 @@ class TestZValue:
         state = TensorChain.product_state([0, 0, 0, 0])
         assert z_value(state, "even") == pytest.approx(0.0, abs=1e-12)
 
+    def test_rejects_unknown_parity(self):
+        with pytest.raises(ValueError, match="parity"):
+            z_value(TensorChain.product_state([0, 0, 0]), "mixed")
+
+    def test_sector_sets_only_the_sign_it_drops(self):
+        state = parity_definite_state(5, (1, 0, 0, 0, 0), seed=3)
+        assert state.parity == "odd"
+        assert z_value(state, "even") == z_value(state, "odd") > 0.0
+
+    @pytest.mark.parametrize("start", [(0, 0, 0, 0), (1, 0, 0, 0)])
+    def test_matches_dense_edge_operator(self, start):
+        # On parity-definite states the reduced end-pair operator is unique;
+        # agreement over random such states of both sectors re-derives the frozen Q.
+        for seed in range(4):
+            state = parity_definite_state(4, start, seed=seed)
+            assert state.parity == ("even" if state.parity_expectation() > 0 else "odd")
+            dense = oracle.ed_expectation(oracle.dense_edge_operator(4, "Q"), dense_vector(state))
+            assert abs(dense.imag) < 1e-12
+            assert z_value(state, state.parity) == pytest.approx(abs(dense.real), abs=1e-10)
+
     def test_matches_dense_route_on_same_state(self):
         # The reference point with exactly decoupled end modes: Z is 1.
         params = KitaevParams(6, 1.0, 0.0, 1.0)
-        state, _, plan = prepare_eigenstate(params)
-        sector = parity([0] * 6, plan.particle_hole)
+        state, _, _ = prepare_eigenstate(params)
         vec = dense_vector(state)
         dense = abs(oracle.ed_expectation(oracle.dense_edge_operator(6, "Q"), vec).real)
-        assert z_value(state, sector) == pytest.approx(dense, abs=1e-9)
-        assert z_value(state, sector) == pytest.approx(1.0, abs=1e-9)
+        assert z_value(state, state.parity) == pytest.approx(dense, abs=1e-9)
+        assert z_value(state, state.parity) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_ground_state_route(self):
         params = KitaevParams(6, 1.0, 0.8, 1.0)
-        state, _, plan = prepare_eigenstate(params)
-        sector = parity([0] * 6, plan.particle_hole)
+        state, _, _ = prepare_eigenstate(params)
         h = oracle.dense_hamiltonian(6, 1.0, 0.8, 1.0)
         _, ground = oracle.ed_ground_state(h)
         dense = abs(oracle.ed_expectation(oracle.dense_edge_operator(6, "Q"), ground).real)
-        assert z_value(state, sector) == pytest.approx(dense, abs=1e-9)
+        assert z_value(state, state.parity) == pytest.approx(dense, abs=1e-9)
 
     @pytest.mark.parametrize(
         "n_sites,mu,hopping",
@@ -181,23 +150,20 @@ class TestZValue:
     )
     def test_matches_covariance_route(self, n_sites, mu, hopping):
         params = KitaevParams(n_sites, hopping, mu, 1.0)
-        state, _, plan = prepare_eigenstate(params)
-        sector = parity([0] * n_sites, plan.particle_hole)
-        assert z_value(state, sector) == pytest.approx(covariance_z(params), abs=1e-9)
+        state, _, _ = prepare_eigenstate(params)
+        assert z_value(state, state.parity) == pytest.approx(covariance_z(params), abs=1e-9)
 
     def test_mirror_symmetry(self):
         params = KitaevParams(5, 1.1, 0.7, 1.0)
-        state, _, plan = prepare_eigenstate(params)
-        sector = parity([0] * 5, plan.particle_hole)
-        assert z_value(mirrored(state), sector) == pytest.approx(
-            z_value(state, sector), abs=1e-10
+        state, _, _ = prepare_eigenstate(params)
+        assert z_value(mirrored(state), state.parity) == pytest.approx(
+            z_value(state, state.parity), abs=1e-10
         )
 
     def test_wide_chain_reference_value(self):
         params = KitaevParams(64, 1.0, 0.0, 1.0)
-        state, _, plan = prepare_eigenstate(params)
-        sector = parity([0] * 64, plan.particle_hole)
-        assert z_value(state, sector) == pytest.approx(1.0, abs=5e-3)
+        state, _, _ = prepare_eigenstate(params)
+        assert z_value(state, state.parity) == pytest.approx(1.0, abs=5e-3)
 
 
 def dense_covariance(state: TensorChain) -> np.ndarray:
@@ -331,9 +297,8 @@ class TestZSaturated:
         point = dataclasses.replace(params, n_sites=n)
         occupation = [0] * n
         occupation[-1] = 1  # lowest single-body excitation
-        state, _, plan = prepare_eigenstate(point, occupation)
-        sector = parity(occupation, plan.particle_hole)
-        assert z_value(state, sector) == pytest.approx(ground.z, abs=1e-3)
+        state, _, _ = prepare_eigenstate(point, occupation)
+        assert z_value(state, state.parity) == pytest.approx(ground.z, abs=1e-3)
 
 
 class TestZAnalytic:

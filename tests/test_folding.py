@@ -31,7 +31,6 @@ from kitaev_chain import (
     prepare_eigenstate,
     reconstruct_eigenstate,
     reduce_modes,
-    reference_state,
     schur_decompose,
     z_value,
 )
@@ -110,9 +109,8 @@ class TestComputeFoldingPlan:
         np.testing.assert_array_equal(even, odd)
         plan = compute_folding_plan(manual_schur(np.eye(2), np.eye(2), [2.0, 1.0]), [0, 0])
         assert plan.n_sites == 2
-        assert plan.occupation == (0, 0)
-        for rotation in plan.rotations:
-            assert abs(rotation.even_angle) == abs(rotation.odd_angle) == np.pi
+        assert plan.occupation == plan.reference == (0, 0)
+        assert plan.rotations == ()  # a sign is a reference bit, not a rotation by pi
         assert plan.particle_hole is False
         assert plan.replay_residual < 1e-15
         amps = reconstruct_eigenstate(plan).fock_coefficients()
@@ -137,13 +135,14 @@ class TestComputeFoldingPlan:
         np.testing.assert_array_equal(reduce_modes(even, odd, [0]), (-even, -odd))
         plan = compute_folding_plan(manual_schur(even, odd, [0.7]), [0])
         assert plan.rotations == ()
+        assert plan.reference == (1,)
         assert plan.particle_hole is True
         np.testing.assert_array_equal(replayed(-even, -odd, plan), (-even, -odd))
 
     def test_plan_is_immutable(self):
         plan = compute_folding_plan(manual_schur(np.eye(1), np.eye(1), [1.0]), [0])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.particle_hole = True
+            plan.reference = (1,)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -161,16 +160,19 @@ class TestComputeFoldingPlan:
         schur = manual_schur(even, odd, np.linspace(2.0, 1.0, n_sites))
         plan = compute_folding_plan(schur, occupation)
         for rot in plan.rotations:
-            assert -np.pi < rot.even_angle <= np.pi and -np.pi < rot.odd_angle <= np.pi
+            assert -np.pi / 2 < rot.even_angle <= np.pi / 2
+            assert -np.pi / 2 < rot.odd_angle <= np.pi / 2
             assert not is_identity_step(rot)
         folded = replayed(*reduce_modes(even, odd, occupation), plan)
-        signs = [np.sign(block[-1, -1]) for block in folded]
+        signs = [np.sign(np.diagonal(block)) for block in folded]
         for block, sign in zip(folded, signs):
-            np.testing.assert_allclose(block, np.diag([1.0] * (n_sites - 1) + [sign]), atol=1e-9)
-        assert plan.particle_hole == (signs[0] != signs[1])
+            np.testing.assert_allclose(block, np.diag(sign), atol=1e-9)
+        flipped = signs[0] != signs[1]
+        assert plan.reference == tuple(int(n != f) for n, f in zip(occupation, flipped))
+        assert plan.particle_hole == bool(np.count_nonzero(flipped) % 2)
         assert plan.replay_residual < 1e-9
-        # The terminal sign is the determinant the row rotations cannot absorb;
-        # the mode recombination is unitary, so it keeps the determinant.
+        # The product of the folded signs is the determinant the rotations cannot
+        # absorb; the mode recombination is unitary, so it keeps the determinant.
         assert plan.particle_hole == (np.linalg.det(even) * np.linalg.det(odd) < 0.0)
 
 
@@ -211,7 +213,8 @@ class TestReduceModes:
             plan = compute_folding_plan(schur, occupation)
             assert plan.occupation == tuple(occupation)
             state = reconstruct_eigenstate(plan)
-            sector = parity(occupation, plan.particle_hole)
+            sector = state.parity
+            assert parity(occupation, plan.particle_hole) == sector
             expected_parity = 1.0 if sector == "even" else -1.0
             assert state.parity_expectation() == pytest.approx(expected_parity, abs=1e-10)
             if n_sites <= oracle.MAX_SITES:
@@ -256,16 +259,29 @@ class TestReduceModes:
     )
     def test_fold_needs_a_quarter_n_squared_steps(self, n_sites, mu, occupation):
         """Steps beyond Majorana N + row and steps that are the identity to double
-        precision are left out, and a non-final rotation keeps the sign of the entry
-        it folds onto."""
+        precision are left out, and every rotation keeps the sign of the entry it
+        folds onto."""
         schur = schur_decompose(build_coupling_matrix(KitaevParams(n_sites, 1.0, mu, 1.0)))
         plan = compute_folding_plan(schur, occupation or [0] * n_sites)
         assert len(plan.rotations) == n_sites**2 // 4
         for rotation in plan.rotations:
-            if rotation.column > rotation.row + 1:
-                assert abs(rotation.even_angle) <= np.pi / 2
-                assert abs(rotation.odd_angle) <= np.pi / 2
+            assert abs(rotation.even_angle) <= np.pi / 2
+            assert abs(rotation.odd_angle) <= np.pi / 2
         assert plan.replay_residual < 1e-13
+
+    @pytest.mark.parametrize("n_sites,gates", [(6, 3), (10, 12)])
+    def test_atomic_limit_folds_without_half_turns(self, n_sites, gates):
+        """w = |D| = 0: a product state, whose signs become reference bits instead of
+        rotations by pi; the steps left are quarter turns that undo the order in which
+        the mode recombination, whose QR meets exactly zero pivots, lists the site modes."""
+        params = KitaevParams(n_sites, 0.0, 2.0, 0.0)
+        state, _, plan = prepare_eigenstate(params)
+        assert len(plan.rotations) == gates
+        for rotation in plan.rotations:
+            assert abs(rotation.even_angle) <= np.pi / 2
+            assert abs(rotation.odd_angle) <= np.pi / 2
+        assert state.bond_dimensions == (1,) * (n_sites - 1)
+        assert state.parity == parity(plan.occupation, plan.particle_hole)
 
 
 class TestChiralFold:
@@ -302,9 +318,34 @@ class TestChiralFold:
         state = reconstruct_eigenstate(plan)
         overlap = abs(vectors[:, np.argmin(distance)].conj() @ dense_vector(state))
         assert overlap == pytest.approx(1.0, abs=1e-12)
-        expected_parity = 1.0 if parity(occupation, plan.particle_hole) == "even" else -1.0
+        assert parity(occupation, plan.particle_hole) == state.parity
+        expected_parity = 1.0 if state.parity == "even" else -1.0
         assert state.parity_expectation() == pytest.approx(expected_parity, abs=1e-12)
         assert energy_expectation(state, params) == pytest.approx(energy, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_sites=st.integers(min_value=2, max_value=12),
+        hopping=st.floats(min_value=-2.0, max_value=2.0),
+        mu=st.floats(min_value=-4.0, max_value=4.0),
+        pairing=st.floats(min_value=0.0, max_value=2.0),
+        periodic=st.booleans(),
+        bits=st.integers(min_value=0, max_value=2**12 - 1),
+    )
+    def test_sector_of_plan_and_state_agree(self, n_sites, hopping, mu, pairing, periodic, bits):
+        """Every angle keeps its entry's sign, and the sector from the plan's flag, the
+        one the state reports and the sign of its measured parity are one sector."""
+        boundary = "periodic" if periodic and n_sites >= 3 else "open"
+        params = KitaevParams(n_sites, hopping, mu, pairing, boundary=boundary)
+        occupation = [(bits >> k) & 1 for k in range(n_sites)]
+        state, _, plan = prepare_eigenstate(params, occupation)
+        for rotation in plan.rotations:
+            assert -np.pi / 2 < rotation.even_angle <= np.pi / 2
+            assert -np.pi / 2 < rotation.odd_angle <= np.pi / 2
+        assert parity(occupation, plan.particle_hole) == state.parity
+        assert state.parity_expectation() == pytest.approx(
+            1.0 if state.parity == "even" else -1.0, abs=1e-10
+        )
 
     @pytest.mark.parametrize("n_sites", [16, 32, 40])
     def test_critical_transient_stays_at_the_target_bond(self, n_sites, monkeypatch):
@@ -373,31 +414,9 @@ class TestBondGate:
         )
 
 
-class TestReferenceState:
-    def test_plain_occupation(self):
-        state = reference_state(3, (0, 0, 0), False)
-        assert state.bond_dimensions == (1, 1)
-        amps = state.fock_coefficients()
-        assert amps[0, 0, 0] == pytest.approx(1.0)
-
-    def test_particle_hole_flips_last_site(self):
-        state = reference_state(3, (0, 0, 0), True)
-        amps = state.fock_coefficients()
-        assert amps[0, 0, 1] == pytest.approx(1.0)
-
-    def test_particle_hole_empties_filled_last_site(self):
-        state = reference_state(2, (1, 1), True)
-        amps = state.fock_coefficients()
-        assert amps[1, 0] == pytest.approx(1.0)
-
-    def test_rejects_bad_occupation(self):
-        with pytest.raises(ValueError):
-            reference_state(3, (0, 1), False)
-
-
 class TestReconstruction:
     def test_zero_angle_plan_returns_reference(self):
-        plan = FoldingPlan(2, (), particle_hole=False, replay_residual=0.0, degenerate=False,
+        plan = FoldingPlan(2, (), reference=(1, 0), replay_residual=0.0, degenerate=False,
                            occupation=(1, 0))
         state = reconstruct_eigenstate(plan)
         amps = state.fock_coefficients()
@@ -516,7 +535,7 @@ class TestReconstruction:
         params = KitaevParams(4, hopping, mu, 1.0)
         occupation = [(bits >> k) & 1 for k in range(4)]
         state, _, plan = prepare_eigenstate(params, occupation)
-        reference = reference_state(4, occupation, plan.particle_hole)
+        reference = TensorChain.product_state(plan.reference)
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
         assert state.parity_expectation() == pytest.approx(
             reference.parity_expectation(), abs=1e-8

@@ -57,6 +57,12 @@ class TestKitaevParams:
         with pytest.raises(ValueError, match="n_sites"):
             KitaevParams(8.5, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_chain_length(self, value):
+        # int() raises OverflowError on an infinity; the check reports ValueError for all
+        with pytest.raises(ValueError, match="n_sites"):
+            KitaevParams(value, 1.0, 1.0, 1.0)
+
 
 class TestOccupationValidation:
     def test_passthrough(self):

@@ -611,6 +611,20 @@ class TestParityExpectation:
         assert TensorChain.product_state([0, 1, 1]).parity_expectation() == pytest.approx(1.0)
         assert TensorChain.product_state([0, 1, 0]).parity_expectation() == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("bits,sector", [([0], "even"), ([1], "odd"), ([0, 1, 1], "even"),
+                                             ([1, 0, 0, 0], "odd")])
+    def test_parity_property_reads_the_layout(self, bits, sector):
+        state = TensorChain.product_state(bits)
+        assert state.parity == sector
+        rng = np.random.default_rng(len(bits))
+        for left in range(len(bits) - 1):
+            state.apply_two_site_gate(left, random_pair_gate(rng))
+        assert state.parity == sector
+        assert TensorChain.from_json(state.to_json()).parity == sector
+        assert state.parity_expectation() == pytest.approx(
+            1.0 if sector == "even" else -1.0, abs=1e-12
+        )
+
     @settings(max_examples=15, deadline=None)
     @given(
         theta=st.floats(min_value=-3.0, max_value=3.0),
