@@ -39,7 +39,7 @@ from .quadratic import (
     eigenenergy,
     schur_decompose,
 )
-from .tensor import TRUNCATION_THRESHOLD, energy_expectation
+from .tensor import energy_expectation
 
 __all__ = ["MAX_AXIS_POINTS", "MAX_GRID_POINTS", "MAX_SITES", "main", "run"]
 
@@ -100,7 +100,8 @@ def parse_schedule(text: str) -> tuple[int, ...]:
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parameter grid: ``0,0.5,1`` or ``min:max:step`` (inclusive, rounded to 10 decimals).
 
-    A range whose rounded values are not strictly increasing is a usage error."""
+    A grid that holds a value twice is a usage error: a list that repeats one, or
+    a range whose step is too fine for 10 decimals."""
     try:
         if ":" in text:
             lo, hi, step = (float(part) for part in text.split(":"))
@@ -118,8 +119,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"grid {text!r} has more than {MAX_AXIS_POINTS} points")
     if ":" in text:
         values = tuple(round(lo + k * step, 10) for k in range(count))
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise UsageError(f"grid {text!r} has a step too fine for 10 decimals")
+    if len(set(values)) < len(values):
+        raise UsageError(f"grid {text!r} holds a value twice")
     return values
 
 
@@ -167,15 +168,19 @@ def emit(args: argparse.Namespace, columns, rows: list, summary: dict, **config)
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Reject flag values the subcommand cannot use."""
+    """Reject flag values the subcommand cannot use.
+
+    ``--out`` is checked, not opened: a run that fails keeps the previous output."""
     if getattr(args, "n", 0) > MAX_SITES:
         raise UsageError(f"--n must be at most {MAX_SITES} sites")
-    if getattr(args, "trunc", None) is not None and not 0.0 < args.trunc < 1.0:
-        raise UsageError("--trunc must lie in (0, 1)")
     if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be finite and positive")
     if getattr(args, "jobs", 1) < 1:
         raise UsageError("--jobs must be at least 1")
+    if args.out and os.path.isdir(args.out):
+        raise UsageError(f"--out {args.out!r} is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(f"--out {args.out!r}: its directory does not exist")
 
 
 def make_params(args: argparse.Namespace, **fields) -> KitaevParams:
@@ -262,11 +267,11 @@ ZSCAN_COLUMNS = (
 )
 
 
-def _zscan_point(params: KitaevParams, *, schedule, tol: float, trunc: float) -> list[dict]:
+def _zscan_point(params: KitaevParams, *, schedule, tol: float) -> list[dict]:
     analytic = z_analytic(params)
     row = {"mu": params.chemical_potential, "two_w": 2.0 * params.hopping, "z_analytic": analytic}
     try:
-        result = z_saturated(params, schedule=schedule, tol=tol, threshold=trunc)
+        result = z_saturated(params, schedule=schedule, tol=tol)
     except Exception as exc:  # recorded in-row; the scan continues
         row.update(z=None, converged=None, n_used=None, abs_difference=None, error=str(exc))
         return [row]
@@ -290,7 +295,7 @@ def cmd_zscan(args: argparse.Namespace) -> int:
         make_params(args, n_sites=schedule[0], hopping=two_w / 2.0, chemical_potential=mu)
         for mu, two_w in grid
     ]
-    worker = partial(_zscan_point, schedule=schedule, tol=args.tol, trunc=args.trunc)
+    worker = partial(_zscan_point, schedule=schedule, tol=args.tol)
     run_grid(args, worker, points, ZSCAN_COLUMNS, _zscan_summary, schedule=list(schedule))
     return 0
 
@@ -303,14 +308,14 @@ ENERGY_COLUMNS = (
 )
 
 
-def _energy_point(params: KitaevParams, *, trunc: float) -> list[dict]:
+def _energy_point(params: KitaevParams) -> list[dict]:
     schur = schur_decompose(build_coupling_matrix(params))
     reference = -0.5 * float(np.sum(schur.epsilons))
     row = dict(mu=params.chemical_potential, w=params.hopping, energy_reference=reference)
     row.update(energy_tensor=None, abs_difference=None, degenerate=schur.is_degenerate, error="")
     try:
         plan = compute_folding_plan(schur, [0] * params.n_sites)
-        state = reconstruct_eigenstate(plan, threshold=trunc)
+        state = reconstruct_eigenstate(plan)
         energy = energy_expectation(state, params)
     except Exception as exc:  # recorded in-row; the scan continues
         row["error"] = str(exc)
@@ -327,8 +332,7 @@ def _energy_summary(rows: list[dict]) -> dict:
 def cmd_energy_accuracy(args: argparse.Namespace) -> int:
     if args.n < 3:
         raise UsageError("energy-accuracy needs --n >= 3 (the periodic energy sums N bonds)")
-    worker = partial(_energy_point, trunc=args.trunc)
-    run_grid(args, worker, _surface_points(args), ENERGY_COLUMNS, _energy_summary)
+    run_grid(args, _energy_point, _surface_points(args), ENERGY_COLUMNS, _energy_summary)
     return 0
 
 
@@ -340,10 +344,10 @@ PARTICLES_COLUMNS = (
 )
 
 
-def _particles_point(params: KitaevParams, *, trunc: float) -> list[dict]:
+def _particles_point(params: KitaevParams) -> list[dict]:
     row = {"mu": params.chemical_potential, "w": params.hopping}
     try:
-        state, _, plan = prepare_eigenstate(params, threshold=trunc)
+        state, _, plan = prepare_eigenstate(params)
     except Exception as exc:  # recorded in-row; the scan continues
         row.update(mean_particles=None, parity="", degenerate=None, error=str(exc))
         return [row]
@@ -357,8 +361,7 @@ def _particles_summary(rows: list[dict]) -> dict:
 
 
 def cmd_particles(args: argparse.Namespace) -> int:
-    worker = partial(_particles_point, trunc=args.trunc)
-    run_grid(args, worker, _surface_points(args), PARTICLES_COLUMNS, _particles_summary)
+    run_grid(args, _particles_point, _surface_points(args), PARTICLES_COLUMNS, _particles_summary)
     return 0
 
 
@@ -382,7 +385,7 @@ VERIFY_COLUMNS = (
 )
 
 
-def _verify_point(params: KitaevParams, *, trunc: float) -> list[dict]:
+def _verify_point(params: KitaevParams) -> list[dict]:
     n_sites = params.n_sites
     w, mu, delta = params.hopping, params.chemical_potential, params.pairing_magnitude
     point = {"w": w, "mu": mu, "delta": delta}
@@ -405,7 +408,7 @@ def _verify_point(params: KitaevParams, *, trunc: float) -> list[dict]:
 
     occupation = [0] * n_sites
     plan = compute_folding_plan(schur, occupation)
-    state = reconstruct_eigenstate(plan, threshold=trunc)
+    state = reconstruct_eigenstate(plan)
     vec = state.fock_coefficients().reshape(-1)
     ground = None if plan.degenerate else oracle.ed_ground_state(h)[1]
 
@@ -453,8 +456,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu, pairing_magnitude=d)
         for w, mu, d in grid
     ]
-    worker = partial(_verify_point, trunc=args.trunc)
-    summary = run_grid(args, worker, points, VERIFY_COLUMNS, _verify_summary, **config)
+    summary = run_grid(args, _verify_point, points, VERIFY_COLUMNS, _verify_summary, **config)
     return 0 if summary["failures"] == 0 else 1
 
 
@@ -463,7 +465,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _command(sub, name: str, func: Callable, help_text: str, *, n_default: int | None = None,
                 grid: bool = True) -> argparse.ArgumentParser:
-    """A subparser with the shared flags; ``grid`` adds ``--trunc`` and ``--jobs``.
+    """A subparser with the shared flags; ``grid`` adds ``--jobs``.
 
     A subcommand of ``FIXED_BOUNDARY`` gets its boundary as a parser default, so
     JSON ``config`` still records it; every other one takes ``--boundary``."""
@@ -479,8 +481,6 @@ def _command(sub, name: str, func: Callable, help_text: str, *, n_default: int |
             "--boundary", choices=("open", "periodic"), default="open", help="chain boundary"
         )
     if grid:
-        parser.add_argument("--trunc", type=float, default=TRUNCATION_THRESHOLD,
-                            help="relative truncation threshold")
         parser.add_argument("--jobs", type=int, default=1, help="parallel workers for grid points")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", help="output path (default stdout)")

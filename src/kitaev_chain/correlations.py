@@ -22,7 +22,7 @@ import numpy as np
 
 from .folding import prepare_eigenstate
 from .quadratic import KitaevParams
-from .tensor import TRUNCATION_THRESHOLD, TensorChain
+from .tensor import TensorChain
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -102,15 +102,15 @@ def z_saturated(
     params: KitaevParams,
     schedule: Sequence[int] | None = None,
     tol: float = DEFAULT_SATURATION_TOL,
-    *,
-    threshold: float = TRUNCATION_THRESHOLD,
 ) -> ZResult:
     """Saturate the ground-state Z in the chain length.
 
     Reconstructs the open-chain ground state for each N in the schedule,
     evaluates |<Q>|, and stops as soon as two consecutive values differ by
     less than ``tol``.  The chain length enters only here: ``params.n_sites``
-    is replaced by each schedule entry.
+    is replaced by each schedule entry.  Each state is built by
+    ``prepare_eigenstate`` at the fixed ``TRUNCATION_THRESHOLD`` and the
+    default bond cap.
 
     Saturation must be detected with schedule left over: a sub-tolerance step
     that lands exactly on the final entry is schedule exhaustion, not
@@ -137,7 +137,7 @@ def z_saturated(
     previous: float | None = None
     for n in schedule:
         point = dataclasses.replace(params, n_sites=n)
-        state, _, plan = prepare_eigenstate(point, threshold=threshold)
+        state, _, plan = prepare_eigenstate(point)
         value = z_value(state, state.parity)
         history.append((n, value))
         degenerate = plan.degenerate

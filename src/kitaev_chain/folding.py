@@ -59,7 +59,7 @@ from .quadratic import (
     build_coupling_matrix,
     schur_decompose,
 )
-from .tensor import MAX_BOND_DIMENSION, TRUNCATION_THRESHOLD, TensorChain
+from .tensor import MAX_BOND_DIMENSION, TensorChain
 
 __all__ = [
     "Rotation",
@@ -263,34 +263,26 @@ def bond_gate(even_angle: float, odd_angle: float) -> np.ndarray:
 def reconstruct_eigenstate(
     plan: FoldingPlan,
     *,
-    threshold: float = TRUNCATION_THRESHOLD,
     max_bond: int = MAX_BOND_DIMENSION,
 ) -> TensorChain:
     """Build the chain eigenstate of the plan's occupation.
 
     Undoes the folding on the product state of the plan's reference bits:
     the steps replay in reverse order, each as ``bond_gate(even_angle,
-    odd_angle)`` on sites (column - 1, column).  Every gate is real, so the
-    state's tensors stay real.
+    odd_angle)`` on sites (column - 1, column), truncated at the fixed
+    ``TRUNCATION_THRESHOLD``.  Every gate is real, so the state's tensors
+    stay real.
 
     The returned state carries the plan's degeneracy flag; its energy equals
     the sum of the occupied single-body energies measured from the ground
     state.
-
-    Raises
-    ------
-    ValueError
-        If ``threshold`` is not in [0, 1).
     """
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
     state = TensorChain.product_state(plan.reference)
     state.degenerate = plan.degenerate
     for rotation in reversed(plan.rotations):
         state.apply_two_site_gate(
             rotation.column - 1,
             bond_gate(rotation.even_angle, rotation.odd_angle),
-            threshold=threshold,
             max_bond=max_bond,
         )
     return state
@@ -300,7 +292,6 @@ def prepare_eigenstate(
     params: KitaevParams,
     occupation: Sequence[int] | None = None,
     *,
-    threshold: float = TRUNCATION_THRESHOLD,
     max_bond: int = MAX_BOND_DIMENSION,
 ) -> tuple[TensorChain, MajoranaSchur, FoldingPlan]:
     """Full pipeline: parameters -> coupling matrix -> plan -> tensor state.
@@ -314,5 +305,5 @@ def prepare_eigenstate(
         occupation = [0] * params.n_sites
     schur = schur_decompose(build_coupling_matrix(params))
     plan = compute_folding_plan(schur, occupation)
-    state = reconstruct_eigenstate(plan, threshold=threshold, max_bond=max_bond)
+    state = reconstruct_eigenstate(plan, max_bond=max_bond)
     return state, schur, plan

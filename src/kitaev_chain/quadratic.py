@@ -132,7 +132,9 @@ class MajoranaSchur:
     W is chiral and is held as its two blocks: W[2k, 2j] = even[k, j],
     W[2k+1, 2j+1] = odd[k, j], every other entry zero.  The constructor
     raises ``ValueError`` unless both blocks are N x N and orthogonal
-    (max |O O^T - 1| <= 1e-10) and the N energies are finite.
+    (max |O O^T - 1| <= 1e-10) and the N energies are finite.  The
+    zero-mode threshold ``zero_tol`` is derived from the energies, so it
+    always agrees with them.
 
     Attributes
     ----------
@@ -142,15 +144,11 @@ class MajoranaSchur:
     epsilons : np.ndarray
         N single-body energies; ``schur_decompose`` gives them non-negative
         in non-increasing order (zero modes last).
-    zero_tol : float
-        Absolute threshold below which an epsilon is *flagged* (never
-        altered) as a zero mode.
     """
 
     even: np.ndarray
     odd: np.ndarray
     epsilons: np.ndarray
-    zero_tol: float
 
     def __post_init__(self) -> None:
         eps = np.array(self.epsilons, dtype=float)
@@ -172,6 +170,13 @@ class MajoranaSchur:
     @property
     def n_sites(self) -> int:
         return self.epsilons.size
+
+    @property
+    def zero_tol(self) -> float:
+        """Absolute threshold below which an epsilon is *flagged* (never
+        altered) as a zero mode: ``ZERO_MODE_RTOL`` x max(1, max epsilon), the
+        largest epsilon being the spectral norm of the coupling matrix."""
+        return ZERO_MODE_RTOL * max(1.0, self.epsilons.max(initial=0.0))
 
     @property
     def n_zero_modes(self) -> int:
@@ -277,10 +282,8 @@ def schur_decompose(a: CouplingMatrix | np.ndarray) -> MajoranaSchur:
     residual = np.abs(u.T @ b @ vt.T - np.diag(eps)).max(initial=0.0)
     if residual > 1e-9 * scale:
         raise RuntimeError(f"Schur reduction failed: block residual {residual:.3e}")
-    # the largest singular value of B is the spectral norm of A
-    zero_tol = ZERO_MODE_RTOL * max(1.0, eps[0] if eps.size else 0.0)
     try:
-        return MajoranaSchur(even=u.T, odd=vt, epsilons=eps, zero_tol=zero_tol)
+        return MajoranaSchur(even=u.T, odd=vt, epsilons=eps)
     except ValueError as err:
         raise RuntimeError(f"Schur reduction failed: {err}") from err
 

@@ -21,11 +21,11 @@ passes the checks of ``DensityBlock``, run as one vectorised call per stack.
 
 Two-site gates take Hastings' form (M. B. Hastings, J. Math. Phys. 50,
 095207 (2009)): the gate acts on Theta = B_L B_R, an SVD of lambda_L Theta
-gives the new Schmidt values sigma (those below a relative threshold
-discarded, the kept ones renormalized) and right singular vectors V, and V
-becomes B_R and Theta V^T / ||sigma|| becomes B_L.  Truncation is dynamic:
-nothing above the threshold is ever dropped, and exceeding the
-bond-dimension safety cap raises instead of silently degrading the state.
+gives the new Schmidt values sigma (those at most ``TRUNCATION_THRESHOLD``
+x sigma_max discarded, the kept ones renormalized) and right singular
+vectors V, and V becomes B_R and Theta V^T / ||sigma|| becomes B_L.
+Truncation is dynamic: nothing above the cut is ever dropped, and exceeding
+the bond-dimension safety cap raises instead of silently degrading the state.
 The singular vectors keep LAPACK's phases and its order within tied singular
 values: the canonical form fixes neither, and no observable depends on them
 (only the raw tensors of ``to_json`` do).
@@ -41,8 +41,8 @@ the exact zeros of B and rejects a state that has none, and the gate methods
 reject a gate that mixes parity.  A two-site gate then splits the
 neighborhood into its two parity blocks and decomposes each one (half the
 dimension on each side, about a quarter of the work of one dense
-decomposition); the truncation threshold stays relative to the bond's
-largest singular value across both blocks.
+decomposition); the cut stays relative to the bond's largest singular
+value across both blocks.
 
 Dtype.  B is real (float64).  Every eigenstate of a Kitaev chain with
 real pairing is real, and the fold builds it from real orthogonal two-site
@@ -85,7 +85,8 @@ __all__ = [
     "energy_expectation",
 ]
 
-#: Default relative truncation threshold for singular values.
+#: Relative truncation threshold of every two-site update.  The fold builds each
+#: eigenstate exactly, so the cut only drops Schmidt values that are zero to rounding.
 TRUNCATION_THRESHOLD = 1e-12
 
 #: Default safety cap on bond dimensions; overflow raises BondOverflowError.
@@ -314,14 +315,13 @@ class TensorChain:
         left_site: int,
         u: np.ndarray,
         *,
-        threshold: float = TRUNCATION_THRESHOLD,
         max_bond: int = MAX_BOND_DIMENSION,
     ) -> None:
         """Contract a real orthogonal 4x4 gate into sites (left_site, left_site + 1).
 
         The gate acts on Theta = B_L B_R; lambda_L Theta is split by one SVD
         per parity block and truncated to singular values above
-        ``threshold`` relative to the largest.  The kept right singular
+        ``TRUNCATION_THRESHOLD`` times the largest.  The kept right singular
         vectors V become B_R, and Theta V^T / ||sigma|| becomes B_L.
 
         Raises
@@ -330,7 +330,8 @@ class TensorChain:
             If the gate is not real orthogonal or has an entry that mixes
             parity.
         TruncationError
-            If no singular value survives the threshold.
+            If the two-site block vanishes, which only a state that is not
+            canonical can cause.
         BondOverflowError
             If more than ``max_bond`` singular values survive.
         """
@@ -366,13 +367,13 @@ class TensorChain:
         odd = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
         _, s_even, v_even = np.linalg.svd(even, full_matrices=False)
         _, s_odd, v_odd = np.linalg.svd(odd, full_matrices=False)
-        cut = threshold * max(s_even[0], s_odd[0])
+        cut = TRUNCATION_THRESHOLD * max(s_even[0], s_odd[0])
         n_even = int(np.count_nonzero(s_even > cut))
         n_odd = int(np.count_nonzero(s_odd > cut))
         rank = n_even + n_odd
         if rank == 0:
             raise TruncationError(
-                f"no singular value above threshold {threshold:g} on bond {left_site}"
+                f"no singular value above threshold {TRUNCATION_THRESHOLD:g} on bond {left_site}"
             )
         if rank > max_bond:
             raise BondOverflowError(f"bond {left_site} would grow to {rank} (cap {max_bond})")

@@ -275,17 +275,11 @@ class TestUsageErrors:
             ["zscan", "--n-schedule", "1,2"],
             ["zscan", "--n-schedule", "16,8"],
             ["zscan", "--tol", "nan"],
-            ["zscan", "--trunc", "inf"],
             ["particles", "--delta", "-1"],
             ["particles", "--delta", "nan"],
             ["particles", "--n", "1"],
-            ["particles", "--trunc", "nan"],
             ["energy-accuracy", "--w-grid", "inf"],
-            ["verify", "--trunc", "-1"],
-            ["particles", "--trunc", "1.5"],
-            ["zscan", "--trunc", "1"],
-            ["energy-accuracy", "--trunc", "1.5"],
-            ["verify", "--trunc", "1.5"],
+            ["particles", "--mu-grid", "1,1", "--w-grid", "1"],
             ["particles", "--jobs", "0"],
             ["zscan", "--jobs", "-2"],
             ["spectrum", "--n", "2049"],
@@ -295,9 +289,13 @@ class TestUsageErrors:
             ["energy-accuracy", "--n", "2"],
             ["zscan", "--n-schedule", "8,2049"],
             ["zscan", "--n-schedule", "8:100000:50000"],
+            ["particles", "--out", "no-such-directory/out.csv"],
+            ["spectrum", "--out", "."],
         ],
     )
-    def test_exit_code_two(self, capsys, argv):
+    def test_exit_code_two(self, capsys, monkeypatch, argv):
+        if "--out" in argv:
+            monkeypatch.setattr(cli, "make_params", None)  # building a point would exit 1, not 2
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert err.startswith("error:")
@@ -307,6 +305,13 @@ class TestUsageErrors:
         [
             ["zscan", "--n", "99"],
             ["spectrum", "--trunc", "-1"],
+            ["zscan", "--trunc", "inf"],
+            ["particles", "--trunc", "nan"],
+            ["verify", "--trunc", "-1"],
+            ["particles", "--trunc", "1.5"],
+            ["zscan", "--trunc", "1"],
+            ["energy-accuracy", "--trunc", "1.5"],
+            ["verify", "--trunc", "1.5"],
             ["spectrum", "--jobs", "-3"],
             ["zscan", "--n-sched", "8,16"],
             ["particles", "--mu", "0:1:1"],
@@ -362,6 +367,8 @@ class TestParsers:
             "-1e308:1e308:1",
             "0:1:1e-300",
             "0:1e-11:1e-12",  # eleven values that all round to 0.0
+            "0,0",
+            "1,0.5,1",
         ],
     )
     def test_bad_grids_raise(self, text):
@@ -643,11 +650,14 @@ def test_spawned_workers_match_serial_output(entry, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # every CLI process would pay scipy's start-up time and memory; no code path needs it
+    # every CLI process pays the start-up time and memory of each package it imports,
+    # so the import may load only the declared dependency, numpy, beside the library;
+    # __mp_main__ is multiprocessing's alias of the main module, not a package
     probe = (
-        "import sys, kitaev_chain.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys; before = set(sys.modules); import kitaev_chain.cli; "
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'__mp_main__'}))"
     )
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "['kitaev_chain', 'numpy']\n"

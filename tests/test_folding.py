@@ -37,10 +37,6 @@ from kitaev_chain import (
 from kitaev_chain import oracle
 
 
-def manual_schur(even: np.ndarray, odd: np.ndarray, epsilons) -> MajoranaSchur:
-    return MajoranaSchur(even=even, odd=odd, epsilons=epsilons, zero_tol=1e-12)
-
-
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diagonal(r))
@@ -107,7 +103,7 @@ class TestComputeFoldingPlan:
         even, odd = reduce_modes(np.eye(2), np.eye(2), [0, 0])
         np.testing.assert_array_equal(np.abs(even), np.eye(2))
         np.testing.assert_array_equal(even, odd)
-        plan = compute_folding_plan(manual_schur(np.eye(2), np.eye(2), [2.0, 1.0]), [0, 0])
+        plan = compute_folding_plan(MajoranaSchur(np.eye(2), np.eye(2), [2.0, 1.0]), [0, 0])
         assert plan.n_sites == 2
         assert plan.occupation == plan.reference == (0, 0)
         assert plan.rotations == ()  # a sign is a reference bit, not a rotation by pi
@@ -121,7 +117,7 @@ class TestComputeFoldingPlan:
         even = givens(2, 1, angle).T
         np.testing.assert_allclose(reduce_modes(even, np.eye(2), [0, 0]), (even, np.eye(2)),
                                    atol=1e-15)
-        plan = compute_folding_plan(manual_schur(even, np.eye(2), [0.7, 0.2]), [0, 0])
+        plan = compute_folding_plan(MajoranaSchur(even, np.eye(2), [0.7, 0.2]), [0, 0])
         assert len(plan.rotations) == 1
         (row, column, even_angle, odd_angle), = plan.rotations
         assert (row, column, odd_angle) == (0, 1, 0.0)
@@ -133,14 +129,14 @@ class TestComputeFoldingPlan:
         even, odd = np.eye(1), -np.eye(1)
         # The mode's last entry (Majorana 1) is made non-negative: the row flips sign.
         np.testing.assert_array_equal(reduce_modes(even, odd, [0]), (-even, -odd))
-        plan = compute_folding_plan(manual_schur(even, odd, [0.7]), [0])
+        plan = compute_folding_plan(MajoranaSchur(even, odd, [0.7]), [0])
         assert plan.rotations == ()
         assert plan.reference == (1,)
         assert plan.particle_hole is True
         np.testing.assert_array_equal(replayed(-even, -odd, plan), (-even, -odd))
 
     def test_plan_is_immutable(self):
-        plan = compute_folding_plan(manual_schur(np.eye(1), np.eye(1), [1.0]), [0])
+        plan = compute_folding_plan(MajoranaSchur(np.eye(1), np.eye(1), [1.0]), [0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.reference = (1,)
 
@@ -157,7 +153,7 @@ class TestComputeFoldingPlan:
         if reflect:
             even[0, :] = -even[0, :]
         occupation = [(bits >> k) & 1 for k in range(n_sites)]
-        schur = manual_schur(even, odd, np.linspace(2.0, 1.0, n_sites))
+        schur = MajoranaSchur(even, odd, np.linspace(2.0, 1.0, n_sites))
         plan = compute_folding_plan(schur, occupation)
         for rot in plan.rotations:
             assert -np.pi / 2 < rot.even_angle <= np.pi / 2
@@ -441,7 +437,7 @@ class TestReconstruction:
 
     def test_occupation_length_must_match_plan(self):
         with pytest.raises(ValueError, match="length 3"):
-            compute_folding_plan(manual_schur(np.eye(3), np.eye(3), [1.0, 0.8, 0.5]), (0, 0))
+            compute_folding_plan(MajoranaSchur(np.eye(3), np.eye(3), [1.0, 0.8, 0.5]), (0, 0))
 
     def test_fractional_occupation_is_rejected_not_truncated(self):
         with pytest.raises(ValueError, match="0 or 1"):
@@ -470,17 +466,6 @@ class TestReconstruction:
         assert not plan.degenerate
         expected = eigenenergy(schur.epsilons, occupation)
         assert energy_expectation(state, params) == pytest.approx(expected, abs=1e-8)
-
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-12, 1.0])
-    @pytest.mark.parametrize("build", ["prepare", "reconstruct"])
-    def test_rejects_bad_threshold(self, build, threshold):
-        params = KitaevParams(4, 1.0, 0.5, 1.0)
-        with pytest.raises(ValueError, match="threshold"):
-            if build == "prepare":
-                prepare_eigenstate(params, threshold=threshold)
-            else:
-                schur = schur_decompose(build_coupling_matrix(params))
-                reconstruct_eigenstate(compute_folding_plan(schur, [0] * 4), threshold=threshold)
 
     def test_degenerate_point_is_flagged(self):
         params = KitaevParams(4, 1.0, 0.0, 1.0)

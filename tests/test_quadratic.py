@@ -6,6 +6,7 @@ from creation/annihilation operators), and hypothesis drives the decomposition
 over random chiral (even-odd) antisymmetric matrices.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -151,26 +152,34 @@ def _random_chiral(n_pairs, seed):
 class TestMajoranaSchur:
     def test_rejects_blocks_that_do_not_match_the_energies(self):
         with pytest.raises(ValueError, match="3 x 3"):
-            MajoranaSchur(np.eye(4), np.eye(4), np.array([1.0, 0.5, 0.2]), 1e-12)
+            MajoranaSchur(np.eye(4), np.eye(4), np.array([1.0, 0.5, 0.2]))
         with pytest.raises(ValueError, match="odd block"):
-            MajoranaSchur(np.eye(2), np.eye(3), [1.0, 0.5], 1e-12)
+            MajoranaSchur(np.eye(2), np.eye(3), [1.0, 0.5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_energies(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            MajoranaSchur(np.eye(2), np.eye(2), [1.0, bad], 1e-12)
+            MajoranaSchur(np.eye(2), np.eye(2), [1.0, bad])
 
     @pytest.mark.parametrize("bad", [1.1, float("nan")])
     def test_rejects_non_orthogonal_block(self, bad):
         with pytest.raises(ValueError, match="even block must be orthogonal"):
-            MajoranaSchur(bad * np.eye(2), np.eye(2), [1.0, 0.5], 1e-12)
+            MajoranaSchur(bad * np.eye(2), np.eye(2), [1.0, 0.5])
 
     def test_fields_are_read_only(self):
-        res = MajoranaSchur(np.eye(2), np.eye(2), [1.0, 0.5], 1e-12)
+        res = MajoranaSchur(np.eye(2), np.eye(2), [1.0, 0.5])
         for array in (res.even, res.odd, res.epsilons):
             with pytest.raises(ValueError):
                 array[0, ...] = 7.0
         assert res.n_sites == 2
+
+    def test_zero_tol_follows_the_energies(self):
+        assert [f.name for f in dataclasses.fields(MajoranaSchur)] == ["even", "odd", "epsilons"]
+        assert MajoranaSchur(np.eye(2), np.eye(2), [0.5, 0.0]).zero_tol == quadratic.ZERO_MODE_RTOL
+        # relative to the largest energy: 2e-12 is a zero mode next to 3, not next to 0.5
+        res = MajoranaSchur(np.eye(2), np.eye(2), [3.0, 2e-12])
+        assert res.zero_tol == 3.0 * quadratic.ZERO_MODE_RTOL
+        assert res.n_zero_modes == 1
 
 
 class TestSchurDecompose:

@@ -261,9 +261,15 @@ class TestTwoSiteGate:
             state.apply_two_site_gate(1, np.eye(4))
 
     def test_truncation_error_when_nothing_survives(self):
-        state = TensorChain.product_state([0, 0])
-        with pytest.raises(TruncationError):
-            state.apply_two_site_gate(0, RNG_GATE, threshold=2.0)
+        # The layout check accepts this state, but it is not canonical: its
+        # two-site block B_0 B_1 vanishes, so no singular value is left.
+        left = np.zeros((2, 1, 2))
+        left[0] = [[1.0, 1.0]]
+        right = np.zeros((2, 2, 1))
+        right[0] = [[1.0], [-1.0]]
+        state = TensorChain([left, right], [np.array([0.6, 0.8])])
+        with pytest.raises(TruncationError, match="threshold 1e-12 on bond 0"):
+            state.apply_two_site_gate(0, np.eye(4))
 
     def test_bond_overflow_error(self):
         state = TensorChain.product_state([0, 0])
