@@ -1,7 +1,7 @@
 """Kitaev-chain eigenstates from Majorana-coupling Schur decomposition.
 
-The pipeline: build the real antisymmetric Majorana coupling matrix of the
-chain (``quadratic``), reduce it to canonical 2x2 blocks and fold the
+The pipeline: build the chain's Majorana coupling as its N x N even-odd block
+(``quadratic``), reduce it to canonical 2x2 blocks and fold the
 orthogonal factor into an ordered sequence of paired two-mode rotations
 (``folding``), replay them as real parity-conserving two-site gates on a
 canonical tensor chain (``tensor``), and evaluate end-to-end correlations and
@@ -30,7 +30,6 @@ from .folding import (
     reduce_modes,
 )
 from .quadratic import (
-    CouplingMatrix,
     KitaevParams,
     MajoranaSchur,
     analytic_periodic_energies,
@@ -52,7 +51,6 @@ from .tensor import (
 
 __all__ = [
     "BondOverflowError",
-    "CouplingMatrix",
     "DEFAULT_SATURATION_TOL",
     "DEFAULT_SCHEDULE",
     "DensityBlock",

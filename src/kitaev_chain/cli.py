@@ -44,7 +44,7 @@ from .tensor import energy_expectation
 __all__ = ["MAX_AXIS_POINTS", "MAX_GRID_POINTS", "MAX_SITES", "main", "run"]
 
 #: Most sites a chain may have, from ``--n`` or a ``--n-schedule`` entry.  Its
-#: coupling matrix is 2N x 2N doubles, 128 MB at this cap; the check runs before
+#: coupling block B is N x N doubles, 32 MB at this cap; the check runs before
 #: any matrix is built, so a larger N is a usage error, not a failed allocation.
 MAX_SITES = 2048
 
@@ -291,8 +291,9 @@ def cmd_zscan(args: argparse.Namespace) -> int:
     grid = grid_product(
         sorted(parse_grid(args.mu_grid), reverse=True), sorted(parse_grid(args.two_w_grid))
     )
+    # built at the longest chain, so couplings that overflow there are a usage error
     points = [
-        make_params(args, n_sites=schedule[0], hopping=two_w / 2.0, chemical_potential=mu)
+        make_params(args, n_sites=schedule[-1], hopping=two_w / 2.0, chemical_potential=mu)
         for mu, two_w in grid
     ]
     worker = partial(_zscan_point, schedule=schedule, tol=args.tol)

@@ -157,16 +157,18 @@ def z_saturated(
 def z_analytic(params: KitaevParams) -> float:
     """Closed-form saturated Z: max(4|wD|/(|D|+|w|)^2 (1 - (mu/2w)^2), 0).
 
-    Zero in the trivial phase (clamped); w = 0 returns the defined limit 0
-    (no end-to-end channel without hopping).
+    Zero (+0.0) in the trivial phase |mu| >= |2w|, which includes the limit
+    w = 0 (no end-to-end channel without hopping).  Z depends on the ratios
+    of the couplings only, and is formed from them, so tiny or lopsided
+    couplings neither underflow nor overflow.
     """
-    w = params.hopping
+    w = abs(params.hopping)
     dabs = params.pairing_magnitude
     mu = params.chemical_potential
-    if w == 0.0:
+    if abs(mu) >= 2.0 * w:
         return 0.0
-    value = 4.0 * abs(w * dabs) / (dabs + abs(w)) ** 2 * (1.0 - (mu / (2.0 * w)) ** 2)
-    return max(value, 0.0)
+    total = w + dabs
+    return 4.0 * (w / total) * (dabs / total) * (1.0 - (mu / (2.0 * w)) ** 2)
 
 
 def mean_particle_number(state: TensorChain) -> float:

@@ -294,7 +294,7 @@ def prepare_eigenstate(
     *,
     max_bond: int = MAX_BOND_DIMENSION,
 ) -> tuple[TensorChain, MajoranaSchur, FoldingPlan]:
-    """Full pipeline: parameters -> coupling matrix -> plan -> tensor state.
+    """Full pipeline: parameters -> coupling block B -> plan -> tensor state.
 
     ``occupation`` defaults to the ground state (all diagonal modes empty).
 

@@ -1,4 +1,4 @@
-"""Majorana coupling matrix of the Kitaev chain and its canonical decomposition.
+"""Majorana coupling of the Kitaev chain and its canonical decomposition.
 
 The chain Hamiltonian
 
@@ -11,19 +11,21 @@ is quadratic in the 2N Majorana operators attached to the sites,
 
 and can be written as H = (i/4) sum_{kl} A_{kl} gamma_k gamma_l with a real
 antisymmetric coupling matrix A.  A pairing phase, D = |D| e^{i phi}, is a
-gauge: c_j -> e^{i phi/2} c_j maps that chain onto this one.  This module
-builds A, reduces it to canonical 2x2 blocks with an orthogonal transformation
-(real Schur form), evaluates closed-form single-body energies of the periodic
-chain, and combines single-body energies into many-body eigenenergies.
+gauge: c_j -> e^{i phi/2} c_j maps that chain onto this one.
 
 Every term of the chain couples an even Majorana to an odd one, so in
-(even, odd) order A = [[0, B], [-B^T, 0]] is chiral, and the singular value
-decomposition B = U diag(eps) V^T of its N x N even-odd block is its Schur
-form (``schur_decompose``); its transform is held as the two N x N blocks
-U^T and V^T.  No general Schur routine is needed.
+(even, odd) order A = [[0, B], [-B^T, 0]] is chiral, and its N x N even-odd
+block B = A[0::2, 1::2] is the whole coupling.  This module builds B
+(``build_coupling_matrix``), reduces the coupling to canonical 2x2 blocks
+with an orthogonal transformation (real Schur form), evaluates closed-form
+single-body energies of the periodic chain, and combines single-body
+energies into many-body eigenenergies.  The singular value decomposition
+B = U diag(eps) V^T is the Schur form (``schur_decompose``); its transform is
+held as the two N x N blocks U^T and V^T.  No general Schur routine is
+needed.
 
 Indices in this module are 0-based: Majorana mode k (0 <= k < 2N) belongs to
-site k // 2.
+site k // 2, and B[i, j] couples gamma_{2i} to gamma_{2j+1}.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ _svd = np.linalg.svd
 
 __all__ = [
     "KitaevParams",
-    "CouplingMatrix",
     "MajoranaSchur",
     "as_occupation",
     "build_coupling_matrix",
@@ -66,7 +67,8 @@ class KitaevParams:
     n_sites : int
         Number of sites N, at least 2.
     hopping : float
-        Hopping amplitude w, finite.
+        Hopping amplitude w, finite.  With mu and |D| it must keep
+        N (|mu| + 2|w| + 2|D|) finite, which bounds every energy.
     chemical_potential : float
         Chemical potential mu, finite.
     pairing_magnitude : float
@@ -93,36 +95,23 @@ class KitaevParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pairing_magnitude < 0:
             raise ValueError("pairing_magnitude must be non-negative")
+        # The bracket bounds every row and column sum of B, so a finite bound
+        # keeps every energy and the ground energy -sum(eps)/2 finite.
+        per_site = (
+            abs(self.chemical_potential) + 2 * abs(self.hopping) + 2 * self.pairing_magnitude
+        )
+        try:
+            bound = self.n_sites * per_site
+        except OverflowError:  # an n_sites beyond the float range
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(
+                "couplings overflow: n_sites * (|chemical_potential| + 2 |hopping| "
+                f"+ 2 pairing_magnitude) must be finite, got {self.n_sites} * {per_site}"
+            )
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         object.__setattr__(self, "n_sites", int(self.n_sites))
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Real antisymmetric Majorana coupling matrix A of even dimension 2N."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("coupling matrix must be square")
-        if entries.shape[0] % 2 != 0:
-            raise ValueError("coupling matrix dimension must be even (two modes per site)")
-        scale = max(1.0, np.abs(entries).max(initial=0.0))
-        if np.abs(entries + entries.T).max(initial=0.0) > 1e-12 * scale:
-            raise ValueError("coupling matrix must be antisymmetric")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_sites(self) -> int:
-        return self.dim // 2
 
 
 @dataclass(frozen=True)
@@ -175,7 +164,7 @@ class MajoranaSchur:
     def zero_tol(self) -> float:
         """Absolute threshold below which an epsilon is *flagged* (never
         altered) as a zero mode: ``ZERO_MODE_RTOL`` x max(1, max epsilon), the
-        largest epsilon being the spectral norm of the coupling matrix."""
+        largest epsilon being the spectral norm of the coupling block B."""
         return ZERO_MODE_RTOL * max(1.0, self.epsilons.max(initial=0.0))
 
     @property
@@ -206,16 +195,14 @@ def as_occupation(bits: Sequence[int], n_sites: int) -> np.ndarray:
     return occ.astype(int)
 
 
-def build_coupling_matrix(params: KitaevParams) -> CouplingMatrix:
-    """Build the Majorana coupling matrix A of a Kitaev chain.
+def build_coupling_matrix(params: KitaevParams) -> np.ndarray:
+    """Build the even-odd coupling block B of a Kitaev chain, read-only N x N.
 
-    For each site j (0-based) the on-site term contributes
-    ``A[2j, 2j+1] += -mu``, and each bond (j, j+1) contributes
-    ``A[2j, 2j+3] += |D| - w`` and ``A[2j+1, 2j+2] += |D| + w``, with the
-    antisymmetric partner updated alongside.  Periodic boundaries wrap the
-    mode indices modulo 2N (for N = 2 the two bonds accumulate on the same
-    entries, doubling the hopping and cancelling the pairing, which matches
-    the operator algebra).
+    For each site j (0-based) ``B[j, j] = -mu``, and each bond (j, j+1)
+    contributes ``B[j, j+1] += |D| - w`` and ``B[j+1, j] += -(|D| + w)``.
+    Periodic boundaries take the site indices modulo N (for N = 2 the two
+    bonds accumulate on the same entries, doubling the hopping and cancelling
+    the pairing, which matches the operator algebra).
 
     Raises
     ------
@@ -223,61 +210,46 @@ def build_coupling_matrix(params: KitaevParams) -> CouplingMatrix:
         If the parameters are invalid (delegated to ``KitaevParams``).
     """
     n = params.n_sites
-    dim = 2 * n
     w = params.hopping
-    mu = params.chemical_potential
     dabs = params.pairing_magnitude
-    a = np.zeros((dim, dim))
-
-    def add(k: int, l: int, coeff: float) -> None:
-        a[k % dim, l % dim] += coeff
-        a[l % dim, k % dim] -= coeff
-
-    for j in range(n):
-        add(2 * j, 2 * j + 1, -mu)
-    bonds = range(n) if params.boundary == "periodic" else range(n - 1)
-    for j in bonds:
-        add(2 * j, 2 * j + 3, dabs - w)
-        add(2 * j + 1, 2 * j + 2, dabs + w)
-    return CouplingMatrix(a)
+    b = np.zeros((n, n))
+    sites = np.arange(n)
+    b[sites, sites] -= params.chemical_potential
+    left = sites if params.boundary == "periodic" else sites[:-1]
+    right = (left + 1) % n
+    b[left, right] += dabs - w
+    b[right, left] -= dabs + w
+    b.setflags(write=False)
+    return b
 
 
-def schur_decompose(a: CouplingMatrix | np.ndarray) -> MajoranaSchur:
-    """Reduce a chiral antisymmetric matrix to canonical 2x2 blocks.
+def schur_decompose(b: np.ndarray) -> MajoranaSchur:
+    """Reduce the chiral coupling with even-odd block B to canonical 2x2 blocks.
 
     Returns the two blocks of an orthogonal W and non-negative single-body
     energies eps such that ``W @ A @ W.T`` is block diagonal with blocks
-    [[0, eps_k], [-eps_k, 0]], eps sorted non-increasingly (zero modes last).
+    [[0, eps_k], [-eps_k, 0]], eps sorted non-increasingly (zero modes last),
+    where A = [[0, B], [-B^T, 0]] in (even, odd) order.
 
-    A must couple even Majoranas to odd ones only, as every Kitaev chain
-    does.  In (even, odd) order it is then [[0, B], [-B^T, 0]] with
-    ``B = A[0::2, 1::2]``, and one SVD ``B = U diag(eps) V^T`` is its Schur
-    form: ``even = U^T`` and ``odd = V^T``, so every block carries +eps_k on
-    its superdiagonal.  eps and the order of tied values are those LAPACK's
-    SVD returns; zero modes pair ``U[:, k]`` with ``V[:, k]`` as returned.
-    The output is deterministic for a fixed input.
+    One SVD ``B = U diag(eps) V^T`` is that Schur form: ``even = U^T`` and
+    ``odd = V^T``, so every block carries +eps_k on its superdiagonal.  eps
+    and the order of tied values are those LAPACK's SVD returns; zero modes
+    pair ``U[:, k]`` with ``V[:, k]`` as returned.  The output is
+    deterministic for a fixed input.
 
     Raises
     ------
     ValueError
-        If the input is not antisymmetric, or couples two even or two odd
-        Majoranas.
+        If B is not a square matrix with finite entries.
     RuntimeError
-        If max |U^T B V - diag(eps)| exceeds 1e-9 times max(1, max |A|), or
+        If max |U^T B V - diag(eps)| exceeds 1e-9 times max(1, max |B|), or
         a block is not orthogonal (numerical failure is never silently
         ignored).
     """
-    m = a.entries if isinstance(a, CouplingMatrix) else np.asarray(a, dtype=float)
-    dim = m.shape[0]
-    scale = max(1.0, np.abs(m).max(initial=0.0))
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or dim % 2 != 0:
-        raise ValueError("expected a square matrix of even dimension")
-    if np.abs(m + m.T).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("matrix must be antisymmetric")
-    if m[0::2, 0::2].any() or m[1::2, 1::2].any():
-        raise ValueError("matrix must couple even Majoranas to odd ones only")
-
-    b = m[0::2, 1::2]
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or not np.isfinite(b).all():
+        raise ValueError(f"expected a square matrix with finite entries, got shape {b.shape}")
+    scale = max(1.0, np.abs(b).max(initial=0.0))
     u, eps, vt = _svd(b)
     residual = np.abs(u.T @ b @ vt.T - np.diag(eps)).max(initial=0.0)
     if residual > 1e-9 * scale:

@@ -291,7 +291,11 @@ class TestUsageErrors:
             ["zscan", "--n-schedule", "8:100000:50000"],
             ["particles", "--out", "no-such-directory/out.csv"],
             ["spectrum", "--out", "."],
+            ["spectrum", "--n", "4", "--w", "1e308", "--delta", "1e308"],
+            ["spectrum", "--n", "4", "--w", "1e308", "--mu", "1e308"],
+            ["zscan", "--two-w-grid", "2e306", "--delta", "1e306", "--n-schedule", "8,96"],
         ],
+        ids=" ".join,
     )
     def test_exit_code_two(self, capsys, monkeypatch, argv):
         if "--out" in argv:
@@ -320,6 +324,7 @@ class TestUsageErrors:
             ["particles", "--boundary", "open"],
             ["energy-accuracy", "--boundary", "open"],
         ],
+        ids=" ".join,
     )
     def test_removed_and_abbreviated_flags_exit_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

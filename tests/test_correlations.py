@@ -9,6 +9,7 @@ semantics.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from kitaev_chain import (
     z_value,
 )
 from kitaev_chain import oracle
+from majorana_coupling import full_coupling
 from parity_gates import random_pair_gate, random_site_sign
 
 def dense_vector(state: TensorChain) -> np.ndarray:
@@ -211,7 +213,7 @@ class TestCovarianceRoute:
         coupling = build_coupling_matrix(params)
         schur = schur_decompose(coupling)
         assert not schur.is_degenerate
-        lam, v = np.linalg.eigh(1j * coupling.entries)
+        lam, v = np.linalg.eigh(1j * full_coupling(coupling))
         reference = (1j * (v * np.sign(lam)) @ v.conj().T).real
         np.testing.assert_allclose(covariance_matrix(params), reference, rtol=0.0, atol=1e-12)
         # the eigenvalues of i A are +-eps_k
@@ -311,6 +313,28 @@ class TestZAnalytic:
 
     def test_zero_hopping_limit(self):
         assert z_analytic(KitaevParams(8, 0.0, 1.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_depends_on_coupling_ratios_only(self, scale):
+        for hopping, mu, pairing in [(1.0, 0.0, 1.0), (0.5, 0.7, 1.0), (-1.5, -2.0, 0.3)]:
+            scaled = KitaevParams(8, scale * hopping, scale * mu, scale * pairing)
+            assert z_analytic(scaled) == pytest.approx(
+                z_analytic(KitaevParams(8, hopping, mu, pairing)), rel=1e-15
+            )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            KitaevParams(8, 1e-200, 0.0, 1e-200),  # (|D| + |w|)^2 underflows
+            KitaevParams(8, 1e-300, 1.0, 1.0),     # (mu / 2w)^2 overflows
+            KitaevParams(8, 1.0, 3.0, 0.0),        # trivial phase without pairing
+        ],
+        ids=["tiny", "lopsided", "no-pairing"],
+    )
+    def test_extreme_couplings_give_a_finite_value(self, params):
+        value = z_analytic(params)
+        assert 0.0 <= value <= 1.0
+        assert math.copysign(1.0, value) == 1.0  # never -0.0
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,13 +1,16 @@
-"""Tests for the Majorana coupling matrix and its canonical decomposition.
+"""Tests for the Majorana coupling block and its canonical decomposition.
 
-Frozen small cases pin the entry conventions; the dense oracle provides an
-independent route to the same physics (Fock-space Hamiltonian built straight
-from creation/annihilation operators), and hypothesis drives the decomposition
-over random chiral (even-odd) antisymmetric matrices.
+Frozen small cases pin the entry conventions of the even-odd block B; the
+dense oracle provides an independent route to the same physics (Fock-space
+Hamiltonian built straight from creation/annihilation operators, against the
+full coupling A assembled from B in the test), and hypothesis drives the
+decomposition over random blocks B.
 """
 
 import dataclasses
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from kitaev_chain import (
     schur_decompose,
 )
 from kitaev_chain import oracle, prepare_eigenstate, quadratic
-from kitaev_chain.quadratic import CouplingMatrix
+from majorana_coupling import full_coupling
 
 
 class TestKitaevParams:
@@ -43,6 +46,14 @@ class TestKitaevParams:
         fields[field] = value
         with pytest.raises(ValueError, match=field):
             KitaevParams(**fields)
+
+    def test_couplings_at_the_overflow_bound(self):
+        # N (|mu| + 2|w| + 2|D|) bounds every energy: at float max it is accepted,
+        # one ulp of mu beyond it overflows and is refused.
+        at_bound = sys.float_info.max / 2
+        KitaevParams(2, 0.0, at_bound, 0.0)
+        with pytest.raises(ValueError, match="couplings overflow"):
+            KitaevParams(2, 0.0, math.nextafter(at_bound, math.inf), 0.0)
 
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):
@@ -88,65 +99,70 @@ class TestOccupationValidation:
             np.testing.assert_array_equal(occ, [1, 0])
 
 
-class TestCouplingMatrix:
-    def test_rejects_symmetric_part(self):
-        with pytest.raises(ValueError):
-            CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_rejects_odd_dimension(self):
-        with pytest.raises(ValueError):
-            CouplingMatrix(np.zeros((3, 3)))
-
+class TestCouplingBlock:
     def test_entries_are_read_only(self):
-        a = build_coupling_matrix(KitaevParams(2, 1.0, 0.5, 0.25))
+        b = build_coupling_matrix(KitaevParams(2, 1.0, 0.5, 0.25))
         with pytest.raises(ValueError):
-            a.entries[0, 1] = 7.0
+            b[0, 1] = 7.0
 
     def test_open_chain_entries(self):
-        a = build_coupling_matrix(KitaevParams(2, 1.0, 0.5, 0.25)).entries
-        want = np.zeros((4, 4))
-        want[0, 1], want[2, 3] = -0.5, -0.5        # on-site, -mu
-        want[0, 3] = 0.25 - 1.0                    # cross bond, |D| - w
-        want[1, 2] = 0.25 + 1.0                    # cross bond, |D| + w
-        want -= want.T
-        np.testing.assert_allclose(a, want, atol=1e-15)
+        b = build_coupling_matrix(KitaevParams(2, 1.0, 0.5, 0.25))
+        want = np.array(
+            [
+                [-0.5, 0.25 - 1.0],      # on-site -mu; bond (0, 1): |D| - w
+                [-(0.25 + 1.0), -0.5],   # bond (0, 1): -(|D| + w); on-site -mu
+            ]
+        )
+        np.testing.assert_array_equal(b, want)
 
     def test_periodic_two_sites_accumulates(self):
         # The two bonds of the N = 2 ring connect the same pair of sites:
         # their pairing contributions cancel and the hoppings add up.
-        a = build_coupling_matrix(KitaevParams(2, 1.0, 0.0, 0.7, boundary="periodic")).entries
-        want = np.zeros((4, 4))
-        want[0, 3] = -2.0
-        want[1, 2] = 2.0
-        want -= want.T
-        np.testing.assert_allclose(a, want, atol=1e-15)
+        b = build_coupling_matrix(KitaevParams(2, 1.0, 0.0, 0.7, boundary="periodic"))
+        np.testing.assert_allclose(b, [[0.0, -2.0], [-2.0, 0.0]], atol=1e-15)
 
-    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_periodic_wrap_corners(self):
+        # The bond (2, 0) of the N = 3 ring fills the two corners the open chain leaves empty.
+        b = build_coupling_matrix(KitaevParams(3, 1.0, 0.5, 0.25, boundary="periodic"))
+        want = np.array(
+            [
+                [-0.5, -0.75, -1.25],
+                [-1.25, -0.5, -0.75],
+                [-0.75, -1.25, -0.5],
+            ]
+        )
+        np.testing.assert_array_equal(b, want)
+        corners = np.eye(3, k=2) + np.eye(3, k=-2)
+        open_b = build_coupling_matrix(KitaevParams(3, 1.0, 0.5, 0.25))
+        np.testing.assert_array_equal(open_b, np.where(corners, 0.0, want))
+
+    @pytest.mark.parametrize(
+        "boundary, n", [("open", 3), ("periodic", 3), ("periodic", 2)],
+        ids=["open", "periodic", "periodic-N2"],
+    )
     @pytest.mark.parametrize("phi", [0.0, 0.7])
-    def test_matches_fock_space_hamiltonian(self, boundary, phi):
-        # Route 1: A assembled bond by bond, promoted to a dense operator with
-        # the Majoranas of the gauge c -> e^{i phi/2} c.
+    def test_matches_fock_space_hamiltonian(self, boundary, n, phi):
+        # Route 1: B assembled bond by bond, interleaved into A and promoted to
+        # a dense operator with the Majoranas of the gauge c -> e^{i phi/2} c.
         # Route 2: the Hamiltonian with pairing |D| e^{i phi} written directly with c, c+.
         # A has no phase, so their agreement shows that the phase is a gauge.
-        p = KitaevParams(3, 1.0, 0.6, 0.9, boundary=boundary)
-        a = build_coupling_matrix(p)
-        via_majoranas = oracle.majorana_hamiltonian(a.entries, pairing_phase=phi)
-        direct = oracle.dense_hamiltonian(3, 1.0, 0.6, 0.9, pairing_phase=phi, boundary=boundary)
+        p = KitaevParams(n, 1.0, 0.6, 0.9, boundary=boundary)
+        a = full_coupling(build_coupling_matrix(p))
+        via_majoranas = oracle.majorana_hamiltonian(a, pairing_phase=phi)
+        direct = oracle.dense_hamiltonian(n, 1.0, 0.6, 0.9, pairing_phase=phi, boundary=boundary)
         np.testing.assert_allclose(via_majoranas, direct, atol=1e-12)
 
 
-def _random_chiral(n_pairs, seed):
-    """A random antisymmetric matrix that couples even modes to odd ones only.
+def _random_block(n_sites, seed):
+    """A random even-odd coupling block B.
 
-    Its even-odd block B is Gaussian; about one draw in three zeroes a random
-    set of B's rows, so exact zero modes occur."""
+    Its entries are Gaussian; about one draw in three zeroes a random set of
+    its rows, so exact zero modes occur."""
     rng = np.random.default_rng(seed)
-    b = rng.normal(size=(n_pairs, n_pairs))
+    b = rng.normal(size=(n_sites, n_sites))
     if rng.random() < 1 / 3:
-        b[rng.random(n_pairs) < 0.5] = 0.0
-    m = np.zeros((2 * n_pairs, 2 * n_pairs))
-    m[0::2, 1::2] = b
-    return m - m.T
+        b[rng.random(n_sites) < 0.5] = 0.0
+    return b
 
 
 class TestMajoranaSchur:
@@ -184,11 +200,11 @@ class TestMajoranaSchur:
 
 class TestSchurDecompose:
     def test_single_block(self):
-        a = np.array([[0.0, -2.0], [2.0, 0.0]])
-        res = schur_decompose(a)
+        b = np.array([[-2.0]])
+        res = schur_decompose(b)
         np.testing.assert_allclose(res.epsilons, [2.0], atol=1e-14)
         # W = [[even, 0], [0, odd]] maps A to [[0, eps], [-eps, 0]]
-        np.testing.assert_allclose(res.even @ a[0::2, 1::2] @ res.odd.T, [[2.0]], atol=1e-14)
+        np.testing.assert_allclose(res.even @ b @ res.odd.T, [[2.0]], atol=1e-14)
 
     def test_sweet_spot_zero_mode(self):
         # w = |D|, mu = 0 decouples one Majorana at each end of the open chain.
@@ -202,29 +218,30 @@ class TestSchurDecompose:
         assert not res.is_degenerate
         assert res.n_zero_modes == 0
 
-    def test_rejects_non_antisymmetric(self):
-        with pytest.raises(ValueError):
-            schur_decompose(np.eye(4))
-
-    @pytest.mark.parametrize("k, l", [(0, 2), (1, 3)], ids=["even-even", "odd-odd"])
-    def test_rejects_even_even_coupling(self, k, l):
-        # A Kitaev chain never couples two even or two odd Majoranas; the
-        # chiral SVD would silently drop such an entry, so it is refused.
-        a = build_coupling_matrix(KitaevParams(3, 1.0, 0.5, 0.8)).entries.copy()
-        a[k, l], a[l, k] = 0.3, -0.3
-        with pytest.raises(ValueError, match="even Majoranas to odd"):
-            schur_decompose(a)
+    @pytest.mark.parametrize(
+        "b",
+        [
+            np.ones(4),
+            np.ones((2, 3)),
+            np.array([[1.0, np.nan], [0.0, 1.0]]),
+            np.diag([1.0, np.inf]),
+        ],
+        ids=["1-D", "2x3", "nan", "inf"],
+    )
+    def test_rejects_malformed_block(self, b):
+        with pytest.raises(ValueError, match="square matrix with finite entries"):
+            schur_decompose(b)
 
     def test_deterministic(self):
-        a = build_coupling_matrix(KitaevParams(6, 1.0, 0.4, 0.8))
-        r1 = schur_decompose(a)
-        r2 = schur_decompose(a)
+        b = build_coupling_matrix(KitaevParams(6, 1.0, 0.4, 0.8))
+        r1 = schur_decompose(b)
+        r2 = schur_decompose(b)
         np.testing.assert_array_equal(r1.even, r2.even)
         np.testing.assert_array_equal(r1.odd, r2.odd)
         np.testing.assert_array_equal(r1.epsilons, r2.epsilons)
 
     def test_factor_that_misses_the_canonical_form_is_a_numerical_failure(self, monkeypatch):
-        a = build_coupling_matrix(KitaevParams(3, 1.0, 0.5, 0.8))
+        b = build_coupling_matrix(KitaevParams(3, 1.0, 0.5, 0.8))
         svd = quadratic._svd
 
         def inflated(b):
@@ -233,33 +250,33 @@ class TestSchurDecompose:
 
         monkeypatch.setattr(quadratic, "_svd", inflated)
         with pytest.raises(RuntimeError, match="block residual"):
-            schur_decompose(a)
+            schur_decompose(b)
 
     def test_non_orthogonal_factor_is_a_numerical_failure(self, monkeypatch):
         # B = 0 is factored exactly by any U and V; a non-orthogonal U must not pass.
         monkeypatch.setattr(quadratic, "_svd", lambda b: (2.0 * np.eye(2), np.zeros(2), np.eye(2)))
         with pytest.raises(RuntimeError, match="even block must be orthogonal"):
-            schur_decompose(np.zeros((4, 4)))
+            schur_decompose(np.zeros((2, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
-    def test_random_antisymmetric_properties(self, n_pairs, seed):
-        a = _random_chiral(n_pairs, seed)
-        scale = max(1.0, np.abs(a).max())
-        res = schur_decompose(a)
+    def test_random_antisymmetric_properties(self, n_sites, seed):
+        b = _random_block(n_sites, seed)
+        scale = max(1.0, np.abs(b).max())
+        res = schur_decompose(b)
         # Orthogonality and the canonical block form: in (even, odd) order
         # W A W^T = [[0, E B F^T], [-(E B F^T)^T, 0]] with E B F^T = diag(eps).
         for block in (res.even, res.odd):
-            np.testing.assert_allclose(block @ block.T, np.eye(n_pairs), atol=1e-10)
+            np.testing.assert_allclose(block @ block.T, np.eye(n_sites), atol=1e-10)
         np.testing.assert_allclose(
-            res.even @ a[0::2, 1::2] @ res.odd.T, np.diag(res.epsilons), atol=1e-9 * scale
+            res.even @ b @ res.odd.T, np.diag(res.epsilons), atol=1e-9 * scale
         )
         # Ordering and sign conventions.
         assert (res.epsilons >= 0).all()
         assert (np.diff(res.epsilons) <= 1e-12 * scale).all()
-        # The singular values of A come in pairs (eps_k, eps_k).
+        # The singular values of the antisymmetric A come in pairs (eps_k, eps_k).
         np.testing.assert_allclose(
-            np.sort(np.linalg.svd(a, compute_uv=False)),
+            np.sort(np.linalg.svd(full_coupling(b), compute_uv=False)),
             np.sort(np.repeat(res.epsilons, 2)),
             atol=1e-9 * scale,
         )
