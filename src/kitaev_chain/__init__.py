@@ -42,7 +42,6 @@ from .tensor import (
     MAX_BOND_DIMENSION,
     TRUNCATION_THRESHOLD,
     BondOverflowError,
-    DensityBlock,
     TensorChain,
     TruncationError,
     bond_hamiltonian,
@@ -53,7 +52,6 @@ __all__ = [
     "BondOverflowError",
     "DEFAULT_SATURATION_TOL",
     "DEFAULT_SCHEDULE",
-    "DensityBlock",
     "FoldingPlan",
     "KitaevParams",
     "MAX_BOND_DIMENSION",

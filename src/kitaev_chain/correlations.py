@@ -76,7 +76,7 @@ def z_value(state: TensorChain, parity: str) -> float:
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return abs(float(np.trace(state.rdm_ends().entries @ _Q)))
+    return abs(float(np.trace(state.rdm_ends() @ _Q)))
 
 
 @dataclass(frozen=True)

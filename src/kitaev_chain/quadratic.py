@@ -162,14 +162,16 @@ class MajoranaSchur:
 
     @property
     def zero_tol(self) -> float:
-        """Absolute threshold below which an epsilon is *flagged* (never
-        altered) as a zero mode: ``ZERO_MODE_RTOL`` x max(1, max epsilon), the
-        largest epsilon being the spectral norm of the coupling block B."""
-        return ZERO_MODE_RTOL * max(1.0, self.epsilons.max(initial=0.0))
+        """Threshold at or below which an epsilon is *flagged* (never altered)
+        as a zero mode: ``ZERO_MODE_RTOL`` x max epsilon, the largest epsilon
+        being the spectral norm of the coupling block B.  It scales with the
+        couplings, so scaling them all by one factor flags the same modes; a
+        chain whose couplings are all 0 has N zero modes."""
+        return ZERO_MODE_RTOL * self.epsilons.max(initial=0.0)
 
     @property
     def n_zero_modes(self) -> int:
-        return int(np.count_nonzero(self.epsilons < self.zero_tol))
+        return int(np.count_nonzero(self.epsilons <= self.zero_tol))
 
     @property
     def is_degenerate(self) -> bool:
@@ -242,14 +244,14 @@ def schur_decompose(b: np.ndarray) -> MajoranaSchur:
     ValueError
         If B is not a square matrix with finite entries.
     RuntimeError
-        If max |U^T B V - diag(eps)| exceeds 1e-9 times max(1, max |B|), or
-        a block is not orthogonal (numerical failure is never silently
-        ignored).
+        If max |U^T B V - diag(eps)| exceeds 1e-9 times max |B| (a zero B
+        has residual 0 and passes), or a block is not orthogonal (numerical
+        failure is never silently ignored).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or not np.isfinite(b).all():
         raise ValueError(f"expected a square matrix with finite entries, got shape {b.shape}")
-    scale = max(1.0, np.abs(b).max(initial=0.0))
+    scale = np.abs(b).max(initial=0.0)
     u, eps, vt = _svd(b)
     residual = np.abs(u.T @ b @ vt.T - np.diag(eps)).max(initial=0.0)
     if residual > 1e-9 * scale:

@@ -14,10 +14,13 @@ division by a Schmidt value: a one-site block is x x^T with x = lambda_L B as
 a (2, chi_L chi_R) matrix, a two-site block the same with the
 (4, chi_L chi_R) product lambda_L B B, the norm and parity sweep one batched
 product per site, and the end-pair sweep carries a stack of four chi x chi
-matrices, one per (ket, bra) occupation of site 0.  ``rdm_pairs`` and
-``rdm_sites`` return every adjacent-pair or one-site block as one read-only
-stack, from the contractions of ``rdm_pair`` and ``rdm_site``.  Every block
-passes the checks of ``DensityBlock``, run as one vectorised call per stack.
+matrices, one per (ket, bra) occupation of site 0.  A reduced density
+matrix has one form: a read-only float64 array.  ``rdm_sites`` and
+``rdm_pairs`` return every one-site or adjacent-pair block as one stack,
+``rdm_site(i)`` and ``rdm_pair(i)`` are entry i of that stack, and
+``rdm_ends`` is the end-pair block.  Every block passes one checker (real,
+finite, symmetric, unit trace, positive semidefinite to 1e-10), run as one
+vectorised call per stack.
 
 Two-site gates take Hastings' form (M. B. Hastings, J. Math. Phys. 50,
 095207 (2009)): the gate acts on Theta = B_L B_R, an SVD of lambda_L Theta
@@ -66,7 +69,6 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,7 +81,6 @@ __all__ = [
     "FOCK_SITE_LIMIT",
     "TruncationError",
     "BondOverflowError",
-    "DensityBlock",
     "TensorChain",
     "bond_hamiltonian",
     "energy_expectation",
@@ -114,34 +115,17 @@ class BondOverflowError(RuntimeError):
     """Raised when an operation would exceed the bond-dimension safety cap."""
 
 
-@dataclass(frozen=True)
-class DensityBlock:
-    """A validated reduced density matrix of one site (2x2) or two (4x4).
-
-    Construction keeps ``entries`` real (float64), rejects an imaginary
-    part or a non-finite entry, and checks symmetry, unit trace, and positive
-    semidefiniteness to 1e-10; a violation means the producing contraction is
-    broken and is reported instead of propagated.  Basis order is |0>, |1>
-    for one site and |00>, |01>, |10>, |11> (first slot = left/first site).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _checked_blocks(np.asarray(self.entries)[None])[0])
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def _checked_blocks(blocks: np.ndarray, where: str = "") -> np.ndarray:
     """Validate a stack of density blocks at once; returns it as read-only float64.
 
-    The checks of ``DensityBlock``, each run as one vectorised call over the
-    stack: real, finite, symmetric, unit trace, and no eigenvalue below
-    -1e-10.  A failing block is named as ``where`` and its index in the stack
-    ("bond 3", "site 0"); with ``where`` empty it is not named.
+    Every reduced density matrix of this module passes here: a stack of 2x2
+    (one site, basis |0>, |1>) or 4x4 blocks (two sites, basis |00>, |01>,
+    |10>, |11>, first slot the left or first site).  Each check is one
+    vectorised call over the stack: real, finite, symmetric, unit trace, and
+    no eigenvalue below -1e-10.  A violation means the producing contraction
+    is broken and is raised as ``ValueError`` instead of propagated.  A
+    failing block is named as ``where`` and its index in the stack ("bond 3",
+    "site 0"); with ``where`` empty it is not named.
     """
     if not np.isrealobj(blocks):
         raise ValueError("density block must be real")
@@ -444,48 +428,59 @@ class TensorChain:
 
     # -- reduced density matrices -----------------------------------------
 
-    def rdm_site(self, site: int) -> DensityBlock:
-        """Reduced density matrix of one site."""
-        self._check_site(site)
-        return DensityBlock(self._site_block(site))
+    def rdm_site(self, site: int) -> np.ndarray:
+        """Reduced density matrix of one site, a read-only float64 (2, 2) array.
 
-    def rdm_pair(self, left_site: int) -> DensityBlock:
-        """Reduced density matrix of sites (left_site, left_site + 1)."""
+        It is entry ``site`` of :meth:`rdm_sites`.  As an entry of the stack
+        a call costs O(N), and a broken block at any site of the chain raises
+        ``ValueError`` naming that site.
+        """
+        self._check_site(site)
+        return self.rdm_sites()[site]
+
+    def rdm_pair(self, left_site: int) -> np.ndarray:
+        """Reduced density matrix of sites (left_site, left_site + 1), read-only float64 (4, 4).
+
+        It is entry ``left_site`` of :meth:`rdm_pairs`.  As an entry of the
+        stack a call costs O(N), and a broken block on any bond of the chain
+        raises ``ValueError`` naming that bond.
+        """
         if not 0 <= left_site < self.n_sites - 1:
             raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
-        return DensityBlock(self._pair_block(left_site))
+        return self.rdm_pairs()[left_site]
 
     def rdm_sites(self) -> np.ndarray:
-        """All N one-site density matrices as a read-only (N, 2, 2) stack, checked at once.
+        """All N one-site density matrices as a read-only (N, 2, 2) float64 stack, checked at once.
 
-        Entry i equals ``rdm_site(i).entries`` bit for bit; a failing block
-        raises ``ValueError`` naming its site.
+        Block i is x x^T with x = lambda_L B of site i as a (2, chi_L chi_R)
+        matrix; a failing block raises ``ValueError`` naming its site.
         """
-        blocks = [self._site_block(i) for i in range(self.n_sites)]
+        blocks = []
+        for site, b in enumerate(self.gammas):
+            x = (b * self._left_lambda(site)[:, None]).reshape(2, -1)
+            blocks.append(x @ x.T)
         return _checked_blocks(np.reshape(blocks, (-1, 2, 2)), "site")
 
     def rdm_pairs(self) -> np.ndarray:
-        """All N-1 pair density matrices as a read-only (N-1, 4, 4) stack, checked at once.
+        """All N-1 pair density matrices as a read-only (N-1, 4, 4) float64 stack, checked at once.
 
-        Entry i, the pair (i, i+1), equals ``rdm_pair(i).entries`` bit for
-        bit; a failing block raises ``ValueError`` naming its bond.  Empty
-        for a one-site chain.
+        Block i, the pair (i, i+1), is y y^T with y = lambda_L B_i B_{i+1} as
+        a (4, chi_L chi_R) matrix; a failing block raises ``ValueError``
+        naming its bond.  Empty for a one-site chain.
         """
-        blocks = [self._pair_block(i) for i in range(self.n_sites - 1)]
+        blocks = []
+        for left in range(self.n_sites - 1):
+            x = self.gammas[left] * self._left_lambda(left)[:, None]
+            # y[j, k] = x[j] @ right[k]: rows (j, k), columns (a, c)
+            y = (x[:, None] @ self.gammas[left + 1]).reshape(4, -1)
+            blocks.append(y @ y.T)
         return _checked_blocks(np.reshape(blocks, (-1, 4, 4)), "bond")
 
-    def _site_block(self, site: int) -> np.ndarray:
-        x = (self.gammas[site] * self._left_lambda(site)[:, None]).reshape(2, -1)
-        return x @ x.T
+    def rdm_ends(self) -> np.ndarray:
+        """Reduced density matrix of (site 0, site N-1) via bulk transfer matrices.
 
-    def _pair_block(self, left_site: int) -> np.ndarray:
-        left = self.gammas[left_site] * self._left_lambda(left_site)[:, None]
-        # y[j, k] = left[j] @ right[k]: rows (j, k), columns (a, c)
-        y = (left[:, None] @ self.gammas[left_site + 1]).reshape(4, -1)
-        return y @ y.T
-
-    def rdm_ends(self) -> DensityBlock:
-        """Reduced density matrix of (site 0, site N-1) via bulk transfer matrices."""
+        A read-only float64 (4, 4) array, checked like every other block.
+        """
         n = self.n_sites
         if n < 3:
             raise ValueError("end-pair density matrix requires at least 3 sites")
@@ -499,7 +494,7 @@ class TensorChain:
         last = self.gammas[-1][:, :, 0]
         # (last @ acc @ last.T)[(k, l), m, n] is rho[(k, m), (l, n)]
         rho = (last @ acc @ last.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        return DensityBlock(rho)
+        return _checked_blocks(rho[None])[0]
 
     # -- coefficients -------------------------------------------------------
 
@@ -663,5 +658,5 @@ def energy_expectation(state: TensorChain, params: KitaevParams) -> float:
     if periodic:
         sign = 1.0 if state.parity == "even" else -1.0
         h = bond_hamiltonian(-sign * w, -sign * pairing, mu / 2.0, mu / 2.0)
-        total += float(np.trace(state.rdm_ends().entries @ h))
+        total += float(np.trace(state.rdm_ends() @ h))
     return total

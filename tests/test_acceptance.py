@@ -152,7 +152,7 @@ def test_criterion_04_dense_reference_equivalence():
         vec = state.fock_coefficients().reshape(-1)
 
         rho_residual = float(
-            np.abs(state.rdm_ends().entries - oracle.partial_trace_ends(vec, n)).max()
+            np.abs(state.rdm_ends() - oracle.partial_trace_ends(vec, n)).max()
         )
         residuals["rdm"] = max(residuals["rdm"], rho_residual)
         assert rho_residual < 1e-10
@@ -294,8 +294,7 @@ def test_criterion_09_invariants_through_random_circuit():
         blocks = [state.rdm_site(k) for k in range(n)]
         blocks += [state.rdm_pair(k) for k in range(n - 1)]
         blocks.append(state.rdm_ends())
-        for block in blocks:
-            rho = block.entries
+        for rho in blocks:
             eigvals = np.linalg.eigvalsh(rho)
             worst["rdm"] = max(
                 worst["rdm"],

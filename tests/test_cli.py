@@ -183,6 +183,21 @@ class TestEnergyAccuracy:
         assert sum(row["degenerate"] for row in rows) == 9
         assert all(row["error"] == "" and row["abs_difference"] < 1e-9 for row in rows)
 
+    def test_summary_without_a_tensor_energy_is_null(self, capsys, monkeypatch):
+        def fail(plan):
+            raise RuntimeError("replay failed")
+
+        monkeypatch.setattr(cli, "reconstruct_eigenstate", fail)
+        argv = ["energy-accuracy", "--mu-grid", "0,1", "--w-grid", "1"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert "# max_abs_difference=\n" in out
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["summary"]["max_abs_difference"] is None
+        assert [row["error"] for row in data["rows"]] == ["replay failed"] * 2
+
 
 class TestParticles:
     def test_deep_trivial_extremes(self, capsys):
@@ -207,6 +222,15 @@ class TestParticles:
         filling = [row["mean_particles"] for row in rows]
         assert [row["mu"] for row in rows] == [-3.0, -1.0, 1.0, 3.0]
         assert all(a <= b + 1e-9 for a, b in zip(filling, filling[1:]))
+
+    def test_degeneracy_does_not_depend_on_the_coupling_scale(self, capsys):
+        outputs = []
+        for w, mu in (("1", "0.5"), ("1e-200", "5e-201")):
+            argv = ["particles", "--n", "6", "--w-grid", w, "--mu-grid", mu, "--delta", w]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            outputs.append(csv_body(out)[2][0][2:])
+        assert outputs[0] == outputs[1] == ["3.377304", "odd", "false", ""]
 
 
 class TestVerify:
@@ -248,6 +272,23 @@ class TestVerify:
         data = json.loads(out)
         assert {row["delta"] for row in data["rows"]} == {0.6, 1.0}
         assert not {"w", "mu", "delta"} & data["config"].keys()
+
+    @pytest.mark.parametrize("scale,mu", [("1e-200", "5e-201"), ("1e6", "5e5")])
+    def test_point_passes_at_any_coupling_scale(self, capsys, scale, mu):
+        argv = ["verify", "--n", "6", "--w", scale, "--delta", scale, "--mu", mu]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        comments, _, _ = csv_body(out)
+        assert comments["failures"] == "0" and comments["skipped"] == "0"
+
+    def test_spectrum_off_by_a_relative_part_per_million_fails(self, capsys, monkeypatch):
+        exact = cli.eigenenergy
+        monkeypatch.setattr(cli, "eigenenergy", lambda eps, occ: exact(eps, occ) * (1.0 + 1e-6))
+        code, out, _ = run_cli(capsys, ["verify", "--n", "6", "--w", "1e6", "--delta", "1e6",
+                                        "--mu", "5e5", "--format", "json"])
+        assert code == 1
+        by_check = {row["check"]: row["status"] for row in json.loads(out)["rows"]}
+        assert by_check["spectrum_multiset"] == "fail"
 
     def test_n_out_of_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--n", "12"])

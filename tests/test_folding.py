@@ -219,7 +219,7 @@ class TestReduceModes:
                 assert weight == pytest.approx(1.0, abs=1e-10)
                 continue
             c = covariance_matrix(params, occupation)
-            filling = [state.rdm_site(j).entries[1, 1] for j in range(n_sites)]
+            filling = [state.rdm_site(j)[1, 1] for j in range(n_sites)]
             expected = [(1.0 + c[2 * j, 2 * j + 1]) / 2.0 for j in range(n_sites)]
             np.testing.assert_allclose(filling, expected, atol=1e-10)
             z = covariance_z(params, occupation)

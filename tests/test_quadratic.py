@@ -191,11 +191,31 @@ class TestMajoranaSchur:
 
     def test_zero_tol_follows_the_energies(self):
         assert [f.name for f in dataclasses.fields(MajoranaSchur)] == ["even", "odd", "epsilons"]
-        assert MajoranaSchur(np.eye(2), np.eye(2), [0.5, 0.0]).zero_tol == quadratic.ZERO_MODE_RTOL
+        # no floor: below an energy scale of 1 the threshold still follows the energies
+        res = MajoranaSchur(np.eye(2), np.eye(2), [0.5, 0.0])
+        assert res.zero_tol == 0.5 * quadratic.ZERO_MODE_RTOL
         # relative to the largest energy: 2e-12 is a zero mode next to 3, not next to 0.5
         res = MajoranaSchur(np.eye(2), np.eye(2), [3.0, 2e-12])
         assert res.zero_tol == 3.0 * quadratic.ZERO_MODE_RTOL
         assert res.n_zero_modes == 1
+
+    @pytest.mark.parametrize(
+        "w,mu,delta,boundary,zero_modes",
+        [
+            (1.0, 0.7, 1.0, "open", 0),
+            (1.0, 0.0, 1.0, "open", 1),
+            (1.0, 2.0, 1.0, "periodic", 1),
+            (0.0, 1.0, 0.0, "open", 0),
+            (0.0, 0.0, 0.0, "open", 8),
+        ],
+        ids=["gapped", "sweet-spot", "periodic-zero-mode", "atomic", "all-zero"],
+    )
+    def test_zero_modes_do_not_depend_on_the_coupling_scale(
+        self, w, mu, delta, boundary, zero_modes
+    ):
+        for scale in (1.0, 1e-200, 1e150):
+            params = KitaevParams(8, scale * w, scale * mu, scale * delta, boundary)
+            assert schur_decompose(build_coupling_matrix(params)).n_zero_modes == zero_modes
 
 
 class TestSchurDecompose:
@@ -249,8 +269,10 @@ class TestSchurDecompose:
             return u, 1.1 * eps, vt
 
         monkeypatch.setattr(quadratic, "_svd", inflated)
-        with pytest.raises(RuntimeError, match="block residual"):
-            schur_decompose(b)
+        # the residual is judged on the couplings' own scale, however small
+        for scale in (1.0, 1e-12):
+            with pytest.raises(RuntimeError, match="block residual"):
+                schur_decompose(scale * b)
 
     def test_non_orthogonal_factor_is_a_numerical_failure(self, monkeypatch):
         # B = 0 is factored exactly by any U and V; a non-orthogonal U must not pass.

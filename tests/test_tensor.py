@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from kitaev_chain import (
     BondOverflowError,
-    DensityBlock,
     KitaevParams,
     TensorChain,
     TruncationError,
@@ -29,7 +28,7 @@ from kitaev_chain import (
     build_coupling_matrix,
 )
 from kitaev_chain import oracle, z_value
-from kitaev_chain.tensor import FOCK_SITE_LIMIT, MAX_BOND_DIMENSION
+from kitaev_chain.tensor import FOCK_SITE_LIMIT, MAX_BOND_DIMENSION, _checked_blocks
 from parity_gates import random_pair_gate, random_site_sign
 
 #: A quarter turn within {|00>, |11>} and within {|01>, |10>}; conserves parity.
@@ -92,42 +91,47 @@ def scaled_chain(state: TensorChain, site: int, factor: float) -> TensorChain:
     return TensorChain(gammas, state.lambdas)
 
 
-class TestDensityBlock:
+def one_block(rho) -> np.ndarray:
+    """``rho`` checked as a stack of one block."""
+    return _checked_blocks(np.asarray(rho)[None])
+
+
+class TestCheckedBlocks:
     def test_accepts_valid_two_by_two(self):
-        block = DensityBlock(np.diag([0.25, 0.75]))
-        assert block.dim == 2
-        assert block.entries.flags.writeable is False
+        block = one_block(np.diag([0.25, 0.75]))
+        assert block.shape == (1, 2, 2)
+        assert block.flags.writeable is False
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            DensityBlock(np.eye(3) / 3.0)
+            one_block(np.eye(3) / 3.0)
 
     def test_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermiticity"):
-            DensityBlock(rho)
+            one_block(rho)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
-            DensityBlock(np.diag([0.7, 0.7]))
+            one_block(np.diag([0.7, 0.7]))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
-            DensityBlock(np.diag([1.5, -0.5]))
+            one_block(np.diag([1.5, -0.5]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_entries(self, value):
         with pytest.raises(ValueError, match="non-finite"):
-            DensityBlock(np.full((2, 2), value))
+            one_block(np.full((2, 2), value))
         rho = np.diag([0.25, 0.25, 0.25, 0.25])
         rho[0, 3] = rho[3, 0] = value
         with pytest.raises(ValueError, match="non-finite"):
-            DensityBlock(rho)
+            one_block(rho)
 
     def test_entries_are_real_and_complex_input_is_rejected(self):
-        assert DensityBlock(np.diag([0.25, 0.75])).entries.dtype == np.float64
+        assert one_block(np.diag([0.25, 0.75])).dtype == np.float64
         with pytest.raises(ValueError, match="must be real"):
-            DensityBlock(np.diag([0.25, 0.75]).astype(np.complex128))
+            one_block(np.diag([0.25, 0.75]).astype(np.complex128))
 
 
 class TestConstruction:
@@ -136,7 +140,7 @@ class TestConstruction:
         assert state.n_sites == 3
         assert state.bond_dimensions == (1, 1)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(state.rdm_site(1).entries, np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(state.rdm_site(1), np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_product_state_rejects_bad_bits(self):
         with pytest.raises(ValueError):
@@ -172,8 +176,8 @@ class TestConstruction:
         state = TensorChain.product_state([0, 0, 0])
         clone = state.copy()
         clone.apply_two_site_gate(0, FLIP_PAIR)
-        np.testing.assert_allclose(state.rdm_site(0).entries, np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(clone.rdm_site(0).entries, np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(state.rdm_site(0), np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(clone.rdm_site(0), np.diag([0.0, 1.0]), atol=1e-12)
         assert state.even_counts == [1, 1, 1] and clone.even_counts == [0, 1, 1]
 
 
@@ -190,7 +194,7 @@ class TestSingleSiteGate:
         amps = dense_vector(state)
         assert amps[1] == -1.0
         np.testing.assert_allclose(
-            state.rdm_site(0).entries, np.diag([0.0, 1.0]), atol=1e-12
+            state.rdm_site(0), np.diag([0.0, 1.0]), atol=1e-12
         )
 
     def test_rejects_non_diagonal_gate(self):
@@ -460,18 +464,18 @@ class TestParityLayout:
 class TestReducedDensityMatrices:
     def test_site_vacuum(self):
         state = TensorChain.product_state([0, 0, 0])
-        np.testing.assert_allclose(state.rdm_site(0).entries, np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(state.rdm_site(0), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_site_worked_example_is_maximally_mixed(self):
         state = TensorChain.product_state([0, 0, 0])
         state.apply_two_site_gate(0, RNG_GATE)
         np.testing.assert_allclose(
-            state.rdm_site(0).entries, np.diag([0.5, 0.5]), atol=1e-12
+            state.rdm_site(0), np.diag([0.5, 0.5]), atol=1e-12
         )
 
     def test_pair_vacuum(self):
         state = TensorChain.product_state([0, 0, 0])
-        rho = state.rdm_pair(0).entries
+        rho = state.rdm_pair(0)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-12)
@@ -481,19 +485,19 @@ class TestReducedDensityMatrices:
         state.apply_two_site_gate(0, RNG_GATE)
         vec = np.zeros(4)
         vec[0b00] = vec[0b11] = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(state.rdm_pair(0).entries, np.outer(vec, vec), atol=1e-12)
+        np.testing.assert_allclose(state.rdm_pair(0), np.outer(vec, vec), atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_pair_partial_traces_match_sites(self, seed):
         state = random_circuit(4, seed=seed)
         for left in range(3):
-            rho = state.rdm_pair(left).entries.reshape(2, 2, 2, 2)
+            rho = state.rdm_pair(left).reshape(2, 2, 2, 2)
             np.testing.assert_allclose(
-                np.einsum("jklk->jl", rho), state.rdm_site(left).entries, atol=1e-10
+                np.einsum("jklk->jl", rho), state.rdm_site(left), atol=1e-10
             )
             np.testing.assert_allclose(
-                np.einsum("kjkl->jl", rho), state.rdm_site(left + 1).entries, atol=1e-10
+                np.einsum("kjkl->jl", rho), state.rdm_site(left + 1), atol=1e-10
             )
 
     @pytest.mark.parametrize("n_sites,layers,seed", BRICKWORK)
@@ -503,11 +507,11 @@ class TestReducedDensityMatrices:
         assert max(state.bond_dimensions) > 2
         for site in range(n_sites):
             np.testing.assert_allclose(
-                state.rdm_site(site).entries, dense_block(state, (site,)), atol=1e-12
+                state.rdm_site(site), dense_block(state, (site,)), atol=1e-12
             )
         for left in range(n_sites - 1):
             np.testing.assert_allclose(
-                state.rdm_pair(left).entries, dense_block(state, (left, left + 1)), atol=1e-12
+                state.rdm_pair(left), dense_block(state, (left, left + 1)), atol=1e-12
             )
 
     @pytest.mark.parametrize("n_sites,layers,seed", BRICKWORK)
@@ -515,12 +519,12 @@ class TestReducedDensityMatrices:
         state = brickwork(n_sites, layers, seed, max_bond=MAX_BOND_DIMENSION)
         sites, pairs = state.rdm_sites(), state.rdm_pairs()
         assert sites.shape == (n_sites, 2, 2) and pairs.shape == (n_sites - 1, 4, 4)
-        for stack in (sites, pairs):
-            assert stack.dtype == np.float64 and stack.flags.writeable is False
+        reads = (sites, pairs, state.rdm_site(0), state.rdm_pair(0), state.rdm_ends())
+        assert all(rho.dtype == np.float64 and rho.flags.writeable is False for rho in reads)
         for site in range(n_sites):
-            np.testing.assert_array_equal(sites[site], state.rdm_site(site).entries)
+            np.testing.assert_array_equal(sites[site], state.rdm_site(site))
         for left in range(n_sites - 1):
-            np.testing.assert_array_equal(pairs[left], state.rdm_pair(left).entries)
+            np.testing.assert_array_equal(pairs[left], state.rdm_pair(left))
         assert TensorChain.product_state([1]).rdm_pairs().shape == (0, 4, 4)
 
     def test_batched_reads_name_a_corrupted_block(self):
@@ -536,12 +540,17 @@ class TestReducedDensityMatrices:
             broken.rdm_pairs()
         with pytest.raises(ValueError, match="density block of site 4 has a non-finite entry"):
             broken.rdm_sites()
+        # a one-block read is an entry of the checked stack: it names the broken block
+        with pytest.raises(ValueError, match="block of site 3: .*trace deviation 2.100e-01"):
+            state.rdm_site(0)
+        with pytest.raises(ValueError, match="block of bond 2: .*trace deviation 2.100e-01"):
+            state.rdm_pair(0)
 
     def test_ends_vacuum(self):
         state = TensorChain.product_state([0, 0, 0, 0])
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        np.testing.assert_allclose(state.rdm_ends().entries, expected, atol=1e-12)
+        np.testing.assert_allclose(state.rdm_ends(), expected, atol=1e-12)
 
     def test_ends_requires_three_sites(self):
         state = TensorChain.product_state([0, 0])
@@ -552,12 +561,12 @@ class TestReducedDensityMatrices:
         n_sites = 18
         state = brickwork(n_sites, layers=9, seed=5, max_bond=2 * MAX_BOND_DIMENSION)
         assert max(state.bond_dimensions) > MAX_BOND_DIMENSION
-        rho = state.rdm_ends().entries.reshape(2, 2, 2, 2)
+        rho = state.rdm_ends().reshape(2, 2, 2, 2)
         np.testing.assert_allclose(
-            np.einsum("jklk->jl", rho), state.rdm_site(0).entries, atol=1e-10
+            np.einsum("jklk->jl", rho), state.rdm_site(0), atol=1e-10
         )
         np.testing.assert_allclose(
-            np.einsum("kjkl->jl", rho), state.rdm_site(n_sites - 1).entries, atol=1e-10
+            np.einsum("kjkl->jl", rho), state.rdm_site(n_sites - 1), atol=1e-10
         )
         assert 0.0 <= z_value(state, "even") <= 2.0
 
@@ -568,7 +577,7 @@ class TestReducedDensityMatrices:
     )
     def test_ends_matches_dense_partial_trace(self, n_sites, seed):
         state = random_circuit(n_sites, seed=seed)
-        rho = state.rdm_ends().entries
+        rho = state.rdm_ends()
         expected = oracle.partial_trace_ends(dense_vector(state), n_sites)
         np.testing.assert_allclose(rho, expected, atol=1e-10)
 
@@ -583,13 +592,13 @@ class TestReducedDensityMatrices:
             acc = np.tensordot(half, b, axes=([0, 4], [0, 1])).transpose(1, 2, 0, 3)
         last = state.gammas[-1][:, :, 0]
         expected = np.einsum("klab,ma,nb->kmln", acc, last, last).reshape(4, 4)
-        np.testing.assert_allclose(state.rdm_ends().entries, expected, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(state.rdm_ends(), expected, atol=1e-14, rtol=0)
 
     def test_ends_three_sites_equals_traced_middle(self):
         state = random_circuit(3, seed=31)
         vec = dense_vector(state).reshape(2, 2, 2)
         rho_full = np.einsum("jmk,lmn->jkln", vec, vec.conj()).reshape(4, 4)
-        np.testing.assert_allclose(state.rdm_ends().entries, rho_full, atol=1e-10)
+        np.testing.assert_allclose(state.rdm_ends(), rho_full, atol=1e-10)
 
 
 class TestFockCoefficients:
