@@ -24,10 +24,12 @@ k+1), each block takes the angle
 that rotates its columns (j-1, j) so that B[k, j] vanishes; the surviving
 coefficient keeps its sign instead of costing a rotation by pi.  A step
 whose two angles are both the identity to double precision
-(|sin(theta/2)| < 2^-53, as beyond Majorana N+k or in the exponentially
-small tails of a gapped mode) is skipped; the fold residual still checks
-the whole fold.  The reduced modes leave about N^2/4 steps (exactly
-floor(N^2/4) on the ground states of the benchmark ladder).  After all rows
+(|sin(theta/2)| < 2^-53, as in the exponentially small tails of a gapped
+mode) is skipped; the fold residual still checks the whole fold.  Each row
+starts at its last column that is nonzero in either block: the steps beyond
+it, beyond Majorana N+k, meet two exact zeros, and atan2(+-0, x) folds to
+0.  The reduced modes leave about N^2/4 steps (exactly floor(N^2/4) on the
+ground states of the benchmark ladder).  After all rows
 E and F are diagonal with entries +-1, and their signs are the reference
 bits: folded mode k is sigma_E (gamma_{2k} + i s_k sigma_E sigma_F
 gamma_{2k+1}), which annihilates site k empty when s_k sigma_E sigma_F = +1
@@ -47,6 +49,7 @@ builds that eigenstate alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -142,24 +145,11 @@ class FoldingPlan:
         return sum(r != n for r, n in zip(self.reference, self.occupation)) % 2 == 1
 
 
-def _rotation_angle(entry_high: float, entry_low: float) -> float:
-    """Angle of the rotation that moves the high-column entry onto the low one.
-
-    Taken mod pi, in (-pi/2, pi/2], so the low entry keeps its sign.
-    """
-    theta = float(np.arctan2(entry_high, entry_low))
+def _fold_angle(theta: float) -> float:
+    """``theta`` taken mod pi, in (-pi/2, pi/2], so the low entry keeps its sign."""
     if theta > np.pi / 2:
         return theta - np.pi
     return theta + np.pi if theta <= -np.pi / 2 else theta
-
-
-def _rotate_columns(block: np.ndarray, column: int, angle: float) -> None:
-    """Rotate columns (column-1, column) of ``block`` in place."""
-    c, s = np.cos(angle), np.sin(angle)
-    low_col = block[:, column - 1].copy()
-    high_col = block[:, column].copy()
-    block[:, column - 1] = c * low_col + s * high_col
-    block[:, column] = -s * low_col + c * high_col
 
 
 def reduce_modes(
@@ -207,6 +197,11 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     the identity to double precision and the reference bits the folded
     diagonal signs give: the plan builds that eigenstate.
 
+    The two blocks are one (2, N, N) stack, and a step rotates one column
+    pair of it with a (cos, sin) per block.  Each row starts at its last
+    column that is nonzero in either block; the steps skipped beyond it
+    would each meet two exact zeros, the identity.
+
     Raises
     ------
     ValueError
@@ -217,18 +212,27 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     """
     n_sites = schur.n_sites
     occupation = as_occupation(occupation, n_sites)
-    even, odd = reduce_modes(schur.even, schur.odd, occupation)
+    blocks = np.stack(reduce_modes(schur.even, schur.odd, occupation))
 
     rotations: list[Rotation] = []
     for row in range(n_sites - 1):
-        for column in range(n_sites - 1, row, -1):
-            even_angle = _rotation_angle(even[row, column], even[row, column - 1])
-            odd_angle = _rotation_angle(odd[row, column], odd[row, column - 1])
-            if max(abs(np.sin(even_angle / 2.0)), abs(np.sin(odd_angle / 2.0))) >= _IDENTITY_SIN:
+        support = np.flatnonzero(blocks[:, row].any(axis=0))
+        last = int(support[-1]) if support.size else row
+        for column in range(last, row, -1):
+            # numpy's atan2, not math.atan2: the two differ in the last bit on some inputs
+            theta = np.arctan2(blocks[:, row, column], blocks[:, row, column - 1])
+            even_angle, odd_angle = map(_fold_angle, theta.tolist())
+            half_sine = max(abs(math.sin(even_angle / 2.0)), abs(math.sin(odd_angle / 2.0)))
+            if half_sine >= _IDENTITY_SIN:
                 rotations.append(Rotation(row, column, even_angle, odd_angle))
-                _rotate_columns(even, column, even_angle)
-                _rotate_columns(odd, column, odd_angle)
+                # columns (low, high) -> (c low + s high, c high - s low), per block
+                pair = blocks[:, :, column - 1 : column + 1]
+                cos = np.array((math.cos(even_angle), math.cos(odd_angle)))[:, None, None]
+                s_even, s_odd = math.sin(even_angle), math.sin(odd_angle)
+                sin = np.array(((s_even, -s_even), (s_odd, -s_odd)))[:, None, :]
+                blocks[:, :, column - 1 : column + 1] = pair * cos + pair[:, :, ::-1] * sin
 
+    even, odd = blocks
     even_signs, odd_signs = (np.where(np.diagonal(b) < 0.0, -1.0, 1.0) for b in (even, odd))
     residual = max(
         float(np.abs(block - np.diag(signs)).max(initial=0.0))
@@ -246,7 +250,7 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     )
 
 
-def bond_gate(even_angle: float, odd_angle: float) -> np.ndarray:
+def bond_gate(even_angle: float | np.ndarray, odd_angle: float | np.ndarray) -> np.ndarray:
     """Real two-site gate of one fold step on sites (j, j+1).
 
     (cos(a/2) I - sin(a/2) gamma_{2j} gamma_{2j+2}) times
@@ -254,9 +258,19 @@ def bond_gate(even_angle: float, odd_angle: float) -> np.ndarray:
     and b = ``odd_angle``, in the basis |00>, |01>, |10>, |11>.  Each factor
     is real orthogonal (the square of a Majorana pair product is -1), the two
     commute, and both conserve parity.
+
+    Scalar angles give one (4, 4) gate; two angle arrays of shape (G,) give
+    the (G, 4, 4) stack of gates, entry g the gate of the angles at g.
     """
-    even = np.cos(even_angle / 2.0) * _IDENTITY4 - np.sin(even_angle / 2.0) * _EVEN_PAIR
-    odd = np.cos(odd_angle / 2.0) * _IDENTITY4 - np.sin(odd_angle / 2.0) * _ODD_PAIR
+    even_angle, odd_angle = np.asarray(even_angle), np.asarray(odd_angle)
+    even = (
+        np.cos(even_angle / 2.0)[..., None, None] * _IDENTITY4
+        - np.sin(even_angle / 2.0)[..., None, None] * _EVEN_PAIR
+    )
+    odd = (
+        np.cos(odd_angle / 2.0)[..., None, None] * _IDENTITY4
+        - np.sin(odd_angle / 2.0)[..., None, None] * _ODD_PAIR
+    )
     return even @ odd
 
 
@@ -270,8 +284,9 @@ def reconstruct_eigenstate(
     Undoes the folding on the product state of the plan's reference bits:
     the steps replay in reverse order, each as ``bond_gate(even_angle,
     odd_angle)`` on sites (column - 1, column), truncated at the fixed
-    ``TRUNCATION_THRESHOLD``.  Every gate is real, so the state's tensors
-    stay real.
+    ``TRUNCATION_THRESHOLD``.  All gates of the plan are built by one
+    ``bond_gate`` call on the angle arrays.  Every gate is real, so the
+    state's tensors stay real.
 
     The returned state carries the plan's degeneracy flag; its energy equals
     the sum of the occupied single-body energies measured from the ground
@@ -279,12 +294,10 @@ def reconstruct_eigenstate(
     """
     state = TensorChain.product_state(plan.reference)
     state.degenerate = plan.degenerate
-    for rotation in reversed(plan.rotations):
-        state.apply_two_site_gate(
-            rotation.column - 1,
-            bond_gate(rotation.even_angle, rotation.odd_angle),
-            max_bond=max_bond,
-        )
+    steps = plan.rotations[::-1]
+    angles = np.array([(r.even_angle, r.odd_angle) for r in steps], dtype=float).reshape(-1, 2)
+    for rotation, gate in zip(steps, bond_gate(angles[:, 0], angles[:, 1])):
+        state.apply_two_site_gate(rotation.column - 1, gate, max_bond=max_bond)
     return state
 
 

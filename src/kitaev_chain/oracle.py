@@ -63,6 +63,36 @@ def annihilation_operators(n_sites: int) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
+def _entries(n_sites: int, *products) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries of a sum of ladder-operator products, as flat indices and values.
+
+    Each product lists (site, create) factors left to right, c+_site when
+    ``create`` and c_site otherwise; the rightmost factor acts first.  A
+    factor keeps the basis states whose bit at ``site`` it can flip, flips
+    it, and takes the Jordan-Wigner sign: -1 per occupied site left of
+    ``site``.  Entries the products share are summed.
+    """
+    dim = 2**n_sites
+    basis = np.arange(dim)
+    odd = np.zeros(dim, dtype=int)  # parity of each basis state's occupation
+    for b in range(n_sites):
+        odd ^= (basis >> b) & 1
+    flat, values = [], []
+    for product in products:
+        states, columns, amps = basis, basis, np.ones(dim)
+        for site, create in reversed(product):
+            bit = 1 << (n_sites - 1 - site)
+            keep = ((states & bit) == 0) == create
+            states, columns, amps = states[keep], columns[keep], amps[keep]
+            # states >> (N - site) holds the bits of sites 0 .. site-1
+            amps = np.where(odd[states >> (n_sites - site)] == 1, -amps, amps)
+            states = states ^ bit
+        flat.append(states * dim + columns)
+        values.append(amps)
+    flat, where = np.unique(np.concatenate(flat), return_inverse=True)
+    return flat, np.bincount(where, weights=np.concatenate(values))
+
+
 def dense_hamiltonian(
     n_sites: int,
     hopping: float,
@@ -71,29 +101,39 @@ def dense_hamiltonian(
     pairing_phase: float = 0.0,
     boundary: str = "open",
 ) -> np.ndarray:
-    """Dense Fock-basis Hamiltonian of the Kitaev chain.
+    """Dense Fock-basis Hamiltonian of the Kitaev chain, complex 2^N x 2^N.
 
     H = sum_j [ -w (c+_j c_{j+1} + c+_{j+1} c_j) - mu (n_j - 1/2)
                 + D c_j c_{j+1} + conj(D) c+_{j+1} c+_j ]
 
     with D = |D| e^{i phi}; the bond sum runs over j = 0..N-2 for open
     boundaries and wraps (c_N = c_0, both wrap terms taken literally) for
-    periodic ones.
+    periodic ones.  Each term is written onto its matrix elements from the
+    occupation bits of the basis states and the Jordan-Wigner string signs,
+    with no matrix product: the mu terms site by site, then each bond's
+    hopping and pairing.
     """
     _check_size(n_sites)
     if boundary not in ("open", "periodic"):
         raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
-    c = annihilation_operators(n_sites)
     dim = 2**n_sites
     delta = pairing_magnitude * np.exp(1j * pairing_phase)
     h = np.zeros((dim, dim), dtype=complex)
+    entries = h.reshape(-1)  # a view: row-major flat indices
+    basis = np.arange(dim)
     for j in range(n_sites):
-        h -= chemical_potential * (c[j].conj().T @ c[j] - 0.5 * np.eye(dim))
+        occupied = (basis >> (n_sites - 1 - j)) & 1
+        entries[basis * (dim + 1)] -= chemical_potential * (occupied - 0.5)
     n_bonds = n_sites if boundary == "periodic" else n_sites - 1
     for j in range(n_bonds):
         k = (j + 1) % n_sites
-        h -= hopping * (c[j].conj().T @ c[k] + c[k].conj().T @ c[j])
-        h += delta * (c[j] @ c[k]) + np.conj(delta) * (c[k].conj().T @ c[j].conj().T)
+        for coefficient, products in (
+            (-hopping, (((j, True), (k, False)), ((k, True), (j, False)))),
+            (delta, (((j, False), (k, False)),)),
+            (np.conj(delta), (((k, True), (j, True)),)),
+        ):
+            flat, values = _entries(n_sites, *products)
+            entries[flat] += coefficient * values
     return h
 
 

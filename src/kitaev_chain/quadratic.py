@@ -192,7 +192,7 @@ def as_occupation(bits: Sequence[int], n_sites: int) -> np.ndarray:
     if occ.ndim != 1 or occ.size != n_sites:
         raise ValueError(f"occupation pattern must have length {n_sites}, got shape {occ.shape}")
     # checked before the cast, which would truncate 0.5 to 0 and 1.9 to 1
-    if not np.isin(occ, (0, 1)).all():
+    if not ((occ == 0) | (occ == 1)).all():
         raise ValueError("occupation entries must be 0 or 1")
     return occ.astype(int)
 

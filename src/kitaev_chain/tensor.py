@@ -39,13 +39,15 @@ half.  A bond lists the even-parity vectors first, each block with
 non-increasing lambda, and ``even_counts`` records how many are even (the last
 entry, for the right boundary, is 1 for an even and 0 for an odd state, which
 ``parity`` reports).  The layout is an invariant, checked where a state or
-gate enters: the constructor (and so ``from_json``) infers the counts from
-the exact zeros of B and rejects a state that has none, and the gate methods
-reject a gate that mixes parity.  A two-site gate then splits the
-neighborhood into its two parity blocks and decomposes each one (half the
+gate enters: the constructor (and so ``from_json`` and ``copy``) infers the
+counts from the exact zeros of B and rejects a state that has none,
+``product_state`` writes them from the running parity of its bits, and the
+gate methods reject a gate that mixes parity.  A two-site gate then splits
+the neighborhood into its two parity blocks, each chi_L x chi_R (half the
 dimension on each side, about a quarter of the work of one dense
-decomposition); the cut stays relative to the bond's largest singular
-value across both blocks.
+decomposition), and decomposes both with one batched SVD call on their
+stack; the cut stays relative to the bond's largest singular value across
+both blocks.
 
 Dtype.  B is real (float64).  Every eigenstate of a Kitaev chain with
 real pairing is real, and the fold builds it from real orthogonal two-site
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -249,16 +252,27 @@ class TensorChain:
 
     @classmethod
     def product_state(cls, bits: Sequence[int]) -> "TensorChain":
-        """Bond-dimension-1 basis state |b_0 b_1 ... b_{N-1}>."""
+        """Bond-dimension-1 basis state |b_0 b_1 ... b_{N-1}>.
+
+        The bits are validated; the tensors and their layout are written
+        directly, without the constructor's checks: bond i holds one vector,
+        even when sites 0..i hold an even number of particles.
+        """
         bits = list(bits)
         if not bits or any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be a nonempty sequence of 0/1")
-        gammas = []
+        state = cls.__new__(cls)
+        state.gammas, state.even_counts = [], []
+        filled = 0
         for b in bits:
             g = np.zeros((2, 1, 1))
             g[int(b), 0, 0] = 1.0  # a bool index would act as a mask
-            gammas.append(g)
-        return cls(gammas, [_ones_bond() for _ in bits[:-1]])
+            state.gammas.append(g)
+            filled += int(b)
+            state.even_counts.append(1 - filled % 2)
+        state.lambdas = [_ones_bond() for _ in bits[:-1]]
+        state.degenerate = False
+        return state
 
     def copy(self) -> "TensorChain":
         return TensorChain(self.gammas, self.lambdas, degenerate=self.degenerate)
@@ -303,10 +317,13 @@ class TensorChain:
     ) -> None:
         """Contract a real orthogonal 4x4 gate into sites (left_site, left_site + 1).
 
-        The gate acts on Theta = B_L B_R; lambda_L Theta is split by one SVD
-        per parity block and truncated to singular values above
-        ``TRUNCATION_THRESHOLD`` times the largest.  The kept right singular
-        vectors V become B_R, and Theta V^T / ||sigma|| becomes B_L.
+        The gate acts on Theta = B_L B_R.  The two parity blocks of
+        lambda_L Theta, each chi_L x chi_R, are stacked and split by one
+        batched SVD call (``np.linalg.svd`` looked up at call time), and
+        truncated to singular values above ``TRUNCATION_THRESHOLD`` times the
+        largest of both.  The kept values list the even block's before the
+        odd block's.  The kept right singular vectors V become B_R, and
+        Theta V^T / ||sigma|| becomes B_L.
 
         Raises
         ------
@@ -343,17 +360,20 @@ class TensorChain:
         # Row (j, a) of m has left-half parity p(a) + j: the even rows are
         # j = 0 with a even and j = 1 with a odd, so in a-order they are the
         # two ends of m; the odd rows are the contiguous middle.  Likewise
-        # for the columns (k, c).  m vanishes between the two blocks.
+        # for the columns (k, c).  m vanishes between the two blocks, and
+        # each block is chi_L x chi_R: both go through one batched SVD.
         e_l = counts[left_site - 1] if left_site > 0 else 1
         e_r = counts[left_site + 1]
-        rows = np.concatenate((m[:e_l], m[chi_l + e_l :]))
-        even = np.concatenate((rows[:, :e_r], rows[:, chi_r + e_r :]), axis=1)
-        odd = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
-        _, s_even, v_even = np.linalg.svd(even, full_matrices=False)
-        _, s_odd, v_odd = np.linalg.svd(odd, full_matrices=False)
-        cut = TRUNCATION_THRESHOLD * max(s_even[0], s_odd[0])
-        n_even = int(np.count_nonzero(s_even > cut))
-        n_odd = int(np.count_nonzero(s_odd > cut))
+        blocks = np.empty((2, chi_l, chi_r))
+        even, odd = blocks
+        even[:e_l, :e_r] = m[:e_l, :e_r]
+        even[:e_l, e_r:] = m[:e_l, chi_r + e_r :]
+        even[e_l:, :e_r] = m[chi_l + e_l :, :e_r]
+        even[e_l:, e_r:] = m[chi_l + e_l :, chi_r + e_r :]
+        odd[...] = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
+        _, s, v = np.linalg.svd(blocks, full_matrices=False)
+        cut = TRUNCATION_THRESHOLD * max(s[0, 0], s[1, 0])
+        n_even, n_odd = (s > cut).sum(axis=1).tolist()
         rank = n_even + n_odd
         if rank == 0:
             raise TruncationError(
@@ -361,14 +381,14 @@ class TensorChain:
             )
         if rank > max_bond:
             raise BondOverflowError(f"bond {left_site} would grow to {rank} (cap {max_bond})")
-        sigma = np.concatenate((s_even[:n_even], s_odd[:n_odd]))
+        sigma = np.concatenate((s[0, :n_even], s[1, :n_odd]))
         right_vecs = np.zeros((rank, 2 * chi_r))
-        right_vecs[:n_even, :e_r] = v_even[:n_even, :e_r]
-        right_vecs[:n_even, chi_r + e_r :] = v_even[:n_even, e_r:]
-        right_vecs[n_even:, e_r : chi_r + e_r] = v_odd[:n_odd]
+        right_vecs[:n_even, :e_r] = v[0, :n_even, :e_r]
+        right_vecs[:n_even, chi_r + e_r :] = v[0, :n_even, e_r:]
+        right_vecs[n_even:, e_r : chi_r + e_r] = v[1, :n_odd]
         counts[left_site] = n_even
 
-        norm = np.sqrt(np.sum(sigma**2))
+        norm = math.sqrt((sigma**2).sum())
         self.lambdas[left_site] = sigma / norm
         self.gammas[left_site] = (theta @ right_vecs.T / norm).reshape(2, chi_l, rank)
         self.gammas[left_site + 1] = right_vecs.reshape(rank, 2, chi_r).transpose(1, 0, 2)

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covariance_route import covariance_matrix, covariance_z
+from folding_reference import reference_fold
 from kitaev_chain import (
     FoldingPlan,
     KitaevParams,
@@ -170,6 +171,66 @@ class TestComputeFoldingPlan:
         # The product of the folded signs is the determinant the rotations cannot
         # absorb; the mode recombination is unitary, so it keeps the determinant.
         assert plan.particle_hole == (np.linalg.det(even) * np.linalg.det(odd) < 0.0)
+
+
+def fold_bits(rotations) -> list[tuple]:
+    """Each rotation with its angles as exact hex text, so -0.0 and 0.0 differ."""
+    return [(r.row, r.column, r.even_angle.hex(), r.odd_angle.hex()) for r in rotations]
+
+
+class TestLockstepFold:
+    """``compute_folding_plan`` folds both blocks as one stack and starts each row
+    at its last nonzero column; the triangular loop of ``folding_reference`` is
+    the referee, and the plans must agree bit for bit."""
+
+    @staticmethod
+    def assert_same_fold(schur: MajoranaSchur, occupation) -> None:
+        plan = compute_folding_plan(schur, occupation)
+        rotations, reference, residual = reference_fold(schur, occupation)
+        assert fold_bits(plan.rotations) == fold_bits(rotations)
+        assert plan.reference == reference
+        assert plan.replay_residual.hex() == residual.hex()
+
+    @example(n_sites=24, hopping=1.0, mu=2.0, pairing=1.0, periodic=False, bits=0)
+    @example(n_sites=10, hopping=1.0, mu=0.0, pairing=1.0, periodic=True, bits=0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sites=st.integers(min_value=2, max_value=24),
+        hopping=st.floats(min_value=-2.0, max_value=2.0),
+        mu=st.floats(min_value=-4.0, max_value=4.0),
+        pairing=st.floats(min_value=0.0, max_value=2.0),
+        periodic=st.booleans(),
+        bits=st.integers(min_value=0, max_value=2**24 - 1),
+    )
+    def test_chain_plans_match_the_triangular_loop(
+        self, n_sites, hopping, mu, pairing, periodic, bits
+    ):
+        boundary = "periodic" if periodic else "open"
+        params = KitaevParams(n_sites, hopping, mu, pairing, boundary=boundary)
+        schur = schur_decompose(build_coupling_matrix(params))
+        self.assert_same_fold(schur, [(bits >> k) & 1 for k in range(n_sites)])
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n_sites", [2, 3, 6, 10, 17, 24])
+    def test_atomic_limit_plans_match_the_triangular_loop(self, n_sites, boundary):
+        schur = schur_decompose(
+            build_coupling_matrix(KitaevParams(n_sites, 0.0, 2.0, 0.0, boundary=boundary))
+        )
+        rng = np.random.default_rng(n_sites)
+        for occupation in ([0] * n_sites, list(rng.integers(0, 2, n_sites))):
+            self.assert_same_fold(schur, occupation)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_sites=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**31),
+        bits=st.integers(min_value=0, max_value=255),
+    )
+    def test_random_orthogonal_plans_match_the_triangular_loop(self, n_sites, seed, bits):
+        rng = np.random.default_rng(seed)
+        even, odd = random_orthogonal(n_sites, rng), random_orthogonal(n_sites, rng)
+        schur = MajoranaSchur(even, odd, np.linspace(2.0, 1.0, n_sites))
+        self.assert_same_fold(schur, [(bits >> k) & 1 for k in range(n_sites)])
 
 
 def complex_structure(occupation) -> np.ndarray:
@@ -385,6 +446,17 @@ class TestBondGate:
             factor = np.cos(angle / 2) * np.eye(4) - np.sin(angle / 2) * g[lo] @ g[hi]
             expected = expected @ factor
         np.testing.assert_allclose(bond_gate(even_angle, odd_angle), expected, atol=1e-15)
+
+    def test_angle_arrays_give_the_scalar_gates_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        quarter = np.pi / 2
+        even = [0.0, -0.0, quarter, -quarter, 0.0, quarter, *rng.uniform(-quarter, quarter, 20)]
+        odd = [quarter, -quarter, 0.0, -0.0, -quarter, quarter, *rng.uniform(-quarter, quarter, 20)]
+        gates = bond_gate(np.array(even), np.array(odd))
+        assert gates.shape == (len(even), 4, 4)
+        for gate, even_angle, odd_angle in zip(gates, even, odd):
+            assert gate.tobytes() == bond_gate(even_angle, odd_angle).tobytes()
+        assert bond_gate(np.zeros(0), np.zeros(0)).shape == (0, 4, 4)
 
     def test_mixes_equal_parity_only(self):
         u = bond_gate(0.7, -0.4)

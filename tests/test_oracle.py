@@ -16,6 +16,28 @@ def _anticomm(a, b):
     return a @ b + b @ a
 
 
+def kronecker_hamiltonian(n_sites, hopping, mu, pairing, pairing_phase=0.0, boundary="open"):
+    """The chain Hamiltonian from products of the Kronecker-built annihilation operators.
+
+    The referee of ``oracle.dense_hamiltonian``, which writes the same terms
+    from occupation bits and string signs: each term here is a sum of dense
+    matrix products, added in the same order (mu site by site, then each
+    bond's hopping and pairing), so the two agree exactly.
+    """
+    c = oracle.annihilation_operators(n_sites)
+    dim = 2**n_sites
+    delta = pairing * np.exp(1j * pairing_phase)
+    h = np.zeros((dim, dim), dtype=complex)
+    for j in range(n_sites):
+        h -= mu * (c[j].conj().T @ c[j] - 0.5 * np.eye(dim))
+    n_bonds = n_sites if boundary == "periodic" else n_sites - 1
+    for j in range(n_bonds):
+        k = (j + 1) % n_sites
+        h -= hopping * (c[j].conj().T @ c[k] + c[k].conj().T @ c[j])
+        h += delta * (c[j] @ c[k]) + np.conj(delta) * (c[k].conj().T @ c[j].conj().T)
+    return h
+
+
 class TestAnnihilationOperators:
     def test_canonical_anticommutation_relations(self):
         n = 4
@@ -52,6 +74,17 @@ class TestAnnihilationOperators:
 
 
 class TestDenseHamiltonian:
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -np.pi / 2])
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_kronecker_products_exactly(self, n_sites, phi, boundary):
+        rng = np.random.default_rng(n_sites)
+        hopping, mu, pairing = rng.normal(size=3)
+        args = (n_sites, hopping, mu, abs(pairing), phi, boundary)
+        h = oracle.dense_hamiltonian(*args)
+        assert h.dtype == np.complex128
+        np.testing.assert_array_equal(h, kronecker_hamiltonian(*args))
+
     def test_single_site_is_diagonal_in_occupation(self):
         # H = -mu (n - 1/2) on one site: +mu/2 on |0>, -mu/2 on |1>.
         h = oracle.dense_hamiltonian(1, hopping=0.0, chemical_potential=0.8, pairing_magnitude=0.0)

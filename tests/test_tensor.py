@@ -28,7 +28,7 @@ from kitaev_chain import (
     build_coupling_matrix,
 )
 from kitaev_chain import oracle, z_value
-from kitaev_chain.tensor import FOCK_SITE_LIMIT, MAX_BOND_DIMENSION, _checked_blocks
+from kitaev_chain.tensor import FOCK_SITE_LIMIT, MAX_BOND_DIMENSION, _checked_blocks, _even_counts
 from parity_gates import random_pair_gate, random_site_sign
 
 #: A quarter turn within {|00>, |11>} and within {|01>, |10>}; conserves parity.
@@ -344,7 +344,7 @@ def left_vector_parities(state: TensorChain, bond: int) -> np.ndarray:
 
 
 def recorded_svd_shapes(monkeypatch) -> tuple[list, list]:
-    """Record each SVD operand's shape and each two-site gate's (chi_L, chi_R)."""
+    """Record each gate SVD operand's shape and each two-site gate's (chi_L, chi_R)."""
     shapes, blocks = [], []
     svd = np.linalg.svd
     gate = TensorChain.apply_two_site_gate
@@ -368,6 +368,13 @@ class TestParityLayout:
     def test_product_state_counts(self):
         assert TensorChain.product_state([0, 1, 1, 0]).even_counts == [1, 0, 1, 1]
         assert TensorChain.product_state([1]).even_counts == [0]
+
+    def test_product_state_writes_the_layout_the_constructor_infers(self):
+        for n_sites in range(1, 7):
+            for code in range(2**n_sites):
+                bits = [(code >> k) & 1 for k in range(n_sites)]
+                state = TensorChain.product_state(bits)
+                assert state.even_counts == _even_counts(state.gammas)
 
     def test_constructor_rejects_states_outside_layout(self):
         state = TensorChain.product_state([0, 0])
@@ -434,10 +441,12 @@ class TestParityLayout:
 
     @pytest.mark.parametrize("mu", [1.0, 2.0], ids=["gapped", "critical"])
     def test_each_svd_is_one_parity_block(self, monkeypatch, mu):
+        """Each gate makes one SVD call, on the stack of its two parity blocks,
+        each chi_L x chi_R."""
         shapes, blocks = recorded_svd_shapes(monkeypatch)
         prepare_eigenstate(KitaevParams(12, 1.0, mu, 1.0))
         assert blocks
-        assert shapes == [block for block in blocks for _ in range(2)]
+        assert shapes == [(2, *block) for block in blocks]
 
     def test_rejects_parity_mixing_gate(self):
         state, _, _ = prepare_eigenstate(self.GAPPED)
