@@ -24,6 +24,7 @@ from .folding import (
     FoldingPlan,
     Rotation,
     bond_gate,
+    build_eigenstates,
     compute_folding_plan,
     prepare_eigenstate,
     reconstruct_eigenstate,
@@ -66,6 +67,7 @@ __all__ = [
     "bond_gate",
     "bond_hamiltonian",
     "build_coupling_matrix",
+    "build_eigenstates",
     "compute_folding_plan",
     "eigenenergy",
     "energy_expectation",

@@ -13,10 +13,8 @@ import argparse
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Sequence
 
@@ -31,7 +29,7 @@ from .correlations import (
     z_saturated,
     z_value,
 )
-from .folding import compute_folding_plan, prepare_eigenstate, reconstruct_eigenstate
+from .folding import build_eigenstates, prepare_eigenstate
 from .quadratic import (
     KitaevParams,
     analytic_periodic_energies,
@@ -39,9 +37,9 @@ from .quadratic import (
     eigenenergy,
     schur_decompose,
 )
-from .tensor import energy_expectation
+from .tensor import MAX_BOND_DIMENSION, energy_expectation
 
-__all__ = ["MAX_AXIS_POINTS", "MAX_GRID_POINTS", "MAX_SITES", "main", "run"]
+__all__ = ["BATCH_BYTES", "MAX_AXIS_POINTS", "MAX_GRID_POINTS", "MAX_SITES", "main", "run"]
 
 #: Most sites a chain may have, from ``--n`` or a ``--n-schedule`` entry.  Its
 #: coupling block B is N x N doubles, 32 MB at this cap; the check runs before
@@ -55,6 +53,11 @@ MAX_AXIS_POINTS = 10_000
 #: Most points a whole grid may hold, checked on the axis lengths before any
 #: point's parameters are built.
 MAX_GRID_POINTS = 100_000
+
+#: Bytes of site tensors one batch of ``particles`` or ``energy-accuracy`` points
+#: may hold when every bond of every chain has its largest possible dimension
+#: (see ``batch_size``).  The default 10-site surface fits 48 points in a batch.
+BATCH_BYTES = 2**20
 
 #: Subcommands defined for one boundary only; they take no ``--boundary`` flag.
 FIXED_BOUNDARY = {"zscan": "open", "verify": "open",
@@ -192,30 +195,58 @@ def make_params(args: argparse.Namespace, **fields) -> KitaevParams:
         raise UsageError(str(exc)) from exc
 
 
-def run_grid(args, worker: Callable, points: list, columns, summarize, **config) -> dict:
-    """Emit the rows ``worker`` makes of each point, in point order, and return their summary.
+def batch_size(n_sites: int) -> int:
+    """Points of ``n_sites`` chains that one batch of a grid builds together.
 
-    ``points`` are validated ``KitaevParams``; ``summarize`` maps all rows to the summary
-    dict.  ``--jobs`` is capped at one worker process per CPU and per point.  The workers
-    are spawned, not forked, so that they load BLAS under ``WORKER_ENVIRONMENT``; the
-    parent's environment is restored once the pool has closed."""
-    jobs = min(args.jobs, os.cpu_count() or 1, len(points))
+    The bound is memory, not a setting: as many chains as fit ``BATCH_BYTES``
+    when each bond i has its largest possible dimension, min(2^(i+1),
+    2^(N-1-i), ``MAX_BOND_DIMENSION``), and each site tensor 2 chi_L chi_R
+    doubles; at least one.  The stacked kernel's temporaries are a small
+    multiple of one bond's tensors.  A 10-site chain needs at most 21 824
+    bytes (48 in a batch), and from 15 sites on one chain fills the budget,
+    so long chains build one at a time.
+    """
+    bonds = [min(2 ** min(i + 1, n_sites - 1 - i), MAX_BOND_DIMENSION) for i in range(n_sites - 1)]
+    dims = [1, *bonds, 1]
+    worst = sum(2 * 8 * left * right for left, right in zip(dims, dims[1:]))
+    return max(1, BATCH_BYTES // worst)
+
+
+def run_grid(
+    args, worker: Callable, points: list, columns, summarize, *, batch: int = 1, **config
+) -> dict:
+    """Emit the rows ``worker`` makes of each batch of points, in point order; return their summary.
+
+    ``points`` are validated ``KitaevParams``, handed to ``worker`` in batches
+    of up to ``batch`` consecutive points; it returns the rows of a batch.
+    ``summarize`` maps all rows to the summary dict.  With ``--jobs 1`` the
+    batches run in sequence in this process; above 1 they are mapped over a
+    pool of worker processes, capped at one per CPU and per batch.  The
+    workers are spawned, not forked, so that they load BLAS under
+    ``WORKER_ENVIRONMENT``; the parent's environment is restored once the
+    pool has closed.  The pool modules are imported only then, so a serial
+    command does not pay for them."""
+    batches = [points[start : start + batch] for start in range(0, len(points), batch)]
+    jobs = min(args.jobs, os.cpu_count() or 1, len(batches))
     if jobs <= 1:
-        results = [worker(point) for point in points]
+        results = [worker(chunk) for chunk in batches]
     else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         saved = {key: os.environ.get(key) for key in WORKER_ENVIRONMENT}
         os.environ.update(WORKER_ENVIRONMENT)
         try:
             context = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-                results = list(pool.map(worker, points))
+                results = list(pool.map(worker, batches))
         finally:
             for key, value in saved.items():
                 if value is None:
                     os.environ.pop(key, None)
                 else:
                     os.environ[key] = value
-    rows = [row for point_rows in results for row in point_rows]
+    rows = [row for batch_rows in results for row in batch_rows]
     summary = summarize(rows)
     emit(args, columns, rows, summary, **config)
     return summary
@@ -267,17 +298,21 @@ ZSCAN_COLUMNS = (
 )
 
 
-def _zscan_point(params: KitaevParams, *, schedule, tol: float) -> list[dict]:
+def _zscan_rows(points: list[KitaevParams], *, schedule, tol: float) -> list[dict]:
+    return [_zscan_row(params, schedule, tol) for params in points]
+
+
+def _zscan_row(params: KitaevParams, schedule, tol: float) -> dict:
     analytic = z_analytic(params)
     row = {"mu": params.chemical_potential, "two_w": 2.0 * params.hopping, "z_analytic": analytic}
     try:
         result = z_saturated(params, schedule=schedule, tol=tol)
     except Exception as exc:  # recorded in-row; the scan continues
         row.update(z=None, converged=None, n_used=None, abs_difference=None, error=str(exc))
-        return [row]
+        return row
     row.update(z=result.z, converged=result.converged, n_used=result.n_used, error="")
     row["abs_difference"] = abs(result.z - analytic)
-    return [row]
+    return row
 
 
 def _zscan_summary(rows: list[dict]) -> dict:
@@ -296,7 +331,7 @@ def cmd_zscan(args: argparse.Namespace) -> int:
         make_params(args, n_sites=schedule[-1], hopping=two_w / 2.0, chemical_potential=mu)
         for mu, two_w in grid
     ]
-    worker = partial(_zscan_point, schedule=schedule, tol=args.tol)
+    worker = partial(_zscan_rows, schedule=schedule, tol=args.tol)
     run_grid(args, worker, points, ZSCAN_COLUMNS, _zscan_summary, schedule=list(schedule))
     return 0
 
@@ -309,20 +344,25 @@ ENERGY_COLUMNS = (
 )
 
 
-def _energy_point(params: KitaevParams) -> list[dict]:
-    schur = schur_decompose(build_coupling_matrix(params))
-    reference = -0.5 * float(np.sum(schur.epsilons))
-    row = dict(mu=params.chemical_potential, w=params.hopping, energy_reference=reference)
-    row.update(energy_tensor=None, abs_difference=None, degenerate=schur.is_degenerate, error="")
-    try:
-        plan = compute_folding_plan(schur, [0] * params.n_sites)
-        state = reconstruct_eigenstate(plan)
-        energy = energy_expectation(state, params)
-    except Exception as exc:  # recorded in-row; the scan continues
-        row["error"] = str(exc)
-        return [row]
-    row.update(energy_tensor=energy, abs_difference=abs(energy - reference))
-    return [row]
+def _energy_rows(points: list[KitaevParams]) -> list[dict]:
+    """One row per point; the ground states of the batch are built in lockstep."""
+    schurs = [schur_decompose(build_coupling_matrix(params)) for params in points]
+    rows = []
+    for params, schur, built in zip(points, schurs, build_eigenstates(schurs)):
+        reference = -0.5 * float(np.sum(schur.epsilons))
+        row = dict(mu=params.chemical_potential, w=params.hopping, energy_reference=reference)
+        row.update(energy_tensor=None, abs_difference=None, degenerate=schur.is_degenerate, error="")
+        rows.append(row)
+        if isinstance(built, Exception):  # recorded in-row; the scan continues
+            row["error"] = str(built)
+            continue
+        try:
+            energy = energy_expectation(built[0], params)
+        except Exception as exc:  # recorded in-row; the scan continues
+            row["error"] = str(exc)
+            continue
+        row.update(energy_tensor=energy, abs_difference=abs(energy - reference))
+    return rows
 
 
 def _energy_summary(rows: list[dict]) -> dict:
@@ -333,7 +373,8 @@ def _energy_summary(rows: list[dict]) -> dict:
 def cmd_energy_accuracy(args: argparse.Namespace) -> int:
     if args.n < 3:
         raise UsageError("energy-accuracy needs --n >= 3 (the periodic energy sums N bonds)")
-    run_grid(args, _energy_point, _surface_points(args), ENERGY_COLUMNS, _energy_summary)
+    run_grid(args, _energy_rows, _surface_points(args), ENERGY_COLUMNS, _energy_summary,
+             batch=batch_size(args.n))
     return 0
 
 
@@ -345,16 +386,28 @@ PARTICLES_COLUMNS = (
 )
 
 
-def _particles_point(params: KitaevParams) -> list[dict]:
-    row = {"mu": params.chemical_potential, "w": params.hopping}
-    try:
-        state, _, plan = prepare_eigenstate(params)
-    except Exception as exc:  # recorded in-row; the scan continues
-        row.update(mean_particles=None, parity="", degenerate=None, error=str(exc))
-        return [row]
-    row.update(mean_particles=mean_particle_number(state), parity=state.parity, error="")
-    row["degenerate"] = plan.degenerate
-    return [row]
+def _particles_rows(points: list[KitaevParams]) -> list[dict]:
+    """One row per point; the ground states of the batch are built in lockstep."""
+    results: list = []
+    for params in points:
+        try:
+            results.append(schur_decompose(build_coupling_matrix(params)))
+        except Exception as exc:  # recorded in-row; the scan continues
+            results.append(exc)
+    decomposed = [k for k, result in enumerate(results) if not isinstance(result, Exception)]
+    for k, built in zip(decomposed, build_eigenstates([results[k] for k in decomposed])):
+        results[k] = built
+    rows = []
+    for params, result in zip(points, results):
+        row = {"mu": params.chemical_potential, "w": params.hopping}
+        rows.append(row)
+        if isinstance(result, Exception):  # recorded in-row; the scan continues
+            row.update(mean_particles=None, parity="", degenerate=None, error=str(result))
+            continue
+        state, plan = result
+        row.update(mean_particles=mean_particle_number(state), parity=state.parity, error="")
+        row["degenerate"] = plan.degenerate
+    return rows
 
 
 def _particles_summary(rows: list[dict]) -> dict:
@@ -362,7 +415,8 @@ def _particles_summary(rows: list[dict]) -> dict:
 
 
 def cmd_particles(args: argparse.Namespace) -> int:
-    run_grid(args, _particles_point, _surface_points(args), PARTICLES_COLUMNS, _particles_summary)
+    run_grid(args, _particles_rows, _surface_points(args), PARTICLES_COLUMNS, _particles_summary,
+             batch=batch_size(args.n))
     return 0
 
 
@@ -384,6 +438,10 @@ VERIFY_COLUMNS = (
     ("w", 6), ("mu", 6), ("delta", 6), ("check", None), ("status", None), ("residual", 12),
     ("detail", None),
 )
+
+
+def _verify_rows(points: list[KitaevParams]) -> list[dict]:
+    return [row for params in points for row in _verify_point(params)]
 
 
 def _verify_point(params: KitaevParams) -> list[dict]:
@@ -456,7 +514,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu, pairing_magnitude=d)
         for w, mu, d in grid
     ]
-    summary = run_grid(args, _verify_point, points, VERIFY_COLUMNS, _verify_summary, **config)
+    summary = run_grid(args, _verify_rows, points, VERIFY_COLUMNS, _verify_summary, **config)
     return 0 if summary["failures"] == 0 else 1
 
 

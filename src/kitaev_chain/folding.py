@@ -45,11 +45,21 @@ within a few of the target's, and on its critical points never exceed
 them.  A plan is the fold of one eigenstate: it
 records its occupation, lists only the steps it needs (one gate each), and
 builds that eigenstate alone.
+
+Batches.  The fold runs on a stack of P members of one chain length at once:
+each step takes its (P, 2) angles from one ``np.arctan2`` call and rotates
+the column pairs of the members whose step is not the identity, so
+``compute_folding_plan`` is the case P = 1.  ``build_eigenstates`` builds a
+batch in lockstep: one stacked fold per chain length, one ``bond_gate`` call
+for every gate, and a replay that walks the union of the members' steps and
+updates, at each step, every member of one local layout with one kernel
+call (``tensor.apply_two_site_gates``).  Each member's plan and state are the
+ones it gets alone, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -62,7 +72,7 @@ from .quadratic import (
     build_coupling_matrix,
     schur_decompose,
 )
-from .tensor import MAX_BOND_DIMENSION, TensorChain
+from .tensor import MAX_BOND_DIMENSION, TensorChain, apply_two_site_gates
 
 __all__ = [
     "Rotation",
@@ -72,6 +82,7 @@ __all__ = [
     "bond_gate",
     "reconstruct_eigenstate",
     "prepare_eigenstate",
+    "build_eigenstates",
 ]
 
 #: Residual above which the folded matrix is reported as a numerical failure.
@@ -88,6 +99,14 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _EVEN_PAIR = np.kron(_J, _X)
 _ODD_PAIR = -np.kron(_X, _J)
 _IDENTITY4 = np.eye(4)
+
+#: A fold angle atan2(high, low) is taken mod pi into (-pi/2, pi/2] by subtracting
+#: the shift of its interval: (-inf, -pi/2] -> -pi, (-pi/2, pi/2] -> 0, above -> pi.
+_FOLD_EDGES = np.array((-np.pi / 2, np.pi / 2))
+_FOLD_SHIFTS = np.array((-np.pi, 0.0, np.pi))
+
+#: Signs of the sine on a step's (low, high) columns: low gains s high, high loses s low.
+_SIN_SIGNS = np.array((1.0, -1.0)).reshape(2, 1, 1, 1)
 
 
 class Rotation(NamedTuple):
@@ -145,13 +164,6 @@ class FoldingPlan:
         return sum(r != n for r, n in zip(self.reference, self.occupation)) % 2 == 1
 
 
-def _fold_angle(theta: float) -> float:
-    """``theta`` taken mod pi, in (-pi/2, pi/2], so the low entry keeps its sign."""
-    if theta > np.pi / 2:
-        return theta - np.pi
-    return theta + np.pi if theta <= -np.pi / 2 else theta
-
-
 def reduce_modes(
     even: np.ndarray, odd: np.ndarray, occupation: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,12 +207,8 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
     Folds the blocks ``reduce_modes(schur.even, schur.odd, occupation)`` in
     lockstep and records the occupation, the steps whose angles are not both
     the identity to double precision and the reference bits the folded
-    diagonal signs give: the plan builds that eigenstate.
-
-    The two blocks are one (2, N, N) stack, and a step rotates one column
-    pair of it with a (cos, sin) per block.  Each row starts at its last
-    column that is nonzero in either block; the steps skipped beyond it
-    would each meet two exact zeros, the identity.
+    diagonal signs give: the plan builds that eigenstate.  It is the
+    one-member case of the stacked fold (``_fold``).
 
     Raises
     ------
@@ -210,44 +218,99 @@ def compute_folding_plan(schur: MajoranaSchur, occupation: Sequence[int]) -> Fol
         If the folded matrix misses its target beyond tolerance (numerical
         failure is surfaced, never ignored).
     """
-    n_sites = schur.n_sites
-    occupation = as_occupation(occupation, n_sites)
-    blocks = np.stack(reduce_modes(schur.even, schur.odd, occupation))
+    (plan,) = _fold_plans([schur], [occupation])
+    if isinstance(plan, Exception):
+        raise plan
+    return plan
 
-    rotations: list[Rotation] = []
+
+def _fold(columns: np.ndarray) -> list[list[Rotation]]:
+    """Fold a stack of P members' reduced blocks in place; returns each member's steps.
+
+    ``columns`` holds the (2, N, N) blocks column-major, as an (N, P, 2, N)
+    array: ``columns[j, p, b, i]`` is entry (i, j) of block b of member p, so
+    that a step's column pair is one contiguous (2, P, 2, N) slab.  Each step of
+    the triangle takes its (P, 2) angles from one ``np.arctan2`` call, folded
+    into (-pi/2, pi/2], and rotates the column pair of the members whose
+    step is not the identity; the other members' columns are left as they
+    are.  Each row starts at the last column that is nonzero in any member:
+    beyond a member's own last column both entries are exact zeros, whose
+    angle folds to 0, the identity.
+    """
+    n_sites, n_members = columns.shape[:2]
+    rotations: list[list[Rotation]] = [[] for _ in range(n_members)]
     for row in range(n_sites - 1):
-        support = np.flatnonzero(blocks[:, row].any(axis=0))
+        entries = columns[..., row]
+        support = np.logical_or.reduce(entries, axis=(1, 2)).nonzero()[0]
         last = int(support[-1]) if support.size else row
         for column in range(last, row, -1):
             # numpy's atan2, not math.atan2: the two differ in the last bit on some inputs
-            theta = np.arctan2(blocks[:, row, column], blocks[:, row, column - 1])
-            even_angle, odd_angle = map(_fold_angle, theta.tolist())
-            half_sine = max(abs(math.sin(even_angle / 2.0)), abs(math.sin(odd_angle / 2.0)))
-            if half_sine >= _IDENTITY_SIN:
-                rotations.append(Rotation(row, column, even_angle, odd_angle))
-                # columns (low, high) -> (c low + s high, c high - s low), per block
-                pair = blocks[:, :, column - 1 : column + 1]
-                cos = np.array((math.cos(even_angle), math.cos(odd_angle)))[:, None, None]
-                s_even, s_odd = math.sin(even_angle), math.sin(odd_angle)
-                sin = np.array(((s_even, -s_even), (s_odd, -s_odd)))[:, None, :]
-                blocks[:, :, column - 1 : column + 1] = pair * cos + pair[:, :, ::-1] * sin
+            theta = np.arctan2(entries[column], entries[column - 1])
+            # theta mod pi in (-pi/2, pi/2], so the low entry keeps its sign
+            angles = theta - _FOLD_SHIFTS[_FOLD_EDGES.searchsorted(theta)]
+            moving = [
+                member
+                for member, (even, odd) in enumerate(np.sin(angles / 2.0).tolist())
+                if max(abs(even), abs(odd)) >= _IDENTITY_SIN
+            ]
+            if not moving:
+                continue
+            at = slice(None) if len(moving) == n_members else moving
+            angles = angles[at]
+            for member, (even_angle, odd_angle) in zip(moving, angles.tolist()):
+                rotations[member].append(Rotation(row, column, even_angle, odd_angle))
+            # columns (low, high) -> (c low + s high, c high - s low), per block
+            pair = columns[column - 1 : column + 1, at]
+            cos = np.cos(angles)[..., None]
+            sin = np.sin(angles)[..., None] * _SIN_SIGNS
+            columns[column - 1 : column + 1, at] = pair * cos + pair[::-1] * sin
+    return rotations
 
-    even, odd = blocks
-    even_signs, odd_signs = (np.where(np.diagonal(b) < 0.0, -1.0, 1.0) for b in (even, odd))
-    residual = max(
-        float(np.abs(block - np.diag(signs)).max(initial=0.0))
-        for block, signs in ((even, even_signs), (odd, odd_signs))
-    )
-    if residual > _REPLAY_TOL:
-        raise RuntimeError(f"folding failed to reach diag(+-1) (residual {residual:.3e})")
-    return FoldingPlan(
-        n_sites=n_sites,
-        rotations=tuple(rotations),
-        reference=tuple((occupation ^ (even_signs != odd_signs)).tolist()),
-        replay_residual=residual,
-        degenerate=schur.is_degenerate or _splits_a_level(schur, occupation),
-        occupation=tuple(occupation.tolist()),
-    )
+
+def _fold_plans(
+    schurs: Sequence[MajoranaSchur], occupations: Sequence[Sequence[int]]
+) -> list[FoldingPlan | Exception]:
+    """The plan of each (schur, occupation) pair, or the exception that rejects it.
+
+    The members of each chain length are folded as one stack (``_fold``);
+    an invalid occupation (``ValueError``) or a fold that misses diag(+-1)
+    (``RuntimeError``) fails that member alone.
+    """
+    plans: list[FoldingPlan | Exception | None] = [None] * len(schurs)
+    by_size: dict[int, list[tuple[int, MajoranaSchur, np.ndarray]]] = {}
+    for k, (schur, occupation) in enumerate(zip(schurs, occupations, strict=True)):
+        try:
+            occupation = as_occupation(occupation, schur.n_sites)
+        except ValueError as exc:
+            plans[k] = exc
+            continue
+        by_size.setdefault(schur.n_sites, []).append((k, schur, occupation))
+    for n_sites, members in by_size.items():
+        blocks = np.stack(
+            [np.stack(reduce_modes(schur.even, schur.odd, occ)) for _, schur, occ in members]
+        )
+        columns = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
+        rotations = _fold(columns)
+        blocks = columns.transpose(1, 2, 3, 0)
+        signs = np.where(np.diagonal(blocks, axis1=2, axis2=3) < 0.0, -1.0, 1.0)
+        residuals = np.abs(blocks - signs[..., None] * np.eye(n_sites)).max(axis=(1, 2, 3))
+        for (k, schur, occupation), steps, (even_signs, odd_signs), residual in zip(
+            members, rotations, signs, residuals.tolist()
+        ):
+            if residual > _REPLAY_TOL:
+                plans[k] = RuntimeError(
+                    f"folding failed to reach diag(+-1) (residual {residual:.3e})"
+                )
+                continue
+            plans[k] = FoldingPlan(
+                n_sites=n_sites,
+                rotations=tuple(steps),
+                reference=tuple((occupation ^ (even_signs != odd_signs)).tolist()),
+                replay_residual=residual,
+                degenerate=schur.is_degenerate or _splits_a_level(schur, occupation),
+                occupation=tuple(occupation.tolist()),
+            )
+    return plans
 
 
 def bond_gate(even_angle: float | np.ndarray, odd_angle: float | np.ndarray) -> np.ndarray:
@@ -320,3 +383,57 @@ def prepare_eigenstate(
     plan = compute_folding_plan(schur, occupation)
     state = reconstruct_eigenstate(plan, max_bond=max_bond)
     return state, schur, plan
+
+
+def build_eigenstates(
+    schurs: Sequence[MajoranaSchur],
+    occupations: Sequence[Sequence[int]] | None = None,
+    *,
+    max_bond: int = MAX_BOND_DIMENSION,
+) -> list[tuple[TensorChain, FoldingPlan] | Exception]:
+    """Build the eigenstates of a batch of decompositions in lockstep.
+
+    Entry k is ``(state, plan)`` for ``schurs[k]`` and ``occupations[k]``
+    (default: every ground state), bit for bit the plan
+    ``compute_folding_plan`` and the state ``reconstruct_eigenstate`` give
+    alone, or the exception one of them would raise, with the same text.  A
+    member that fails drops out and the others go on.
+
+    The plans of each chain length come from one stacked fold.  All gates
+    come from one ``bond_gate`` call, and the replay walks the union of the
+    members' steps in replay order (rows last to first, columns low to high).
+    At each step the members that take it go through
+    ``apply_two_site_gates``, which buckets them by local layout and calls
+    the stacked two-site kernel once per bucket.  Every member's tensors are
+    held at once, so memory grows with the batch; the caller bounds it by
+    the batches it passes.
+    """
+    if occupations is None:
+        occupations = [[0] * schur.n_sites for schur in schurs]
+    results: list = _fold_plans(schurs, occupations)
+    states: dict[int, TensorChain] = {}
+    steps: list[tuple[int, int, int, float, float]] = []
+    for k, plan in enumerate(results):
+        if isinstance(plan, Exception):
+            continue
+        states[k] = TensorChain.product_state(plan.reference)
+        states[k].degenerate = plan.degenerate
+        steps.extend((-r.row, r.column, k, r.even_angle, r.odd_angle) for r in plan.rotations)
+    steps.sort()
+    angles = np.array([step[3:] for step in steps], dtype=float).reshape(-1, 2)
+    gates = bond_gate(angles[:, 0], angles[:, 1])
+    for (_, column), group in itertools.groupby(enumerate(steps), key=lambda item: item[1][:2]):
+        live = [(i, step[2]) for i, step in group if step[2] in states]
+        if not live:
+            continue
+        indices, members = zip(*live)
+        errors = apply_two_site_gates(
+            [states[k] for k in members], column - 1, gates[list(indices)], max_bond=max_bond
+        )
+        for k, error in zip(members, errors):
+            if error is not None:
+                results[k] = error
+                del states[k]
+    for k, state in states.items():
+        results[k] = (state, results[k])
+    return results

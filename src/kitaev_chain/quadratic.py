@@ -41,6 +41,10 @@ import numpy as np
 # two-site gates' SVDs only, never this one.
 _svd = np.linalg.svd
 
+#: Couplings whose largest entry is below this are decomposed at a power-of-two
+#: scale (``schur_decompose``): 1e-9 of them stays a normal double.
+_SMALL_SCALE = 2.0**-960
+
 __all__ = [
     "KitaevParams",
     "MajoranaSchur",
@@ -246,18 +250,26 @@ def schur_decompose(b: np.ndarray) -> MajoranaSchur:
     RuntimeError
         If max |U^T B V - diag(eps)| exceeds 1e-9 times max |B| (a zero B
         has residual 0 and passes), or a block is not orthogonal (numerical
-        failure is never silently ignored).
+        failure is never silently ignored).  A B whose entries are all below
+        2^-960 is decomposed as B 2^k with max |B 2^k| in [1/2, 1), exactly,
+        and eps is scaled back by 2^-k.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or not np.isfinite(b).all():
         raise ValueError(f"expected a square matrix with finite entries, got shape {b.shape}")
     scale = np.abs(b).max(initial=0.0)
+    # Near the subnormal range 1e-9 x scale underflows and products round to
+    # absolute, not relative, steps: such a B is decomposed at a power-of-two
+    # scale, which is exact, and eps is scaled back.
+    shift = -math.frexp(scale)[1] if 0.0 < scale < _SMALL_SCALE else 0
+    if shift:
+        b, scale = np.ldexp(b, shift), math.ldexp(scale, shift)
     u, eps, vt = _svd(b)
     residual = np.abs(u.T @ b @ vt.T - np.diag(eps)).max(initial=0.0)
     if residual > 1e-9 * scale:
         raise RuntimeError(f"Schur reduction failed: block residual {residual:.3e}")
     try:
-        return MajoranaSchur(even=u.T, odd=vt, epsilons=eps)
+        return MajoranaSchur(even=u.T, odd=vt, epsilons=np.ldexp(eps, -shift) if shift else eps)
     except ValueError as err:
         raise RuntimeError(f"Schur reduction failed: {err}") from err
 

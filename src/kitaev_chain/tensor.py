@@ -49,6 +49,15 @@ decomposition), and decomposes both with one batched SVD call on their
 stack; the cut stays relative to the bond's largest singular value across
 both blocks.
 
+Stacked updates.  The arithmetic of a two-site update runs on a stack of G
+states that share one local layout (chi_L, chi_M, chi_R and the even counts
+of the two outer bonds): the contractions are stacked matrix products, one
+SVD call takes the (2G, chi_L, chi_R) stack of all their parity blocks, and
+the states whose kept counts agree are written back together.  The method
+``apply_two_site_gate`` is the case G = 1; ``apply_two_site_gates`` buckets
+any list of states by layout and gives each the bits the method gives it
+alone.  A gate stack is checked by one vectorised call.
+
 Dtype.  B is real (float64).  Every eigenstate of a Kitaev chain with
 real pairing is real, and the fold builds it from real orthogonal two-site
 gates, so the SVDs, the reads and the JSON payload are real.  The constructor
@@ -71,7 +80,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from typing import Sequence
 
 import numpy as np
@@ -85,6 +93,7 @@ __all__ = [
     "TruncationError",
     "BondOverflowError",
     "TensorChain",
+    "apply_two_site_gates",
     "bond_hamiltonian",
     "energy_expectation",
 ]
@@ -105,9 +114,11 @@ _ORTHOGONAL_TOL = 1e-10
 _IDENTITY = {2: np.eye(2), 4: np.eye(4)}
 
 #: Entries of a 2x2 gate (basis |0>, |1>) and of a 4x4 gate (basis |00>, |01>,
-#: |10>, |11>) that couple even to odd states.
+#: |10>, |11>) that couple even to odd states, as indices into the flattened gate.
 _EVEN = {2: np.array([True, False]), 4: np.array([True, False, False, True])}
-_PARITY_MIXING = {dim: even[:, None] != even[None, :] for dim, even in _EVEN.items()}
+_PARITY_MIXING = {
+    dim: np.flatnonzero(even[:, None] != even[None, :]) for dim, even in _EVEN.items()
+}
 
 
 class TruncationError(RuntimeError):
@@ -323,7 +334,10 @@ class TensorChain:
         truncated to singular values above ``TRUNCATION_THRESHOLD`` times the
         largest of both.  The kept values list the even block's before the
         odd block's.  The kept right singular vectors V become B_R, and
-        Theta V^T / ||sigma|| becomes B_L.
+        Theta V^T / ||sigma|| becomes B_L.  This is the one-state case of
+        the stacked kernel that :func:`apply_two_site_gates` runs on many
+        states at once: the SVD operand is the (2, chi_L, chi_R) stack of
+        this state's blocks.
 
         Raises
         ------
@@ -336,62 +350,25 @@ class TensorChain:
         BondOverflowError
             If more than ``max_bond`` singular values survive.
         """
-        if not 0 <= left_site < self.n_sites - 1:
-            raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
+        self._check_bond(left_site)
         u = np.asarray(u)
         _check_gate(u, 4)
-
-        left, right = self.gammas[left_site], self.gammas[left_site + 1]
-        (_, chi_l, chi_m), chi_r = left.shape, right.shape[2]
-        # rows (j, a), columns (k, c): the product np.tensordot forms, without
-        # its per-call Python overhead
-        theta = left.reshape(-1, chi_m) @ right.transpose(1, 0, 2).reshape(chi_m, -1)
-        theta = u @ theta.reshape(2, chi_l, 2, chi_r).transpose(0, 2, 1, 3).reshape(4, -1)
-        theta = (
-            theta.reshape(2, 2, chi_l, chi_r)
-            .transpose(0, 2, 1, 3)
-            .reshape(2 * chi_l, 2 * chi_r)
+        (error,) = _two_site_updates(
+            [self],
+            left_site,
+            self.gammas[left_site][None],
+            self.gammas[left_site + 1][None],
+            self._left_lambda(left_site)[None],
+            u[None],
+            max_bond,
         )
-        # the singular values of lambda_L Theta are the new bond's Schmidt values
-        lam_l = self._left_lambda(left_site)
-        m = (theta.reshape(2, chi_l, -1) * lam_l[:, None]).reshape(2 * chi_l, -1)
+        if error is not None:
+            raise error
 
+    def _parity_edges(self, left_site: int) -> tuple[int, int]:
+        """Even Schmidt vectors on the bonds left of ``left_site`` and right of ``left_site + 1``."""
         counts = self.even_counts
-        # Row (j, a) of m has left-half parity p(a) + j: the even rows are
-        # j = 0 with a even and j = 1 with a odd, so in a-order they are the
-        # two ends of m; the odd rows are the contiguous middle.  Likewise
-        # for the columns (k, c).  m vanishes between the two blocks, and
-        # each block is chi_L x chi_R: both go through one batched SVD.
-        e_l = counts[left_site - 1] if left_site > 0 else 1
-        e_r = counts[left_site + 1]
-        blocks = np.empty((2, chi_l, chi_r))
-        even, odd = blocks
-        even[:e_l, :e_r] = m[:e_l, :e_r]
-        even[:e_l, e_r:] = m[:e_l, chi_r + e_r :]
-        even[e_l:, :e_r] = m[chi_l + e_l :, :e_r]
-        even[e_l:, e_r:] = m[chi_l + e_l :, chi_r + e_r :]
-        odd[...] = m[e_l : chi_l + e_l, e_r : chi_r + e_r]
-        _, s, v = np.linalg.svd(blocks, full_matrices=False)
-        cut = TRUNCATION_THRESHOLD * max(s[0, 0], s[1, 0])
-        n_even, n_odd = (s > cut).sum(axis=1).tolist()
-        rank = n_even + n_odd
-        if rank == 0:
-            raise TruncationError(
-                f"no singular value above threshold {TRUNCATION_THRESHOLD:g} on bond {left_site}"
-            )
-        if rank > max_bond:
-            raise BondOverflowError(f"bond {left_site} would grow to {rank} (cap {max_bond})")
-        sigma = np.concatenate((s[0, :n_even], s[1, :n_odd]))
-        right_vecs = np.zeros((rank, 2 * chi_r))
-        right_vecs[:n_even, :e_r] = v[0, :n_even, :e_r]
-        right_vecs[:n_even, chi_r + e_r :] = v[0, :n_even, e_r:]
-        right_vecs[n_even:, e_r : chi_r + e_r] = v[1, :n_odd]
-        counts[left_site] = n_even
-
-        norm = math.sqrt((sigma**2).sum())
-        self.lambdas[left_site] = sigma / norm
-        self.gammas[left_site] = (theta @ right_vecs.T / norm).reshape(2, chi_l, rank)
-        self.gammas[left_site + 1] = right_vecs.reshape(rank, 2, chi_r).transpose(1, 0, 2)
+        return (counts[left_site - 1] if left_site > 0 else 1), counts[left_site + 1]
 
     # -- diagnostics --------------------------------------------------------
 
@@ -465,8 +442,7 @@ class TensorChain:
         stack a call costs O(N), and a broken block on any bond of the chain
         raises ``ValueError`` naming that bond.
         """
-        if not 0 <= left_site < self.n_sites - 1:
-            raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
+        self._check_bond(left_site)
         return self.rdm_pairs()[left_site]
 
     def rdm_sites(self) -> np.ndarray:
@@ -595,6 +571,10 @@ class TensorChain:
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site must lie in [0, {self.n_sites}), got {site}")
 
+    def _check_bond(self, left_site: int) -> None:
+        if not 0 <= left_site < self.n_sites - 1:
+            raise ValueError(f"left_site must lie in [0, {self.n_sites - 1}), got {left_site}")
+
 
 def _encode(array: np.ndarray) -> str:
     """Base64 text of the little-endian float64 bytes of ``array`` in C order."""
@@ -617,11 +597,174 @@ def _check_gate(u: np.ndarray, dim: int) -> None:
         raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
     if not np.isrealobj(u):
         raise ValueError("gate must be real")
-    residual = np.abs(u.T @ u - _IDENTITY[dim]).max(initial=0.0)
-    if residual > _ORTHOGONAL_TOL:
-        raise ValueError(f"gate is not orthogonal (residual {residual:.3e})")
-    if np.count_nonzero(u[_PARITY_MIXING[dim]]):
-        raise ValueError("gate mixes parity: it couples even and odd states")
+    (error,) = _gate_errors(u[None], dim)
+    if error is not None:
+        raise error
+
+
+def _gate_errors(u: np.ndarray, dim: int) -> list[ValueError | None]:
+    """Per gate of a real (G, dim, dim) stack, None or the ``ValueError`` that rejects it.
+
+    Both checks are vectorised over the stack: a gate is rejected when it is
+    not orthogonal to ``_ORTHOGONAL_TOL``, else when an entry couples even and
+    odd states.  Only a stack with a rejected gate is gone through gate by
+    gate.
+    """
+    deviation = np.abs(u.transpose(0, 2, 1) @ u - _IDENTITY[dim])
+    mixing = u.reshape(len(u), dim * dim).take(_PARITY_MIXING[dim], axis=1)
+    errors: list[ValueError | None] = [None] * len(u)
+    if np.count_nonzero(deviation > _ORTHOGONAL_TOL) or np.count_nonzero(mixing):
+        residuals = deviation.max(axis=(1, 2)).tolist()
+        for k, (residual, entries) in enumerate(zip(residuals, mixing)):
+            if residual > _ORTHOGONAL_TOL:
+                errors[k] = ValueError(f"gate is not orthogonal (residual {residual:.3e})")
+            elif np.count_nonzero(entries):
+                errors[k] = ValueError("gate mixes parity: it couples even and odd states")
+    return errors
+
+
+def _two_site_updates(
+    states: Sequence[TensorChain],
+    bond: int,
+    left: np.ndarray,
+    right: np.ndarray,
+    lam_l: np.ndarray,
+    u: np.ndarray,
+    max_bond: int,
+) -> list[Exception | None]:
+    """The two-site update on ``bond`` of G states that share one local layout, as stacks.
+
+    ``left`` (G, 2, chi_L, chi_M) and ``right`` (G, 2, chi_M, chi_R) are the
+    site tensors of ``states`` at sites (bond, bond + 1), ``lam_l`` (G, chi_L)
+    the Schmidt values left of them and ``u`` the (G, 4, 4) checked gates.
+    Every step is the arithmetic of one state, batched over the leading axis:
+    the contractions are stacked matrix products, and one SVD call
+    (``np.linalg.svd`` looked up at call time) decomposes the (2G, chi_L,
+    chi_R) stack of all parity blocks.  The states whose kept counts
+    (n_even, n_odd) agree are written back together.
+
+    Returns per state None, or the ``TruncationError`` or
+    ``BondOverflowError`` that leaves it unchanged.
+    """
+    e_l, e_r = states[0]._parity_edges(bond)
+    g, _, chi_l, chi_m = left.shape
+    chi_r = right.shape[3]
+    # rows (j, a), columns (k, c): the product np.tensordot forms, without
+    # its per-call Python overhead
+    theta = left.reshape(g, -1, chi_m) @ right.transpose(0, 2, 1, 3).reshape(g, chi_m, -1)
+    theta = u @ theta.reshape(g, 2, chi_l, 2, chi_r).transpose(0, 1, 3, 2, 4).reshape(g, 4, -1)
+    theta = (
+        theta.reshape(g, 2, 2, chi_l, chi_r)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(g, 2 * chi_l, 2 * chi_r)
+    )
+    # Row (j, a) of Theta has left-half parity p(a) + j: the even rows are
+    # j = 0 with a even and j = 1 with a odd, so in a-order they are the
+    # two ends of Theta; the odd rows are the contiguous middle.  Likewise
+    # for the columns (k, c).  Theta vanishes between the two blocks, and
+    # each block is chi_L x chi_R.
+    blocks = np.empty((g, 2, chi_l, chi_r))
+    even, odd = blocks[:, 0], blocks[:, 1]
+    even[:, :e_l, :e_r] = theta[:, :e_l, :e_r]
+    even[:, :e_l, e_r:] = theta[:, :e_l, chi_r + e_r :]
+    even[:, e_l:, :e_r] = theta[:, chi_l + e_l :, :e_r]
+    even[:, e_l:, e_r:] = theta[:, chi_l + e_l :, chi_r + e_r :]
+    odd[...] = theta[:, e_l : chi_l + e_l, e_r : chi_r + e_r]
+    # the singular values of lambda_L Theta are the new bond's Schmidt values;
+    # row a of the even block has lambda_L[a], the odd block's rows start at e_l
+    row_lambdas = np.concatenate((lam_l, lam_l[:, e_l:], lam_l[:, :e_l]), axis=1)
+    blocks *= row_lambdas.reshape(g, 2, chi_l, 1)
+    _, s, v = np.linalg.svd(blocks.reshape(2 * g, chi_l, chi_r), full_matrices=False)
+    s, v = s.reshape(g, 2, -1), v.reshape(g, 2, -1, chi_r)
+    # the cut is relative to the largest singular value of both blocks
+    cut = TRUNCATION_THRESHOLD * np.maximum(s[:, :1, :1], s[:, 1:, :1])
+
+    errors: list[Exception | None] = [None] * g
+    kept: dict[tuple[int, int], list[int]] = {}
+    for k, (n_even, n_odd) in enumerate(np.add.reduce(s > cut, axis=2).tolist()):
+        rank = n_even + n_odd
+        if rank == 0:
+            errors[k] = TruncationError(
+                f"no singular value above threshold {TRUNCATION_THRESHOLD:g} on bond {bond}"
+            )
+        elif rank > max_bond:
+            errors[k] = BondOverflowError(f"bond {bond} would grow to {rank} (cap {max_bond})")
+        else:
+            kept.setdefault((n_even, n_odd), []).append(k)
+    for (n_even, n_odd), members in kept.items():
+        at = slice(None) if len(members) == g else members
+        rank = n_even + n_odd
+        sigma = np.concatenate((s[at, 0, :n_even], s[at, 1, :n_odd]), axis=1)
+        right_vecs = np.zeros((len(members), rank, 2 * chi_r))
+        right_vecs[:, :n_even, :e_r] = v[at, 0, :n_even, :e_r]
+        right_vecs[:, :n_even, chi_r + e_r :] = v[at, 0, :n_even, e_r:]
+        right_vecs[:, n_even:, e_r : chi_r + e_r] = v[at, 1, :n_odd]
+        norms = np.sqrt(np.add.reduce(sigma * sigma, axis=1)).tolist()
+        products = theta[at] @ right_vecs.transpose(0, 2, 1)
+        new_right = right_vecs.reshape(-1, rank, 2, chi_r).transpose(0, 2, 1, 3)
+        for j, (k, norm) in enumerate(zip(members, norms)):
+            state = states[k]
+            state.lambdas[bond] = sigma[j] / norm
+            state.gammas[bond] = (products[j] / norm).reshape(2, chi_l, rank)
+            state.gammas[bond + 1] = new_right[j]
+            state.even_counts[bond] = n_even
+    return errors
+
+
+def apply_two_site_gates(
+    states: Sequence[TensorChain],
+    left_site: int,
+    gates: np.ndarray,
+    *,
+    max_bond: int = MAX_BOND_DIMENSION,
+) -> list[Exception | None]:
+    """Contract ``gates[k]`` into sites (left_site, left_site + 1) of ``states[k]``, for every k.
+
+    Each state gets the update :meth:`TensorChain.apply_two_site_gate` makes,
+    bit for bit, but the states are bucketed by their local layout (chi_L,
+    chi_M, chi_R and the even counts of the two outer bonds) and each bucket
+    takes one call of the stacked kernel: one SVD call on the (2G, chi_L,
+    chi_R) stack of its G states' parity blocks.  The gates are checked as
+    one stack.
+
+    Returns, per state, None or the exception ``apply_two_site_gate`` would
+    raise for it (with the same text); a state that fails is left unchanged
+    and the others go on.
+    """
+    gates = np.asarray(gates)
+    if not np.isrealobj(gates):
+        raise ValueError("gate must be real")
+    if gates.shape != (len(states), 4, 4):
+        raise ValueError(f"expected {len(states)} gates of 4x4, got shape {gates.shape}")
+    checked = _gate_errors(gates, 4)
+    errors: list[Exception | None] = [None] * len(states)
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for k, state in enumerate(states):
+        try:
+            state._check_bond(left_site)
+        except ValueError as exc:
+            errors[k] = exc
+            continue
+        if checked[k] is not None:
+            errors[k] = checked[k]
+            continue
+        left, right = state.gammas[left_site], state.gammas[left_site + 1]
+        layout = (*left.shape[1:], right.shape[2], *state._parity_edges(left_site))
+        buckets.setdefault(layout, []).append(k)
+    for members in buckets.values():
+        group = [states[k] for k in members]
+        failed = _two_site_updates(
+            group,
+            left_site,
+            np.stack([state.gammas[left_site] for state in group]),
+            np.stack([state.gammas[left_site + 1] for state in group]),
+            np.stack([state._left_lambda(left_site) for state in group]),
+            gates[members],
+            max_bond,
+        )
+        for k, error in zip(members, failed):
+            errors[k] = error
+    return errors
 
 
 def bond_hamiltonian(

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -184,10 +185,10 @@ class TestEnergyAccuracy:
         assert all(row["error"] == "" and row["abs_difference"] < 1e-9 for row in rows)
 
     def test_summary_without_a_tensor_energy_is_null(self, capsys, monkeypatch):
-        def fail(plan):
-            raise RuntimeError("replay failed")
+        def fail(schurs):
+            return [RuntimeError("replay failed") for _ in schurs]
 
-        monkeypatch.setattr(cli, "reconstruct_eigenstate", fail)
+        monkeypatch.setattr(cli, "build_eigenstates", fail)
         argv = ["energy-accuracy", "--mu-grid", "0,1", "--w-grid", "1"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
@@ -503,7 +504,7 @@ FORMAT_CASES = {
     ),
     "particles": (
         ["particles", "--mu-grid", "0,4", "--w-grid", "1"],
-        ("prepare_eigenstate", 4.0),
+        ("build_coupling_matrix", 4.0),
         {"failed": "1", "points": "2"},
         "mu,w,mean_particles,parity,degenerate,error",
         [rf"0\.000000,1\.000000,{F6},(even|odd),{BOOL},", r"4\.000000,1\.000000,,,,injected failure"],
@@ -603,7 +604,7 @@ class TestJobs:
             if event == "init":
                 created.append(args[0])
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(record))
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", serial_pool(record))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         grid = ["verify", "--n", "3"]  # six built-in points
         for jobs, workers in (("1000000", 4), ("3", 3)):
@@ -627,7 +628,7 @@ class TestJobs:
             else:
                 seen.append({key: os.environ.get(key) for key in cli.WORKER_ENVIRONMENT})
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(record))
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", serial_pool(record))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -641,7 +642,7 @@ class TestJobs:
             if event == "map":
                 raise RuntimeError("worker lost")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(record))
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", serial_pool(record))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("OMP_NUM_THREADS", "8")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -695,6 +696,37 @@ def test_spawned_workers_match_serial_output(entry, tmp_path):
     assert pooled.stdout == serial.stdout
 
 
+@pytest.mark.parametrize("command", ["particles", "energy-accuracy"])
+def test_pooled_batches_match_serial_output(command):
+    """A grid of more points than one batch holds is built batch by batch; mapped
+    over two spawned workers, its output equals the serial run's byte for byte."""
+    count = cli.batch_size(10) + 5
+    mu_grid = ",".join(repr(round(0.1 * k, 1)) for k in range(count))
+    argv = ["-m", "kitaev_chain.cli", command, "--mu-grid", mu_grid, "--w-grid", "1,-0.5"]
+    serial = run_python(*argv)
+    pooled = run_python(*argv, "--jobs", "2")
+    assert serial.returncode == pooled.returncode == 0, serial.stderr + pooled.stderr
+    assert pooled.stdout == serial.stdout
+    rows = [line for line in serial.stdout.splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == 2 * count and all(row.endswith(",") for row in rows)  # no error text
+
+
+def test_surface_batches_are_bounded_by_memory(capsys, monkeypatch):
+    """particles hands consecutive points to its worker in batches of batch_size(N)."""
+    sizes = []
+    worker = cli._particles_rows
+
+    def recording(points):
+        sizes.append(len(points))
+        return worker(points)
+
+    monkeypatch.setattr(cli, "_particles_rows", recording)
+    assert run_cli(capsys, ["particles", "--n", "10"])[0] == 0
+    batch = cli.batch_size(10)
+    assert sizes == [batch] * (289 // batch) + [289 % batch] * (289 % batch > 0)
+    assert [cli.batch_size(n) for n in (10, 14, 15, 96, cli.MAX_SITES)] == [48, 3, 1, 1, 1]
+
+
 def test_cli_import_loads_no_scipy():
     # every CLI process pays the start-up time and memory of each package it imports,
     # so the import may load only the declared dependency, numpy, beside the library;
@@ -707,3 +739,14 @@ def test_cli_import_loads_no_scipy():
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "['kitaev_chain', 'numpy']\n"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only --jobs above 1 uses a process pool, so its modules load in that branch alone
+    probe = (
+        "import sys; import kitaev_chain.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

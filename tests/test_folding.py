@@ -21,10 +21,12 @@ from kitaev_chain import (
     FoldingPlan,
     KitaevParams,
     MajoranaSchur,
+    BondOverflowError,
     Rotation,
     build_coupling_matrix,
     TensorChain,
     bond_gate,
+    build_eigenstates,
     compute_folding_plan,
     eigenenergy,
     energy_expectation,
@@ -36,6 +38,7 @@ from kitaev_chain import (
     z_value,
 )
 from kitaev_chain import oracle
+from kitaev_chain.folding import _fold_plans
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,7 +88,9 @@ def dense_eigensystem(params: KitaevParams) -> tuple[np.ndarray, np.ndarray]:
         params.pairing_magnitude,
         boundary=params.boundary,
     )
-    return np.linalg.eigh(h)
+    # real pairing makes H real; a real eigh of the same matrix is several times faster
+    assert not h.imag.any()
+    return np.linalg.eigh(h.real)
 
 
 def eigenspace_weight(params: KitaevParams, vec: np.ndarray, energy: float) -> float:
@@ -231,6 +236,147 @@ class TestLockstepFold:
         even, odd = random_orthogonal(n_sites, rng), random_orthogonal(n_sites, rng)
         schur = MajoranaSchur(even, odd, np.linspace(2.0, 1.0, n_sites))
         self.assert_same_fold(schur, [(bits >> k) & 1 for k in range(n_sites)])
+
+
+def random_chain(data, max_sites: int) -> tuple[MajoranaSchur, list[int]]:
+    """A hypothesis-drawn chain, open or periodic, and a random occupation of it."""
+    n_sites = data.draw(st.integers(min_value=2, max_value=max_sites))
+    periodic = data.draw(st.booleans()) and n_sites >= 3
+    params = KitaevParams(
+        n_sites,
+        data.draw(st.floats(min_value=-2.0, max_value=2.0)),
+        data.draw(st.floats(min_value=-4.0, max_value=4.0)),
+        data.draw(st.floats(min_value=0.0, max_value=2.0)),
+        boundary="periodic" if periodic else "open",
+    )
+    bits = data.draw(st.integers(min_value=0, max_value=2**n_sites - 1))
+    return schur_decompose(build_coupling_matrix(params)), [(bits >> k) & 1 for k in range(n_sites)]
+
+
+def plan_bits(plan: FoldingPlan) -> tuple:
+    """Everything a plan holds, angles and residual as exact hex text."""
+    return (
+        fold_bits(plan.rotations), plan.reference, plan.replay_residual.hex(),
+        plan.degenerate, plan.occupation, plan.n_sites,
+    )
+
+
+class TestStackedFold:
+    """The members of a batch are folded as one (N, P, 2, N) stack; each member's
+    plan must be the one-member plan and the triangular loop's, bit for bit."""
+
+    @staticmethod
+    def assert_batch_matches(chains) -> None:
+        plans = _fold_plans([schur for schur, _ in chains], [occ for _, occ in chains])
+        for (schur, occupation), plan in zip(chains, plans):
+            alone = compute_folding_plan(schur, occupation)
+            assert plan_bits(plan) == plan_bits(alone)
+            rotations, reference, residual = reference_fold(schur, occupation)
+            assert fold_bits(plan.rotations) == fold_bits(rotations)
+            assert (plan.reference, plan.replay_residual.hex()) == (reference, residual.hex())
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), size=st.integers(min_value=1, max_value=8))
+    def test_mixed_batches_match_the_single_plans(self, data, size):
+        chains = [random_chain(data, 14) for _ in range(size)]
+        duplicates = data.draw(st.lists(st.integers(0, size - 1), max_size=3))
+        self.assert_batch_matches(chains + [chains[k] for k in duplicates])
+
+    @pytest.mark.parametrize("n_sites", [2, 6, 10, 13])
+    def test_atomic_limit_in_a_batch(self, n_sites):
+        rng = np.random.default_rng(n_sites)
+        chains = []
+        for boundary in ("open", "periodic"):
+            if boundary == "periodic" and n_sites < 3:
+                continue
+            for hopping, pairing in ((0.0, 0.0), (1.0, 1.0)):
+                params = KitaevParams(n_sites, hopping, 2.0, pairing, boundary=boundary)
+                schur = schur_decompose(build_coupling_matrix(params))
+                chains += [(schur, [0] * n_sites), (schur, list(rng.integers(0, 2, n_sites)))]
+        self.assert_batch_matches(chains)
+
+    def test_invalid_occupation_fails_its_member_alone(self):
+        schur = schur_decompose(build_coupling_matrix(KitaevParams(4, 1.0, 1.0, 1.0)))
+        plans = _fold_plans([schur, schur, schur], [[0] * 4, [0, 0, 2, 0], [0, 0, 0]])
+        assert plan_bits(plans[0]) == plan_bits(compute_folding_plan(schur, [0] * 4))
+        for plan, occupation in zip(plans[1:], ([0, 0, 2, 0], [0, 0, 0])):
+            with pytest.raises(ValueError) as alone:
+                compute_folding_plan(schur, occupation)
+            assert type(plan) is ValueError and str(plan) == str(alone.value)
+
+
+def surface_schurs() -> list[MajoranaSchur]:
+    """The 289 points of the default particles / energy-accuracy surface."""
+    axis = [0.5 * k for k in range(-8, 9)]
+    return [
+        schur_decompose(build_coupling_matrix(KitaevParams(10, w, mu, 1.0, boundary="periodic")))
+        for w in axis
+        for mu in axis
+    ]
+
+
+def built_alone(schur: MajoranaSchur, occupation, **kwargs):
+    """(state, plan) built one point at a time, or the type and text of what it raised."""
+    try:
+        plan = compute_folding_plan(schur, occupation)
+        return reconstruct_eigenstate(plan, **kwargs), plan
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_built_alike(built, alone) -> None:
+    if isinstance(alone[0], TensorChain):
+        (state, plan), (state_alone, plan_alone) = built, alone
+        assert plan_bits(plan) == plan_bits(plan_alone)
+        assert state.to_json() == state_alone.to_json()
+        assert state.even_counts == state_alone.even_counts
+        assert state.degenerate == state_alone.degenerate == plan.degenerate
+    else:
+        assert (type(built), str(built)) == alone
+
+
+class TestBuildEigenstates:
+    """A batch is built in lockstep; each member must come out as it is built alone."""
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["in-order", "permuted"])
+    def test_default_surface_matches_the_states_built_alone(self, permuted):
+        schurs = surface_schurs()
+        order = np.random.default_rng(3).permutation(len(schurs)) if permuted else range(len(schurs))
+        schurs = [schurs[k] for k in order]
+        built = build_eigenstates(schurs)
+        assert len(built) == len(schurs)
+        for schur, result in zip(schurs, built):
+            assert_built_alike(result, built_alone(schur, [0] * schur.n_sites))
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), size=st.integers(min_value=1, max_value=10))
+    def test_random_batches_match_the_states_built_alone(self, data, size):
+        chains = [random_chain(data, 12) for _ in range(size)]
+        chains += [chains[k] for k in data.draw(st.lists(st.integers(0, size - 1), max_size=2))]
+        built = build_eigenstates([schur for schur, _ in chains], [occ for _, occ in chains])
+        for (schur, occupation), result in zip(chains, built):
+            assert_built_alike(result, built_alone(schur, occupation))
+
+    def test_overflowing_members_fail_alone(self):
+        """With a low cap some members overflow: they carry the single path's error
+        text, and the others stay bit-identical to their states built alone."""
+        schurs = surface_schurs()[::7]
+        built = build_eigenstates(schurs, max_bond=16)
+        alone = [built_alone(schur, [0] * 10, max_bond=16) for schur in schurs]
+        failed = [k for k, result in enumerate(alone) if result[0] is BondOverflowError]
+        assert 0 < len(failed) < len(schurs)
+        for result, expected in zip(built, alone):
+            assert_built_alike(result, expected)
+
+    def test_invalid_occupation_fails_its_member_alone(self):
+        schurs = surface_schurs()[100:103]
+        built = build_eigenstates(schurs, [[0] * 10, [0] * 9, [1] + [0] * 9])
+        assert isinstance(built[1], ValueError) and "length 10" in str(built[1])
+        assert_built_alike(built[0], built_alone(schurs[0], [0] * 10))
+        assert_built_alike(built[2], built_alone(schurs[2], [1] + [0] * 9))
+
+    def test_empty_batch(self):
+        assert build_eigenstates([]) == []
 
 
 def complex_structure(occupation) -> np.ndarray:

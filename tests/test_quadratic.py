@@ -274,6 +274,19 @@ class TestSchurDecompose:
             with pytest.raises(RuntimeError, match="block residual"):
                 schur_decompose(scale * b)
 
+    def test_couplings_near_the_subnormal_range_are_decomposed_at_scale(self):
+        b = build_coupling_matrix(KitaevParams(5, 1.0, 0.7, 1.0))
+        b = np.ldexp(b, -math.frexp(np.abs(b).max())[1])  # largest entry in [1/2, 1)
+        unit = schur_decompose(b)
+        tiny = schur_decompose(np.ldexp(b, -1000))  # exact: the entries stay normal doubles
+        np.testing.assert_array_equal(tiny.even, unit.even)
+        np.testing.assert_array_equal(tiny.odd, unit.odd)
+        np.testing.assert_array_equal(tiny.epsilons, np.ldexp(unit.epsilons, -1000))
+        # subnormal couplings: the residual of a decomposition at their own scale
+        # would round to whole subnormal steps, above 1e-9 of them
+        params = KitaevParams(2, 5e-324, 5e-324, 0.0, boundary="periodic")
+        assert schur_decompose(build_coupling_matrix(params)).epsilons.max() > 0.0
+
     def test_non_orthogonal_factor_is_a_numerical_failure(self, monkeypatch):
         # B = 0 is factored exactly by any U and V; a non-orthogonal U must not pass.
         monkeypatch.setattr(quadratic, "_svd", lambda b: (2.0 * np.eye(2), np.zeros(2), np.eye(2)))

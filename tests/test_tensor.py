@@ -28,7 +28,13 @@ from kitaev_chain import (
     build_coupling_matrix,
 )
 from kitaev_chain import oracle, z_value
-from kitaev_chain.tensor import FOCK_SITE_LIMIT, MAX_BOND_DIMENSION, _checked_blocks, _even_counts
+from kitaev_chain.tensor import (
+    FOCK_SITE_LIMIT,
+    MAX_BOND_DIMENSION,
+    _checked_blocks,
+    _even_counts,
+    apply_two_site_gates,
+)
 from parity_gates import random_pair_gate, random_site_sign
 
 #: A quarter turn within {|00>, |11>} and within {|01>, |10>}; conserves parity.
@@ -326,6 +332,103 @@ class TestTwoSiteGate:
         assert damaged["left"] == pytest.approx(1.1**2 - 1.0, abs=1e-10)
         assert damaged["right"] == pytest.approx(1.1**2 - 1.0, abs=1e-10)
         assert damaged["bond"] < 1e-10
+
+
+def single_outcome(state: TensorChain, left_site: int, u: np.ndarray, **kwargs):
+    """``state`` after ``apply_two_site_gate`` on a copy, or the text of what it raised."""
+    state = state.copy()
+    try:
+        state.apply_two_site_gate(left_site, u, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return state
+
+
+def assert_same_state(a: TensorChain, b: TensorChain) -> None:
+    assert a.to_json() == b.to_json()
+    assert a.even_counts == b.even_counts
+
+
+class TestStackedGates:
+    """``apply_two_site_gates`` buckets states by local layout and updates each
+    bucket with one kernel call; every state must come out as the single-state
+    method leaves it, bit for bit, and a failing state alone must fail."""
+
+    @staticmethod
+    def states() -> list[TensorChain]:
+        """Chains of 4 to 10 sites, several sharing one layout at bond 1."""
+        return [
+            random_circuit(6, seed=31),
+            random_circuit(6, seed=32),
+            brickwork(8, layers=6, seed=33, max_bond=MAX_BOND_DIMENSION),
+            TensorChain.product_state([0, 1, 1, 0]),
+            TensorChain.product_state([1, 0, 0, 0]),
+            brickwork(10, layers=7, seed=34, max_bond=MAX_BOND_DIMENSION),
+            random_circuit(6, seed=31),  # a duplicate of the first
+        ]
+
+    def check_against_single(self, states, left_site, gates, **kwargs) -> list:
+        expected = [single_outcome(s, left_site, u, **kwargs) for s, u in zip(states, gates)]
+        errors = apply_two_site_gates(states, left_site, gates, **kwargs)
+        for state, error, outcome in zip(states, errors, expected):
+            if isinstance(outcome, TensorChain):
+                assert error is None
+                assert_same_state(state, outcome)
+            else:
+                assert (type(error), str(error)) == outcome
+        return errors
+
+    @pytest.mark.parametrize("left_site", [0, 1, 2])
+    def test_each_state_is_updated_as_alone(self, left_site, monkeypatch):
+        rng = np.random.default_rng(left_site)
+        states = self.states()
+        gates = np.stack([random_pair_gate(rng) for _ in states])
+        expected = [single_outcome(s, left_site, u) for s, u in zip(states, gates)]
+        shapes, _ = recorded_svd_shapes(monkeypatch)
+        assert apply_two_site_gates(states, left_site, gates) == [None] * len(states)
+        for state, outcome in zip(states, expected):
+            assert_same_state(state, outcome)
+        # one SVD call per bucket, on the parity blocks of all its states
+        assert sum(shape[0] for shape in shapes) == 2 * len(states)
+        assert len(shapes) < len(states)
+
+    def test_overflowing_states_fail_alone(self):
+        states = self.states()
+        before = [s.copy() for s in states]
+        gates = np.stack([RNG_GATE] * len(states))
+        errors = self.check_against_single(states, 2, gates, max_bond=4)
+        failed = [k for k, error in enumerate(errors) if error is not None]
+        assert failed and len(failed) < len(states)
+        for k in failed:
+            assert isinstance(errors[k], BondOverflowError)
+            assert_same_state(states[k], before[k])
+
+    def test_a_bond_beyond_a_short_chain_fails_that_chain_alone(self):
+        states = self.states()
+        gates = np.stack([pair_gate(k) for k in range(len(states))])
+        errors = self.check_against_single(states, 4, gates)
+        assert [type(error) for error in errors] == [
+            type(None), type(None), type(None), ValueError, ValueError, type(None), type(None)
+        ]
+
+    def test_one_rejected_gate_in_the_stack(self):
+        states = self.states()
+        gates = np.stack([pair_gate(k) for k in range(len(states))])
+        gates[1] = np.diag([1.0, 1.0, 1.0, 0.5])
+        mixing = pair_gate(7)
+        mixing[:, [1, 3]] = mixing[:, [3, 1]]  # still orthogonal; |01> -> even states
+        gates[4] = mixing
+        errors = self.check_against_single(states, 1, gates)
+        assert [k for k, error in enumerate(errors) if error is not None] == [1, 4]
+        assert str(errors[1]) == "gate is not orthogonal (residual 7.500e-01)"
+        assert str(errors[4]) == "gate mixes parity: it couples even and odd states"
+
+    def test_rejects_a_stack_of_the_wrong_shape_or_dtype(self):
+        states = self.states()[:2]
+        with pytest.raises(ValueError, match="expected 2 gates of 4x4"):
+            apply_two_site_gates(states, 0, np.stack([np.eye(4)] * 3))
+        with pytest.raises(ValueError, match="gate must be real"):
+            apply_two_site_gates(states, 0, np.stack([np.eye(4, dtype=complex)] * 2))
 
 
 def left_vector_parities(state: TensorChain, bond: int) -> np.ndarray:
