@@ -53,10 +53,16 @@ Stacked updates.  The arithmetic of a two-site update runs on a stack of G
 states that share one local layout (chi_L, chi_M, chi_R and the even counts
 of the two outer bonds): the contractions are stacked matrix products, one
 SVD call takes the (2G, chi_L, chi_R) stack of all their parity blocks, and
-the states whose kept counts agree are written back together.  The method
-``apply_two_site_gate`` is the case G = 1; ``apply_two_site_gates`` buckets
-any list of states by layout and gives each the bits the method gives it
-alone.  A gate stack is checked by one vectorised call.
+the states whose kept counts agree are written back together.
+``apply_two_site_gates`` is the only way into that kernel: it checks its
+gates as one stack, buckets its states by layout and runs the kernel once
+per bucket, and the kernel stacks the operands of its states (a lone
+state's as views of its arrays).  The method ``apply_two_site_gate`` is
+that call on ``[self]`` and raises what it returns, so a state gets the
+same bits and the same error text alone or in a batch.  Both gate methods
+have one check, ``_gate_errors``: it rejects a gate of the wrong shape, one
+that is not real, one that is not orthogonal and one that mixes parity,
+vectorised over the stack.
 
 Dtype.  B is real (float64).  Every eigenstate of a Kitaev chain with
 real pairing is real, and the fold builds it from real orthogonal two-site
@@ -316,7 +322,9 @@ class TensorChain:
         """
         self._check_site(site)
         u = np.asarray(u)
-        _check_gate(u, 2)
+        (error,) = _gate_errors(u[None], 2)
+        if error is not None:
+            raise error
         self.gammas[site] = np.diagonal(u)[:, None, None] * self.gammas[site]
 
     def apply_two_site_gate(
@@ -334,34 +342,25 @@ class TensorChain:
         truncated to singular values above ``TRUNCATION_THRESHOLD`` times the
         largest of both.  The kept values list the even block's before the
         odd block's.  The kept right singular vectors V become B_R, and
-        Theta V^T / ||sigma|| becomes B_L.  This is the one-state case of
-        the stacked kernel that :func:`apply_two_site_gates` runs on many
-        states at once: the SVD operand is the (2, chi_L, chi_R) stack of
-        this state's blocks.
+        Theta V^T / ||sigma|| becomes B_L.
+
+        This is one call of :func:`apply_two_site_gates` on ``[self]``, which
+        raises what that call returns: the checks, the kernel and the texts
+        are those of the stacked path, and the SVD operand is the
+        (2, chi_L, chi_R) stack of this state's blocks.
 
         Raises
         ------
         ValueError
-            If the gate is not real orthogonal or has an entry that mixes
-            parity.
+            If ``left_site`` is out of range, or the gate is not a real
+            orthogonal 4x4 matrix or has an entry that mixes parity.
         TruncationError
             If the two-site block vanishes, which only a state that is not
             canonical can cause.
         BondOverflowError
             If more than ``max_bond`` singular values survive.
         """
-        self._check_bond(left_site)
-        u = np.asarray(u)
-        _check_gate(u, 4)
-        (error,) = _two_site_updates(
-            [self],
-            left_site,
-            self.gammas[left_site][None],
-            self.gammas[left_site + 1][None],
-            self._left_lambda(left_site)[None],
-            u[None],
-            max_bond,
-        )
+        (error,) = apply_two_site_gates([self], left_site, np.asarray(u)[None], max_bond=max_bond)
         if error is not None:
             raise error
 
@@ -591,25 +590,20 @@ def _decode(raw: object, what: str, shape: tuple[int, ...] = (-1,)) -> np.ndarra
         raise ValueError(f"{what} is not base64 of float64 values in shape {shape}: {exc}") from exc
 
 
-def _check_gate(u: np.ndarray, dim: int) -> None:
-    """Reject a gate of the wrong shape, one that is not real orthogonal, or one mixing parity."""
-    if u.shape != (dim, dim):
-        raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
-    if not np.isrealobj(u):
-        raise ValueError("gate must be real")
-    (error,) = _gate_errors(u[None], dim)
-    if error is not None:
-        raise error
-
-
 def _gate_errors(u: np.ndarray, dim: int) -> list[ValueError | None]:
-    """Per gate of a real (G, dim, dim) stack, None or the ``ValueError`` that rejects it.
+    """Per gate of a (G, dim, dim) stack, None or the ``ValueError`` that rejects it.
 
-    Both checks are vectorised over the stack: a gate is rejected when it is
-    not orthogonal to ``_ORTHOGONAL_TOL``, else when an entry couples even and
-    odd states.  Only a stack with a rejected gate is gone through gate by
-    gate.
+    The one gate check of both gate methods.  A stack whose gates are not
+    dim x dim, or that is not real, is rejected as a whole: that
+    ``ValueError`` is raised.  The other two checks are vectorised over the
+    stack: a gate is rejected when it is not orthogonal to
+    ``_ORTHOGONAL_TOL``, else when an entry couples even and odd states.
+    Only a stack with a rejected gate is gone through gate by gate.
     """
+    if u.shape[1:] != (dim, dim):
+        raise ValueError(f"gate must be {dim}x{dim}, got {u.shape[1:]}")
+    if u.dtype.kind == "c":  # np.isrealobj, without its Python-level call
+        raise ValueError("gate must be real")
     deviation = np.abs(u.transpose(0, 2, 1) @ u - _IDENTITY[dim])
     mixing = u.reshape(len(u), dim * dim).take(_PARITY_MIXING[dim], axis=1)
     errors: list[ValueError | None] = [None] * len(u)
@@ -624,28 +618,32 @@ def _gate_errors(u: np.ndarray, dim: int) -> list[ValueError | None]:
 
 
 def _two_site_updates(
-    states: Sequence[TensorChain],
-    bond: int,
-    left: np.ndarray,
-    right: np.ndarray,
-    lam_l: np.ndarray,
-    u: np.ndarray,
-    max_bond: int,
+    states: Sequence[TensorChain], bond: int, u: np.ndarray, max_bond: int
 ) -> list[Exception | None]:
     """The two-site update on ``bond`` of G states that share one local layout, as stacks.
 
-    ``left`` (G, 2, chi_L, chi_M) and ``right`` (G, 2, chi_M, chi_R) are the
-    site tensors of ``states`` at sites (bond, bond + 1), ``lam_l`` (G, chi_L)
-    the Schmidt values left of them and ``u`` the (G, 4, 4) checked gates.
-    Every step is the arithmetic of one state, batched over the leading axis:
-    the contractions are stacked matrix products, and one SVD call
-    (``np.linalg.svd`` looked up at call time) decomposes the (2G, chi_L,
-    chi_R) stack of all parity blocks.  The states whose kept counts
-    (n_even, n_odd) agree are written back together.
+    The operands are read from ``states``: the (G, 2, chi_L, chi_M) and
+    (G, 2, chi_M, chi_R) stacks of their site tensors at sites (bond,
+    bond + 1) and the (G, chi_L) stack of the Schmidt values left of them;
+    ``u`` holds the (G, 4, 4) checked gates.  A lone state's operands are
+    views of its arrays, because ``np.stack`` copies.  Every step is the
+    arithmetic of one state, batched over the leading axis: the contractions
+    are stacked matrix products, and one SVD call (``np.linalg.svd`` looked
+    up at call time) decomposes the (2G, chi_L, chi_R) stack of all parity
+    blocks.  The states whose kept counts (n_even, n_odd) agree are written
+    back together.
 
     Returns per state None, or the ``TruncationError`` or
     ``BondOverflowError`` that leaves it unchanged.
     """
+    if len(states) == 1:
+        (state,) = states
+        left, right = state.gammas[bond][None], state.gammas[bond + 1][None]
+        lam_l = state._left_lambda(bond)[None]
+    else:
+        left = np.stack([state.gammas[bond] for state in states])
+        right = np.stack([state.gammas[bond + 1] for state in states])
+        lam_l = np.stack([state._left_lambda(bond) for state in states])
     e_l, e_r = states[0]._parity_edges(bond)
     g, _, chi_l, chi_m = left.shape
     chi_r = right.shape[3]
@@ -720,48 +718,46 @@ def apply_two_site_gates(
 ) -> list[Exception | None]:
     """Contract ``gates[k]`` into sites (left_site, left_site + 1) of ``states[k]``, for every k.
 
-    Each state gets the update :meth:`TensorChain.apply_two_site_gate` makes,
-    bit for bit, but the states are bucketed by their local layout (chi_L,
-    chi_M, chi_R and the even counts of the two outer bonds) and each bucket
-    takes one call of the stacked kernel: one SVD call on the (2G, chi_L,
-    chi_R) stack of its G states' parity blocks.  The gates are checked as
-    one stack.
+    The only way into the stacked two-site kernel:
+    :meth:`TensorChain.apply_two_site_gate` is this call on one state.  The
+    gates are checked as one stack by ``_gate_errors``.  The states are
+    bucketed by their local layout (chi_L, chi_M, chi_R and the even counts
+    of the two outer bonds) and each bucket takes one call of the kernel:
+    one SVD call on the (2G, chi_L, chi_R) stack of its G states' parity
+    blocks.  Each state gets the bits it gets alone.
 
-    Returns, per state, None or the exception ``apply_two_site_gate`` would
-    raise for it (with the same text); a state that fails is left unchanged
-    and the others go on.
+    Returns, per state, None or the exception that leaves it unchanged (an
+    out-of-range bond, a rejected gate, a truncation or an overflow); the
+    others go on.
+
+    Raises
+    ------
+    ValueError
+        If ``gates`` is not one gate per state, or not a real stack of 4x4
+        matrices.
     """
     gates = np.asarray(gates)
-    if not np.isrealobj(gates):
-        raise ValueError("gate must be real")
-    if gates.shape != (len(states), 4, 4):
+    if gates.shape[:1] != (len(states),):
         raise ValueError(f"expected {len(states)} gates of 4x4, got shape {gates.shape}")
-    checked = _gate_errors(gates, 4)
-    errors: list[Exception | None] = [None] * len(states)
-    buckets: dict[tuple[int, ...], list[int]] = {}
+    errors: list[Exception | None] = _gate_errors(gates, 4)
+    buckets: dict[tuple, list[int]] = {}
     for k, state in enumerate(states):
         try:
             state._check_bond(left_site)
         except ValueError as exc:
             errors[k] = exc
             continue
-        if checked[k] is not None:
-            errors[k] = checked[k]
-            continue
-        left, right = state.gammas[left_site], state.gammas[left_site + 1]
-        layout = (*left.shape[1:], right.shape[2], *state._parity_edges(left_site))
-        buckets.setdefault(layout, []).append(k)
+        if errors[k] is None:
+            layout = (
+                state.gammas[left_site].shape,
+                state.gammas[left_site + 1].shape,
+                state._parity_edges(left_site),
+            )
+            buckets.setdefault(layout, []).append(k)
     for members in buckets.values():
-        group = [states[k] for k in members]
-        failed = _two_site_updates(
-            group,
-            left_site,
-            np.stack([state.gammas[left_site] for state in group]),
-            np.stack([state.gammas[left_site + 1] for state in group]),
-            np.stack([state._left_lambda(left_site) for state in group]),
-            gates[members],
-            max_bond,
-        )
+        if len(members) == len(states):  # one bucket holds the whole call
+            return _two_site_updates(states, left_site, gates, max_bond)
+        failed = _two_site_updates([states[k] for k in members], left_site, gates[members], max_bond)
         for k, error in zip(members, failed):
             errors[k] = error
     return errors

@@ -13,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from kitaev_chain import cli
+import kitaev_chain
+from kitaev_chain import BondOverflowError, KitaevParams, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,6 +35,40 @@ def test_perfbench_selftest_passes():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def traced_lone_build(monkeypatch, params, **kwargs) -> tuple[dict, object]:
+    """Per-layer metrics of one ``prepare_eigenstate`` call under the benchmark's tracer.
+
+    Returns the metrics and the plan built, or the exception the build raised."""
+    monkeypatch.setitem(sys.modules, "workloads", load_perfbench("workloads"))  # spans imports it by name
+    spans = load_perfbench("spans")
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        _, _, outcome = kitaev_chain.prepare_eigenstate(params, **kwargs)
+    except BondOverflowError as exc:
+        outcome = exc
+    finally:
+        restore()
+    return spans.layer_metrics(tracer.spans, 1, 1.0, 0.0, 0.0), outcome
+
+
+@pytest.mark.parametrize("mu, w", [(1.0, 1.0), (2.0, 1.0)], ids=["topo", "critical"])
+def test_traced_lone_build_counts_every_gate(mu, w, monkeypatch):
+    """The tracer counts a lone build's gates through ``TensorChain.apply_two_site_gate``.
+
+    The per-layer gate counters read the spans of that method under
+    ``reconstruct_eigenstate``, so a lone build that reached the two-site
+    kernel some other way would read fewer gates than its plan has, and a
+    capped one no overflow."""
+    params = KitaevParams(16, w, mu, 1.0)
+    metrics, plan = traced_lone_build(monkeypatch, params)
+    gates = len(plan.rotations)
+    assert metrics["folding.gates_applied"] == metrics["tensor.gate2_calls"] == gates == 64
+    metrics, error = traced_lone_build(monkeypatch, params, max_bond=4)
+    assert isinstance(error, BondOverflowError)
+    assert metrics["tensor.overflows"] == 1
 
 
 @pytest.mark.parametrize("workload", ["ladder", "observables"])
@@ -64,7 +99,7 @@ def test_scan_commands_parse(seed):
 
     The library workloads run above; the scan workload's flags are checked here
     without running a point, so that a renamed or removed flag fails here."""
-    for _, argv in load_workloads().scan_commands(seed):
+    for _, argv in load_perfbench("workloads").scan_commands(seed):
         args = cli.build_parser().parse_args(argv)
         cli._check_flags(args)
         for flag in ("mu_grid", "w_grid", "two_w_grid"):

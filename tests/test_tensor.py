@@ -9,6 +9,7 @@ chain holds real parity eigenstates only and rejects any other gate or state.
 
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,10 +213,18 @@ class TestSingleSiteGate:
                 state.apply_single_site_gate(1, u)
         np.testing.assert_array_equal(dense_vector(state), before)
 
-    def test_rejects_non_unitary(self):
+    @pytest.mark.parametrize(
+        "u, text",
+        [
+            (np.array([[1.0, 0.0], [0.0, 2.0]]), "gate is not orthogonal (residual 3.000e+00)"),
+            (np.eye(3), "gate must be 2x2, got (3, 3)"),
+        ],
+        ids=["not-orthogonal", "wrong-shape"],
+    )
+    def test_rejects_non_unitary(self, u, text):
         state = TensorChain.product_state([0, 0])
-        with pytest.raises(ValueError, match="orthogonal"):
-            state.apply_single_site_gate(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            state.apply_single_site_gate(0, u)
 
     def test_rejects_bad_site(self):
         state = TensorChain.product_state([0, 0])
@@ -260,10 +269,18 @@ class TestTwoSiteGate:
         np.testing.assert_allclose(dense_vector(state), before, atol=1e-10)
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
-    def test_rejects_non_unitary(self):
+    @pytest.mark.parametrize(
+        "u, text",
+        [
+            (np.diag([1.0, 1.0, 1.0, 0.5]), "gate is not orthogonal (residual 7.500e-01)"),
+            (np.eye(3), "gate must be 4x4, got (3, 3)"),
+        ],
+        ids=["not-orthogonal", "wrong-shape"],
+    )
+    def test_rejects_non_unitary(self, u, text):
         state = TensorChain.product_state([0, 0])
-        with pytest.raises(ValueError, match="orthogonal"):
-            state.apply_two_site_gate(0, np.diag([1.0, 1.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            state.apply_two_site_gate(0, u)
 
     def test_rejects_bad_bond(self):
         state = TensorChain.product_state([0, 0])
