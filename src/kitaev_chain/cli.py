@@ -261,12 +261,6 @@ def grid_product(*axes: Sequence[float]) -> list[tuple[float, ...]]:
     return list(itertools.product(*axes))
 
 
-def _surface_points(args: argparse.Namespace) -> list[KitaevParams]:
-    """The (mu, w) surface of energy-accuracy and particles: w, then mu, ascending."""
-    grid = grid_product(sorted(parse_grid(args.w_grid)), sorted(parse_grid(args.mu_grid)))
-    return [make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu) for w, mu in grid]
-
-
 # -- spectrum ----------------------------------------------------------------
 
 SPECTRUM_COLUMNS = (("mode", None), ("epsilon", 6))
@@ -336,49 +330,12 @@ def cmd_zscan(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- energy accuracy ---------------------------------------------------------
+# -- surfaces: energy accuracy and particles ---------------------------------
 
 ENERGY_COLUMNS = (
     ("mu", 6), ("w", 6), ("energy_tensor", 6), ("energy_reference", 6),
     ("abs_difference", 12), ("degenerate", None), ("error", None),
 )
-
-
-def _energy_rows(points: list[KitaevParams]) -> list[dict]:
-    """One row per point; the ground states of the batch are built in lockstep."""
-    schurs = [schur_decompose(build_coupling_matrix(params)) for params in points]
-    rows = []
-    for params, schur, built in zip(points, schurs, build_eigenstates(schurs)):
-        reference = -0.5 * float(np.sum(schur.epsilons))
-        row = dict(mu=params.chemical_potential, w=params.hopping, energy_reference=reference)
-        row.update(energy_tensor=None, abs_difference=None, degenerate=schur.is_degenerate, error="")
-        rows.append(row)
-        if isinstance(built, Exception):  # recorded in-row; the scan continues
-            row["error"] = str(built)
-            continue
-        try:
-            energy = energy_expectation(built[0], params)
-        except Exception as exc:  # recorded in-row; the scan continues
-            row["error"] = str(exc)
-            continue
-        row.update(energy_tensor=energy, abs_difference=abs(energy - reference))
-    return rows
-
-
-def _energy_summary(rows: list[dict]) -> dict:
-    differences = [row["abs_difference"] for row in rows if row["abs_difference"] is not None]
-    return {"points": len(rows), "max_abs_difference": max(differences, default=None)}
-
-
-def cmd_energy_accuracy(args: argparse.Namespace) -> int:
-    if args.n < 3:
-        raise UsageError("energy-accuracy needs --n >= 3 (the periodic energy sums N bonds)")
-    run_grid(args, _energy_rows, _surface_points(args), ENERGY_COLUMNS, _energy_summary,
-             batch=batch_size(args.n))
-    return 0
-
-
-# -- particles ---------------------------------------------------------------
 
 PARTICLES_COLUMNS = (
     ("mu", 6), ("w", 6), ("mean_particles", 6), ("parity", None), ("degenerate", None),
@@ -386,38 +343,87 @@ PARTICLES_COLUMNS = (
 )
 
 
-def _particles_rows(points: list[KitaevParams]) -> list[dict]:
-    """One row per point; the ground states of the batch are built in lockstep."""
-    results: list = []
+def _surface_rows(
+    points: list[KitaevParams], *, blank: dict, read: Callable, decomposed: Callable | None = None
+) -> list[dict]:
+    """One row per point of a surface batch: decompose, build, read.
+
+    Each point is decomposed, the ground states of those that were are built
+    in lockstep by one ``build_eigenstates`` call, and each state is handed
+    to ``read(params, state, plan, row)``, which returns the columns it
+    fills.  A row starts as ``blank``, the columns of a point that failed;
+    ``decomposed(schur)``, if given, fills the columns a decomposition
+    settles, which stay when the build or read fails.  A failure at any of
+    the three stages lands in that point's ``error`` column, and the batch
+    goes on.
+    """
+    rows, built = [], []
     for params in points:
-        try:
-            results.append(schur_decompose(build_coupling_matrix(params)))
-        except Exception as exc:  # recorded in-row; the scan continues
-            results.append(exc)
-    decomposed = [k for k, result in enumerate(results) if not isinstance(result, Exception)]
-    for k, built in zip(decomposed, build_eigenstates([results[k] for k in decomposed])):
-        results[k] = built
-    rows = []
-    for params, result in zip(points, results):
-        row = {"mu": params.chemical_potential, "w": params.hopping}
+        row = {"mu": params.chemical_potential, "w": params.hopping, **blank, "error": ""}
         rows.append(row)
-        if isinstance(result, Exception):  # recorded in-row; the scan continues
-            row.update(mean_particles=None, parity="", degenerate=None, error=str(result))
+        try:
+            schur = schur_decompose(build_coupling_matrix(params))
+            if decomposed:
+                row.update(decomposed(schur))
+        except Exception as exc:  # recorded in-row; the scan continues
+            row["error"] = str(exc)
             continue
-        state, plan = result
-        row.update(mean_particles=mean_particle_number(state), parity=state.parity, error="")
-        row["degenerate"] = plan.degenerate
+        built.append((params, row, schur))
+    for (params, row, _), result in zip(built, build_eigenstates([item[2] for item in built])):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            row.update(read(params, *result, row))
+        except Exception as exc:  # recorded in-row; the scan continues
+            row["error"] = str(exc)
     return rows
+
+
+def _energy_decomposed(schur) -> dict:
+    return {"energy_reference": -0.5 * float(np.sum(schur.epsilons)),
+            "degenerate": schur.is_degenerate}
+
+
+def _energy_read(params: KitaevParams, state, plan, row: dict) -> dict:
+    energy = energy_expectation(state, params)
+    return {"energy_tensor": energy, "abs_difference": abs(energy - row["energy_reference"])}
+
+
+def _particles_read(params: KitaevParams, state, plan, row: dict) -> dict:
+    return {"mean_particles": mean_particle_number(state), "parity": state.parity,
+            "degenerate": plan.degenerate}
+
+
+def _energy_summary(rows: list[dict]) -> dict:
+    differences = [row["abs_difference"] for row in rows if row["abs_difference"] is not None]
+    return {"points": len(rows), "max_abs_difference": max(differences, default=None)}
 
 
 def _particles_summary(rows: list[dict]) -> dict:
     return {"points": len(rows), "failed": sum(row["mean_particles"] is None for row in rows)}
 
 
-def cmd_particles(args: argparse.Namespace) -> int:
-    run_grid(args, _particles_rows, _surface_points(args), PARTICLES_COLUMNS, _particles_summary,
-             batch=batch_size(args.n))
+def _run_surface(args: argparse.Namespace, columns, summarize, **stages) -> int:
+    """Run ``_surface_rows`` with ``stages`` over the (mu, w) surface: w, then mu, ascending."""
+    grid = grid_product(sorted(parse_grid(args.w_grid)), sorted(parse_grid(args.mu_grid)))
+    points = [make_params(args, n_sites=args.n, hopping=w, chemical_potential=mu) for w, mu in grid]
+    worker = partial(_surface_rows, **stages)
+    run_grid(args, worker, points, columns, summarize, batch=batch_size(args.n))
     return 0
+
+
+def cmd_energy_accuracy(args: argparse.Namespace) -> int:
+    if args.n < 3:
+        raise UsageError("energy-accuracy needs --n >= 3 (the periodic energy sums N bonds)")
+    blank = dict(energy_tensor=None, energy_reference=None, abs_difference=None, degenerate=None)
+    return _run_surface(args, ENERGY_COLUMNS, _energy_summary, blank=blank, read=_energy_read,
+                        decomposed=_energy_decomposed)
+
+
+def cmd_particles(args: argparse.Namespace) -> int:
+    blank = dict(mean_particles=None, parity="", degenerate=None)
+    return _run_surface(args, PARTICLES_COLUMNS, _particles_summary, blank=blank,
+                        read=_particles_read)
 
 
 # -- verify ------------------------------------------------------------------

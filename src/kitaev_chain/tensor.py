@@ -85,7 +85,9 @@ eigenstate).
 from __future__ import annotations
 
 import base64
+import functools
 import json
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -597,7 +599,8 @@ def _gate_errors(u: np.ndarray, dim: int) -> list[ValueError | None]:
     dim x dim, or that is not real, is rejected as a whole: that
     ``ValueError`` is raised.  The other two checks are vectorised over the
     stack: a gate is rejected when it is not orthogonal to
-    ``_ORTHOGONAL_TOL``, else when an entry couples even and odd states.
+    ``_ORTHOGONAL_TOL`` (a NaN residual counts as not orthogonal), else when
+    an entry couples even and odd states.
     Only a stack with a rejected gate is gone through gate by gate.
     """
     if u.shape[1:] != (dim, dim):
@@ -607,10 +610,10 @@ def _gate_errors(u: np.ndarray, dim: int) -> list[ValueError | None]:
     deviation = np.abs(u.transpose(0, 2, 1) @ u - _IDENTITY[dim])
     mixing = u.reshape(len(u), dim * dim).take(_PARITY_MIXING[dim], axis=1)
     errors: list[ValueError | None] = [None] * len(u)
-    if np.count_nonzero(deviation > _ORTHOGONAL_TOL) or np.count_nonzero(mixing):
+    if np.count_nonzero(~(deviation <= _ORTHOGONAL_TOL)) or np.count_nonzero(mixing):
         residuals = deviation.max(axis=(1, 2)).tolist()
         for k, (residual, entries) in enumerate(zip(residuals, mixing)):
-            if residual > _ORTHOGONAL_TOL:
+            if not residual <= _ORTHOGONAL_TOL:
                 errors[k] = ValueError(f"gate is not orthogonal (residual {residual:.3e})")
             elif np.count_nonzero(entries):
                 errors[k] = ValueError("gate mixes parity: it couples even and odd states")
@@ -764,7 +767,8 @@ def apply_two_site_gates(
 
 
 def bond_hamiltonian(
-    hopping: float, pairing: float, mu_left: float, mu_right: float
+    hopping: float | np.ndarray, pairing: float | np.ndarray,
+    mu_left: float | np.ndarray, mu_right: float | np.ndarray,
 ) -> np.ndarray:
     """Real two-site Hamiltonian block in basis |00>, |01>, |10>, |11>.
 
@@ -772,50 +776,57 @@ def bond_hamiltonian(
     - mu_L (n_L - 1/2) - mu_R (n_R - 1/2) with the fermionic matrix elements
     of adjacent sites (hopping couples |01>,|10>; pairing couples |00>,|11>
     with a minus sign from operator ordering).
+
+    Scalar arguments give one (4, 4) block; arrays of shape (G,) give the
+    (G, 4, 4) stack of blocks, entry g the block of the values at g.
     """
-    h = np.zeros((4, 4))
-    h[0, 0] = (mu_left + mu_right) / 2.0
-    h[1, 1] = (mu_left - mu_right) / 2.0
-    h[2, 2] = (-mu_left + mu_right) / 2.0
-    h[3, 3] = -(mu_left + mu_right) / 2.0
-    h[1, 2] = h[2, 1] = -hopping
-    h[0, 3] = h[3, 0] = -pairing
+    hopping, pairing, mu_left, mu_right = np.broadcast_arrays(hopping, pairing, mu_left, mu_right)
+    h = np.zeros((*hopping.shape, 4, 4))
+    h[..., 0, 0] = (mu_left + mu_right) / 2.0
+    h[..., 1, 1] = (mu_left - mu_right) / 2.0
+    h[..., 2, 2] = (-mu_left + mu_right) / 2.0
+    h[..., 3, 3] = -(mu_left + mu_right) / 2.0
+    h[..., 1, 2] = h[..., 2, 1] = -hopping
+    h[..., 0, 3] = h[..., 3, 0] = -pairing
     return h
 
 
 def energy_expectation(state: TensorChain, params: KitaevParams) -> float:
     """<H> of the chain Hamiltonian as a sum of bond terms Tr(rho h_bond).
 
-    Open boundary: the N-1 bonds read from pair density matrices, with each
-    site's -mu (n - 1/2) term split half/half between its adjacent bonds and
-    in full onto the single adjacent bond at the chain ends.
+    Every bond is read at once: the (B, 4, 4) stack of its density blocks
+    times the stack of its ``bond_hamiltonian`` blocks, one trace per bond,
+    and the traces added in bond order.
+
+    Open boundary: the N-1 bonds read from ``rdm_pairs``, with each site's
+    -mu (n - 1/2) term split half/half between its adjacent bonds and in
+    full onto the single adjacent bond at the chain ends.
 
     Periodic boundary: all N bonds, each carrying a half mu share from each
-    side.  The N-1 adjacent bonds read from pair density matrices, the wrap
-    bond (N-1, 0) from the end-pair one, where the fermionic string through
-    the bulk turns into the state's parity: its hopping and pairing enter
-    with the opposite sign of an adjacent bond's in an even state, with the
-    same sign in an odd one.  This needs at least 3 sites.  The sum does not
-    assume translation invariance, so it holds for every eigenstate,
-    including one of a level filled only in part.
+    side.  The N-1 adjacent bonds read from ``rdm_pairs``, and the wrap
+    bond (N-1, 0), last in the stack, from ``rdm_ends``, where the
+    fermionic string through the bulk turns into the state's parity: its
+    hopping and pairing enter with the opposite sign of an adjacent bond's
+    in an even state, with the same sign in an odd one.  This needs at
+    least 3 sites.  The sum does not assume translation invariance, so it
+    holds for every eigenstate, including one of a level filled only in
+    part.
     """
     n = state.n_sites
     if n != params.n_sites:
         raise ValueError(f"state has {n} sites but params expect {params.n_sites}")
-    w = params.hopping
-    mu = params.chemical_potential
-    pairing = params.pairing_magnitude
     periodic = params.boundary == "periodic"
     if periodic and n < 3:
         raise ValueError("periodic energy requires at least 3 sites")
-    total = 0.0
-    for left, rho in enumerate(state.rdm_pairs()):
-        mu_left = mu if left == 0 and not periodic else mu / 2.0
-        mu_right = mu if left == n - 2 and not periodic else mu / 2.0
-        h = bond_hamiltonian(w, pairing, mu_left, mu_right)
-        total += float(np.trace(rho @ h))
+    rho = state.rdm_pairs()
+    sign = np.ones(n - 1 + periodic)  # of each bond's hopping and pairing
+    mu_left = np.full(n - 1 + periodic, params.chemical_potential / 2.0)
+    mu_right = mu_left.copy()
     if periodic:
-        sign = 1.0 if state.parity == "even" else -1.0
-        h = bond_hamiltonian(-sign * w, -sign * pairing, mu / 2.0, mu / 2.0)
-        total += float(np.trace(state.rdm_ends() @ h))
-    return total
+        rho = np.concatenate((rho, state.rdm_ends()[None]))
+        sign[-1] = -1.0 if state.parity == "even" else 1.0
+    else:
+        mu_left[:1] = mu_right[-1:] = params.chemical_potential
+    h = bond_hamiltonian(sign * params.hopping, sign * params.pairing_magnitude, mu_left, mu_right)
+    # one add at a time, as a loop over the bonds would: np.sum pairs the terms up
+    return functools.reduce(operator.add, np.trace(rho @ h, axis1=1, axis2=2).tolist(), 0.0)

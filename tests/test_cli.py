@@ -551,6 +551,95 @@ def test_output_columns(capsys, monkeypatch, command):
         assert {name for name, value in row.items() if value in (None, "")} == blanks
 
 
+def fail_stage_at_mu(monkeypatch, stage, mu):
+    """Make one stage of the surface worker raise at the point with chemical potential ``mu``.
+
+    Only the coupling is built from ``KitaevParams``, so the point is followed
+    through the objects made for it: its coupling, its decomposition and its
+    state.  ``stage`` is "decompose", "build" or "read"."""
+    tagged = []  # the point's coupling, decomposition and state, as they are made
+
+    def is_tagged(obj):
+        return any(obj is seen for seen in tagged)
+
+    def coupling(params):
+        matrix = build_coupling(params)
+        if params.chemical_potential == mu:
+            tagged.append(matrix)
+        return matrix
+
+    def decompose(matrix):
+        if stage == "decompose" and is_tagged(matrix):
+            raise RuntimeError("injected failure")
+        schur = schur_decompose(matrix)
+        if is_tagged(matrix):
+            tagged.append(schur)
+        return schur
+
+    def build(schurs):
+        results = build_eigenstates(schurs)
+        for k, schur in enumerate(schurs):
+            if is_tagged(schur) and stage == "build":
+                results[k] = RuntimeError("injected failure")
+            elif is_tagged(schur):
+                tagged.append(results[k][0])
+        return results
+
+    def read(original):
+        def wrapper(state, *args):
+            if is_tagged(state):
+                raise RuntimeError("injected failure")
+            return original(state, *args)
+
+        return wrapper
+
+    build_coupling, schur_decompose = cli.build_coupling_matrix, cli.schur_decompose
+    build_eigenstates = cli.build_eigenstates
+    monkeypatch.setattr(cli, "build_coupling_matrix", coupling)
+    monkeypatch.setattr(cli, "schur_decompose", decompose)
+    monkeypatch.setattr(cli, "build_eigenstates", build)
+    for name in ("energy_expectation", "mean_particle_number"):
+        monkeypatch.setattr(cli, name, read(getattr(cli, name)))
+
+
+# the columns of a row that failed at each stage: energy-accuracy keeps what
+# the decomposition settled, particles keeps nothing
+FAILED_COLUMNS = {
+    "energy-accuracy": {
+        "decompose": dict(energy_tensor=None, energy_reference=None, abs_difference=None,
+                          degenerate=None),
+        "build": dict(energy_tensor=None, abs_difference=None),
+        "read": dict(energy_tensor=None, abs_difference=None),
+    },
+    "particles": dict.fromkeys(
+        ("decompose", "build", "read"), dict(mean_particles=None, parity="", degenerate=None)
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", ["decompose", "build", "read"])
+@pytest.mark.parametrize("command", ["particles", "energy-accuracy"])
+def test_a_failure_at_any_stage_stays_in_its_row(capsys, monkeypatch, command, stage):
+    """The surface commands share one failure rule: a point that fails to
+    decompose, build or read gets its error text and its command's blanks,
+    the other rows are those of a run without the failure, and the exit code is 0."""
+    argv = [command, "--n", "6", "--mu-grid", "0,1,4", "--w-grid", "1,2", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    clean = json.loads(out)["rows"]
+    fail_stage_at_mu(monkeypatch, stage, 1.0)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    expected = [
+        {**row, **FAILED_COLUMNS[command][stage], "error": "injected failure"}
+        if row["mu"] == 1.0 else row
+        for row in clean
+    ]
+    assert rows == expected
+    assert sum(row["error"] != "" for row in rows) == 2  # one per w
+
+
 @pytest.mark.parametrize(
     "argv, points",
     [
@@ -714,13 +803,13 @@ def test_pooled_batches_match_serial_output(command):
 def test_surface_batches_are_bounded_by_memory(capsys, monkeypatch):
     """particles hands consecutive points to its worker in batches of batch_size(N)."""
     sizes = []
-    worker = cli._particles_rows
+    worker = cli._surface_rows
 
-    def recording(points):
+    def recording(points, **stages):
         sizes.append(len(points))
-        return worker(points)
+        return worker(points, **stages)
 
-    monkeypatch.setattr(cli, "_particles_rows", recording)
+    monkeypatch.setattr(cli, "_surface_rows", recording)
     assert run_cli(capsys, ["particles", "--n", "10"])[0] == 0
     batch = cli.batch_size(10)
     assert sizes == [batch] * (289 // batch) + [289 % batch] * (289 % batch > 0)

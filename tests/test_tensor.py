@@ -50,6 +50,10 @@ SWAP01 = np.array([[0.0, 1.0], [1.0, 0.0]])
 #: X on both sites: |00> <-> |11> and |01> <-> |10>; conserves parity.
 FLIP_PAIR = np.fliplr(np.eye(4))
 
+#: The identity with one NaN entry: its orthogonality residual is NaN.
+NAN_GATE = np.eye(4)
+NAN_GATE[0, 0] = np.nan
+
 
 def pair_gate(seed: int) -> np.ndarray:
     return random_pair_gate(np.random.default_rng(seed))
@@ -218,8 +222,9 @@ class TestSingleSiteGate:
         [
             (np.array([[1.0, 0.0], [0.0, 2.0]]), "gate is not orthogonal (residual 3.000e+00)"),
             (np.eye(3), "gate must be 2x2, got (3, 3)"),
+            (np.diag([np.nan, 1.0]), "gate is not orthogonal (residual nan)"),
         ],
-        ids=["not-orthogonal", "wrong-shape"],
+        ids=["not-orthogonal", "wrong-shape", "non-finite"],
     )
     def test_rejects_non_unitary(self, u, text):
         state = TensorChain.product_state([0, 0])
@@ -274,8 +279,9 @@ class TestTwoSiteGate:
         [
             (np.diag([1.0, 1.0, 1.0, 0.5]), "gate is not orthogonal (residual 7.500e-01)"),
             (np.eye(3), "gate must be 4x4, got (3, 3)"),
+            (NAN_GATE, "gate is not orthogonal (residual nan)"),
         ],
-        ids=["not-orthogonal", "wrong-shape"],
+        ids=["not-orthogonal", "wrong-shape", "non-finite"],
     )
     def test_rejects_non_unitary(self, u, text):
         state = TensorChain.product_state([0, 0])
@@ -439,6 +445,16 @@ class TestStackedGates:
         assert [k for k, error in enumerate(errors) if error is not None] == [1, 4]
         assert str(errors[1]) == "gate is not orthogonal (residual 7.500e-01)"
         assert str(errors[4]) == "gate mixes parity: it couples even and odd states"
+
+    def test_a_non_finite_gate_fails_alone(self):
+        states = self.states()
+        before = [s.copy() for s in states]
+        gates = np.stack([pair_gate(k) for k in range(len(states))])
+        gates[2] = NAN_GATE
+        errors = self.check_against_single(states, 1, gates)
+        assert [k for k, error in enumerate(errors) if error is not None] == [2]
+        assert str(errors[2]) == "gate is not orthogonal (residual nan)"
+        assert_same_state(states[2], before[2])
 
     def test_rejects_a_stack_of_the_wrong_shape_or_dtype(self):
         states = self.states()[:2]
@@ -1019,8 +1035,19 @@ class TestRealTensors:
 
 
 class TestBondHamiltonian:
-    def test_frozen_entries(self):
-        h = bond_hamiltonian(1.0, 1.0, 2.0, 2.0)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["scalars", "stack"])
+    def test_frozen_entries(self, stacked):
+        args = (1.0, 1.0, 2.0, 2.0)
+        h = bond_hamiltonian(*args)
+        if stacked:
+            # a (G,) stack of each argument; entry g is the scalar call's block, bit for bit
+            values = np.random.default_rng(5).normal(size=(4, 6))
+            values[:, 2] = args
+            stack = bond_hamiltonian(*values)
+            assert stack.shape == (6, 4, 4)
+            for g in range(6):
+                assert stack[g].tobytes() == bond_hamiltonian(*values[:, g].tolist()).tobytes()
+            h = stack[2]
         expected = np.array(
             [
                 [2.0, 0.0, 0.0, -1.0],
@@ -1066,6 +1093,29 @@ class TestEnergyExpectation:
             expected = eigenenergy(schur.epsilons, occupation)
             assert energy_expectation(state, params) == pytest.approx(expected, abs=1e-12)
         assert sectors == {0, 1}
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_equals_a_per_bond_sum_bit_for_bit(self, boundary):
+        # the stacked read adds the bonds one at a time in bond order, the wrap bond
+        # last, as this loop does; ground state and single excitations, both parities
+        params = KitaevParams(12, 0.8, 0.7, 1.1, boundary=boundary)
+        n, w, mu, pairing = 12, 0.8, 0.7, 1.1
+        open_ends = boundary == "open"
+        parities = set()
+        for k in range(-1, n):
+            state, _, _ = prepare_eigenstate(params, [int(j == k) for j in range(n)])
+            parities.add(state.parity)
+            total = 0.0
+            for left, rho in enumerate(state.rdm_pairs()):
+                mu_left = mu if left == 0 and open_ends else mu / 2.0
+                mu_right = mu if left == n - 2 and open_ends else mu / 2.0
+                total += float(np.trace(rho @ bond_hamiltonian(w, pairing, mu_left, mu_right)))
+            if not open_ends:
+                sign = 1.0 if state.parity == "even" else -1.0
+                h = bond_hamiltonian(-sign * w, -sign * pairing, mu / 2.0, mu / 2.0)
+                total += float(np.trace(state.rdm_ends() @ h))
+            assert energy_expectation(state, params) == total
+        assert parities == {"even", "odd"}
 
     def test_periodic_energy_ignores_the_degeneracy_flag(self):
         # the vacuum: only the on-site terms count, -mu (0 - 1/2) on each of 4 sites
